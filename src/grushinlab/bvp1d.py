@@ -34,11 +34,13 @@ from .errors import (
     OnContourSingular,
 )
 from .linops import (
-    WELL_POSED_LIMIT,
     Contour,
+    condition_from_sigma,
     contour_integrate,
-    rank_tolerance,
+    refined_solve,
     spectral_norm,
+    tolerance_from_sigma,
+    well_posed,
 )
 
 
@@ -110,15 +112,10 @@ def neumann_matrix(d: Discretization, z: complex) -> np.ndarray:
     return mat
 
 
-def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = np.linalg.solve(a, b)
-    return x + np.linalg.solve(a, b - a @ x)
-
-
 def _require_neumann_invertible(d: Discretization, z: complex) -> np.ndarray:
     mat = neumann_matrix(d, z)
     sig = np.linalg.svd(mat, compute_uv=False)
-    if sig[-1] <= rank_tolerance(mat) or sig[0] / sig[-1] >= WELL_POSED_LIMIT:
+    if sig[-1] <= tolerance_from_sigma(sig, mat.shape) or not well_posed(condition_from_sigma(sig)):
         raise NeumannEigenvalue(f"z = {z} is a discrete Neumann eigenvalue (sigma_min={sig[-1]:.3e})")
     return mat
 
@@ -129,7 +126,7 @@ def neumann_poisson_solve(d: Discretization, z: complex, data: BoundaryData) -> 
     rhs = np.zeros(d.m + 2, dtype=np.complex128)
     rhs[0] = 2.0 * data.left / d.step
     rhs[-1] = 2.0 * data.right / d.step
-    return _solve_refined(mat, rhs)
+    return refined_solve(mat, rhs)
 
 
 def neumann_green_solve(d: Discretization, z: complex, rhs) -> np.ndarray:
@@ -138,7 +135,7 @@ def neumann_green_solve(d: Discretization, z: complex, rhs) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=np.complex128)
     if rhs.shape[0] != d.m + 2:
         raise DimensionMismatch(f"load must have {d.m + 2} entries")
-    return _solve_refined(mat, rhs)
+    return refined_solve(mat, rhs)
 
 
 def _n2d_from_matrix(mat: np.ndarray, step: float) -> np.ndarray:
@@ -147,7 +144,7 @@ def _n2d_from_matrix(mat: np.ndarray, step: float) -> np.ndarray:
     rhs = np.zeros((n, 2), dtype=np.complex128)
     rhs[0, 0] = 2.0 / step
     rhs[-1, 1] = 2.0 / step
-    sol = _solve_refined(mat, rhs)
+    sol = refined_solve(mat, rhs)
     return np.array([[sol[0, 0], sol[0, 1]], [sol[-1, 0], sol[-1, 1]]])
 
 
@@ -244,9 +241,9 @@ def bvp_grushin(
 ) -> GrushinInverse:
     """Invert the boundary bordered problem and confirm that its effective
     Hamiltonian reproduces the Neumann-to-Dirichlet map to 1e-9 scale."""
-    _require_neumann_invertible(d, z)
+    mat = _require_neumann_invertible(d, z)
     inverse = invert_system(bvp_bordered_system(d, z, support_fraction))
-    reference = n2d_map(d, z)
+    reference = _n2d_from_matrix(mat, d.step)
     scale = max(1.0, spectral_norm(reference))
     if spectral_norm(inverse.e_minus_plus - reference) > 1e-9 * scale:
         raise ConsistencyError("effective Hamiltonian disagrees with the boundary map")
@@ -272,7 +269,7 @@ def dn_trace_identity(d: Discretization, contour: Contour, tol: float = 1e-8) ->
     for z in nodes:
         for mat in (z * eye_n - a_n, z * eye_d - a_d):
             sig = np.linalg.svd(mat, compute_uv=False)
-            if sig[-1] <= 1e3 * rank_tolerance(mat):
+            if sig[-1] <= 1e3 * tolerance_from_sigma(sig, mat.shape):
                 raise OnContourSingular(f"contour node z={z} on a discrete spectrum")
 
     def lhs_integrand(z: complex) -> complex:

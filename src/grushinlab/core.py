@@ -33,15 +33,15 @@ from .errors import (
     TransferSingular,
 )
 from .linops import (
-    EPS,
-    WELL_POSED_LIMIT,
     as_cmatrix,
+    condition_from_sigma,
     condition_number,
     numerical_rank,
-    rank_tolerance,
-    refined_inverse,
+    refined_solve,
     singular_values,
     spectral_norm,
+    tolerance_from_sigma,
+    well_posed,
 )
 
 
@@ -164,14 +164,10 @@ def invert_system(system: BorderedSystem) -> GrushinInverse:
     mat = system.assembled()
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"assembled system is {mat.shape}, not square")
-    sig = singular_values(mat)
-    if sig.size and sig[-1] > 0.0:
-        cond = float(sig[0] / sig[-1])
-    else:
-        cond = np.inf
-    if not np.isfinite(cond) or cond >= WELL_POSED_LIMIT:
+    cond = condition_from_sigma(singular_values(mat))
+    if not well_posed(cond):
         raise IllPosed(f"condition estimate {cond:.3e} beyond well-posed limit", cond)
-    full = refined_inverse(mat)
+    full = refined_solve(mat, np.eye(len(mat), dtype=complex))
     n1, n2 = system.n_cols, system.n_rows
     return GrushinInverse(
         e=full[:n1, :n2],
@@ -202,7 +198,7 @@ def recover_resolvent(
         raise DimensionMismatch("effective Hamiltonian must be square to invert")
     if emp.size:
         sig = singular_values(emp)
-        if sig[-1] <= (rank_tolerance(emp) if tol is None else tol):
+        if sig[-1] <= (tolerance_from_sigma(sig, emp.shape) if tol is None else tol):
             raise EffectiveSingular(
                 f"effective Hamiltonian singular (sigma_min={sig[-1]:.3e})"
             )
@@ -228,11 +224,11 @@ def schur_check(a, b, head: int) -> float:
     a11, a12 = a[:head, :head], a[:head, head:]
     a21, a22 = a[head:, :head], a[head:, head:]
     sig = singular_values(a22)
-    if sig[-1] <= rank_tolerance(a22):
+    if sig[-1] <= tolerance_from_sigma(sig, a22.shape):
         raise CornerSingular(f"A22 singular at tolerance (sigma_min={sig[-1]:.3e})")
     complement = a11 - a12 @ np.linalg.solve(a22, a21)
     b11 = b[:head, :head]
-    return float(spectral_norm(refined_inverse(b11) - complement))
+    return float(spectral_norm(refined_solve(b11, np.eye(head, dtype=complex)) - complement))
 
 
 def effective_index(
@@ -246,14 +242,14 @@ def effective_index(
     the effective Hamiltonian and that the index equals k_plus - k_minus.
     """
     sp = singular_values(system.p)
-    tp = rank_tolerance(system.p) if tol is None else tol
+    tp = tolerance_from_sigma(sp, system.p.shape) if tol is None else tol
     rank_p = numerical_rank(sp, tp)
     dim_ker = system.n_cols - rank_p
     dim_coker = system.n_rows - rank_p
 
     emp = inverse.e_minus_plus
     se = singular_values(emp)
-    te = rank_tolerance(emp) if tol is None else tol
+    te = tolerance_from_sigma(se, emp.shape) if tol is None else tol
     if emp.size == 0:
         rank_e = 0
     else:
@@ -306,9 +302,9 @@ def transfer(inverse: GrushinInverse, rminus_new, rplus_new) -> GrushinInverse:
             inverse.condition,
         )
     cond_g = condition_number(g)
-    if not np.isfinite(cond_g) or cond_g >= WELL_POSED_LIMIT:
+    if not well_posed(cond_g):
         raise TransferSingular(f"transfer system condition {cond_g:.3e}", cond_g)
-    w = refined_inverse(g)
+    w = refined_solve(g, np.eye(len(g), dtype=complex))
     k_new_minus = rm.shape[1]
     w11 = w[:k_new_minus, : rp.shape[0]]
     w12 = w[:k_new_minus, rp.shape[0]:]
@@ -348,9 +344,9 @@ def iterate(inverse: GrushinInverse, nminus, nplus) -> GrushinInverse:
     if inner.shape[0] != inner.shape[1]:
         raise DimensionMismatch("inner system is not square")
     cond_inner = condition_number(inner)
-    if not np.isfinite(cond_inner) or cond_inner >= WELL_POSED_LIMIT:
+    if not well_posed(cond_inner):
         raise InnerSingular(f"inner system condition {cond_inner:.3e}", cond_inner)
-    finv = refined_inverse(inner)
+    finv = refined_solve(inner, np.eye(len(inner), dtype=complex))
     k_plus = emp.shape[1]
     k_minus = emp.shape[0]
     f = finv[:k_plus, :k_minus]
@@ -389,7 +385,7 @@ def feshbach_effective(h, split: Split, z: complex, cross_check: bool = True) ->
     hww = h[np.ix_(w, w)]
     zw = z * np.eye(len(w)) - hww
     sig = singular_values(zw)
-    if sig[-1] <= rank_tolerance(zw) or sig[0] / max(sig[-1], 1e-300) >= WELL_POSED_LIMIT:
+    if sig[-1] <= tolerance_from_sigma(sig, zw.shape) or not well_posed(condition_from_sigma(sig)):
         raise ComplementSingular(f"z within spectrum of the complementary block (sigma_min={sig[-1]:.3e})")
     g_v = z * np.eye(len(v)) - hvv - hvw @ np.linalg.solve(zw, hwv)
     if cross_check:

@@ -71,22 +71,39 @@ def spectral_norm(a) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def condition_from_sigma(sigma: np.ndarray) -> float:
+    """sigma_max / sigma_min from singular values already computed; ``inf``
+    when sigma_min is zero or there are no singular values."""
+    if sigma.size == 0 or sigma[-1] == 0.0:
+        return np.inf
+    return float(sigma[0] / sigma[-1])
+
+
+def well_posed(cond: float) -> bool:
+    """The well-posedness gate: a finite condition estimate below ``WELL_POSED_LIMIT``."""
+    return bool(np.isfinite(cond)) and cond < WELL_POSED_LIMIT
+
+
 def condition_number(a) -> float:
-    """sigma_max / sigma_min; ``inf`` for singular or non-square-rank input."""
+    """sigma_max / sigma_min; ``inf`` for singular input, 1.0 for an empty matrix."""
     s = singular_values(a)
     if s.size == 0:
         return 1.0
-    if s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
+    return condition_from_sigma(s)
+
+
+def tolerance_from_sigma(sigma: np.ndarray, shape: tuple, factor: float = 8.0) -> float:
+    """Rank tolerance max(rows, cols) * sigma_max * eps * factor of a matrix of
+    ``shape`` from its singular values already computed (0.0 when there are none)."""
+    if sigma.size == 0:
+        return 0.0
+    return max(shape) * float(sigma[0]) * EPS * factor
 
 
 def rank_tolerance(a, factor: float = 8.0) -> float:
     """Default numerical-rank tolerance: max(rows, cols) * sigma_max * eps * factor."""
     a = as_cmatrix(a)
-    if a.size == 0:
-        return 0.0
-    return max(a.shape) * spectral_norm(a) * EPS * factor
+    return tolerance_from_sigma(singular_values(a), a.shape, factor)
 
 
 def numerical_rank(sigma: np.ndarray, tol: float, band: float = 10.0) -> int:
@@ -147,21 +164,17 @@ def solve_linear(a, b, tol_factor: float = 8.0) -> SolveResult:
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"rhs has {b.shape[0]} rows, matrix has {a.shape[0]}")
     s = singular_values(a)
-    tol = max(a.shape) * (s[0] if s.size else 0.0) * EPS * tol_factor
+    tol = tolerance_from_sigma(s, a.shape, tol_factor)
     if s.size == 0 or s[-1] <= tol:
         raise SingularMatrix(f"sigma_min={0.0 if s.size == 0 else s[-1]:.3e} <= tol={tol:.3e}")
+    return SolveResult(refined_solve(a, b), condition_from_sigma(s))
+
+
+def refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """LU solve of ``A X = B`` plus one step of iterative refinement; the
+    caller has already decided that ``A`` is invertible (internal helper)."""
     x = np.linalg.solve(a, b)
-    x = x + np.linalg.solve(a, b - a @ x)
-    return SolveResult(x, float(s[0] / s[-1]))
-
-
-def refined_inverse(a) -> np.ndarray:
-    """Explicit inverse with one Newton refinement step (internal helper)."""
-    a = as_cmatrix(a)
-    n = a.shape[0]
-    ident = np.eye(n, dtype=np.complex128)
-    x = np.linalg.solve(a, ident)
-    return x + np.linalg.solve(a, ident - a @ x)
+    return x + np.linalg.solve(a, b - a @ x)
 
 
 def eigenvalues(a) -> np.ndarray:
@@ -263,14 +276,21 @@ def contour_integrate(
     ``tol * (1 + |estimate|)`` or the cap is reached (:class:`NonConvergent`,
     which carries the last two estimates).
     """
-    n = max(8, contour.nodes)
-    estimates = [_quad_once(f, contour, n)]
-    while n < node_cap:
+    first = max(8, contour.nodes)
+    return doubling_quadrature(lambda n: _quad_once(f, contour, n), first, tol, node_cap)
+
+
+def doubling_quadrature(rule: Callable[[int], complex], n: int, tol: float, cap: int) -> complex:
+    """Evaluate ``rule(n)``, doubling ``n`` until two successive estimates differ
+    by at most ``tol * (1 + |estimate|)``; :class:`NonConvergent`, carrying the
+    last two estimates, once ``n`` reaches ``cap``."""
+    estimates = [rule(n)]
+    while n < cap:
         n *= 2
-        estimates.append(_quad_once(f, contour, n))
+        estimates.append(rule(n))
         if abs(estimates[-1] - estimates[-2]) <= tol * (1.0 + abs(estimates[-1])):
             return estimates[-1]
-    raise NonConvergent(f"no convergence at {node_cap} nodes", estimates[-2], estimates[-1])
+    raise NonConvergent(f"no convergence at {cap} nodes", *estimates[-2:])
 
 
 def _quad_once(f, contour: Contour, n: int) -> complex:

@@ -10,7 +10,6 @@ additive O(1/h) term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .errors import (
     OnSpectrum,
     ThresholdOnSingularValue,
 )
-from .linops import as_cmatrix, rank_tolerance, spectral_norm, svd
+from .linops import as_cmatrix, spectral_norm, svd, tolerance_from_sigma
 
 
 @dataclass(frozen=True)
@@ -182,9 +181,15 @@ def resolvent_bound(a, lam: complex, h: float) -> PseudospectrumCell:
     when lam is an eigenvalue at rank tolerance.
     """
     a = as_cmatrix(a)
-    shifted = a - lam * np.eye(a.shape[0])
-    sigma = np.linalg.svd(shifted, compute_uv=False)
-    if sigma[-1] <= rank_tolerance(shifted):
+    sigma = np.linalg.svd(a - lam * np.eye(a.shape[0]), compute_uv=False)
+    return _resolvent_cell(a, lam, h, sigma)
+
+
+def _resolvent_cell(
+    a: np.ndarray, lam: complex, h: float, sigma: np.ndarray
+) -> PseudospectrumCell:
+    """:func:`resolvent_bound` given the singular values ``sigma`` of A - lam."""
+    if sigma[-1] <= tolerance_from_sigma(sigma, a.shape):
         raise OnSpectrum(f"sigma_min = {sigma[-1]:.3e} at tolerance")
     pg = projector_grushin(a, lam, h)
     emp = pg.inverse.e_minus_plus
@@ -236,22 +241,19 @@ def pseudospectrum_grid(a, rectangle, resolution, h_rule) -> PseudospectrumGrid:
     for im in ims:
         for re in res:
             lam = complex(re, im)
+            sigma = np.linalg.svd(a - lam * np.eye(a.shape[0]), compute_uv=False)
             try:
                 if kind == "fixed":
                     h = float(value)
                 else:
-                    shifted = a - lam * np.eye(a.shape[0])
-                    sigma_min = np.linalg.svd(shifted, compute_uv=False)[-1]
-                    h = float(value) * float(sigma_min)
+                    h = float(value) * float(sigma[-1])
                     if h <= 0.0:
                         raise OnSpectrum("sigma_min vanished under sigma-scaled rule")
-                cells.append(resolvent_bound(a, lam, h))
+                cells.append(_resolvent_cell(a, lam, h, sigma))
             except GrushinLabError as exc:
-                shifted = a - lam * np.eye(a.shape[0])
-                sigma_min = float(np.linalg.svd(shifted, compute_uv=False)[-1])
                 cells.append(
                     PseudospectrumCell(
-                        lam, np.nan, -1, np.nan, sigma_min, np.nan,
+                        lam, np.nan, -1, np.nan, float(sigma[-1]), np.nan,
                         error=f"{type(exc).__name__}: {exc}",
                     )
                 )

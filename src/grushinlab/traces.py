@@ -29,14 +29,14 @@ from .errors import (
 )
 from .linops import (
     EPS,
-    WELL_POSED_LIMIT,
     Contour,
     as_cmatrix,
     condition_number,
     contour_integrate,
-    rank_tolerance,
+    doubling_quadrature,
     spectral_norm,
-    svd,
+    tolerance_from_sigma,
+    well_posed,
 )
 
 TWO_PI_I = 2j * np.pi
@@ -97,7 +97,7 @@ def count_direct(family: HolomorphicFamily, contour: Contour, tol: float = 1e-10
     for z in nodes:
         p = family.value(z)
         sig = np.linalg.svd(p, compute_uv=False)
-        if sig[-1] <= rank_tolerance(p):
+        if sig[-1] <= tolerance_from_sigma(sig, p.shape):
             raise OnContourSingular(f"P(z) singular at node z={z}")
 
     def integrand(z: complex) -> complex:
@@ -166,31 +166,20 @@ def count_effective(
         (1 / 2 pi i) * closed integral of tr( E_-+'(z) E_-+(z)^{-1} ) dz ,
 
     with constant borders, where E_-+' = -e_minus P' e_plus.  The bordered
-    problem must be well posed at the contour's node set.
+    problem must be well posed at the contour's node set
+    (:class:`IllPosedOnContour` otherwise).
     """
     rm = as_cmatrix(rminus) if np.size(rminus) else None
     rp = as_cmatrix(rplus) if np.size(rplus) else None
+    if rm is None or rp is None:
+        rm = rp = ()  # assemble gives empty borders zero width on both sides
     family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
 
-    def blocks(z: complex):
-        p = family.value(z)
-        if rm is None or rp is None:
-            return invert_system(assemble(
-                p,
-                np.zeros((p.shape[0], 0), complex),
-                np.zeros((0, p.shape[1]), complex),
-            ))
-        return invert_system(assemble(p, rm, rp))
-
-    nodes, _ = contour.quadrature(max(8, contour.nodes))
-    for z in nodes:
+    def integrand(z: complex) -> complex:
         try:
-            blocks(z)
+            ginv = invert_system(assemble(family.value(z), rm, rp))
         except IllPosed as exc:
             raise IllPosedOnContour(f"bordered problem ill posed at node z={z}") from exc
-
-    def integrand(z: complex) -> complex:
-        ginv = blocks(z)
         if ginv.e_minus_plus.size == 0:
             return 0.0j
         num = ginv.e_minus @ family.derivative(z) @ ginv.e_plus
@@ -348,15 +337,7 @@ class LoopTraceResult:
 
 
 def _periodic_integral(f: Callable[[float], complex], tol: float, cap: int = 2**16) -> complex:
-    n = 64
-    previous = _periodic_once(f, n)
-    while n < cap:
-        n *= 2
-        current = _periodic_once(f, n)
-        if abs(current - previous) <= tol * (1.0 + abs(current)):
-            return current
-        previous = current
-    raise NonInteger(f"loop quadrature did not converge ({previous} vs {current})")
+    return doubling_quadrature(lambda n: _periodic_once(f, n), 64, tol, cap)
 
 
 def _periodic_once(f, n: int) -> complex:
@@ -386,8 +367,7 @@ def loop_trace_identity(
     for s in np.linspace(0.0, 1.0, certificate_radii):
         for t in 2.0 * np.pi * np.arange(certificate_times) / certificate_times:
             mat = certificate(float(t), float(s))
-            cond = condition_number(mat)
-            if not np.isfinite(cond) or cond >= WELL_POSED_LIMIT:
+            if not well_posed(condition_number(mat)):
                 raise ContractionCertificateFails(
                     f"certificate matrix singular at t={t:.3f}, s={s:.3f}"
                 )
@@ -395,7 +375,7 @@ def loop_trace_identity(
     def integrand_p(t: float) -> complex:
         p = loop.system(t).p
         sig = np.linalg.svd(p, compute_uv=False)
-        if sig[-1] <= rank_tolerance(p):
+        if sig[-1] <= tolerance_from_sigma(sig, p.shape):
             raise SingularAtNode(f"P(t) singular at t={t:.4f}")
         return complex(np.trace(np.linalg.solve(p, loop.p_derivative(t))))
 

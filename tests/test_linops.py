@@ -14,9 +14,11 @@ from grushinlab.linops import (
     eigenvalues,
     numerical_rank,
     rank_tolerance,
+    singular_values,
     solve_linear,
     spectral_norm,
     svd,
+    tolerance_from_sigma,
 )
 
 
@@ -127,6 +129,10 @@ def test_rank_tolerance_and_ambiguity():
     assert numerical_rank(np.array([1.0, 0.0]), 1e-12) == 1
     a = np.diag([1.0, 1.0])
     assert rank_tolerance(a) == pytest.approx(2 * np.finfo(float).eps * 8)
+    rng = _rng(11)
+    for shape in [(4, 4), (6, 3), (2, 5), (0, 3)]:
+        m = _random_complex(rng, shape)
+        assert tolerance_from_sigma(singular_values(m), m.shape) == rank_tolerance(m)
 
 
 def test_contour_residue():

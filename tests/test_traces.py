@@ -6,6 +6,7 @@ import pytest
 from grushinlab.core import assemble, invert_system
 from grushinlab.errors import (
     ContractionCertificateFails,
+    NonConvergent,
     NonInteger,
     OnContourSingular,
     SingularAtNode,
@@ -17,6 +18,8 @@ from grushinlab.traces import (
     DecayCertificate,
     HolomorphicFamily,
     LoopFamily,
+    _periodic_integral,
+    _periodic_once,
     borders_from_base_point,
     count_direct,
     count_effective,
@@ -276,3 +279,14 @@ def test_obstruction_indicator_profile():
     report = selfadjoint_obstruction(profile, 0.2, np.linspace(-1, 1, 41), tol=1e-9)
     assert report.ordered_pairing == pytest.approx(np.pi**2 / 2.0, abs=1e-6)
     assert report.mean_value == pytest.approx(np.pi, abs=1e-8)
+
+
+def test_loop_quadrature_cap_reports_last_two_estimates():
+    # the pole pair near t = 0 needs far more than 128 nodes at tol=1e-15
+    f = lambda t: np.exp(1j * t) / (1.0001 - np.cos(t))
+    with pytest.raises(NonConvergent) as info:
+        _periodic_integral(f, tol=1e-15, cap=128)
+    _, previous, last = info.value.args
+    assert previous == _periodic_once(f, 64)
+    assert last == _periodic_once(f, 128)
+    assert previous != last
