@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     ComplementSingular,
     ConsistencyError,
+    ConvergenceFailure,
     CornerSingular,
     DimensionMismatch,
     EffectiveSingular,
@@ -160,14 +161,12 @@ def invert_system(system: BorderedSystem) -> GrushinInverse:
 
     Well-posedness means the condition estimate stays below
     ``WELL_POSED_LIMIT``; otherwise :class:`IllPosed` carries the estimate.
+    This is :func:`invert_stack` for one matrix.
     """
     mat = system.assembled()
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"assembled system is {mat.shape}, not square")
-    cond = condition_from_sigma(singular_values(mat))
-    if not well_posed(cond):
-        raise IllPosed(f"condition estimate {cond:.3e} beyond well-posed limit", cond)
-    full = refined_solve(mat, np.eye(len(mat), dtype=complex))
+    full, (cond,) = invert_stack(mat)
     n1, n2 = system.n_cols, system.n_rows
     return GrushinInverse(
         e=full[:n1, :n2],
@@ -176,6 +175,26 @@ def invert_system(system: BorderedSystem) -> GrushinInverse:
         e_minus_plus=full[n1:, n2:],
         condition=cond,
     )
+
+
+def invert_stack(mats: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Refined inverses of a stack of square matrices, shape ``(N, m, m)``, or
+    of one, shape ``(m, m)``, and their condition estimates sigma_max/sigma_min.
+
+    One sigma-only SVD per matrix decides well-posedness; :class:`IllPosed`
+    carries the estimate and the stack index of the first matrix beyond
+    ``WELL_POSED_LIMIT``.  Each inverse is one LU solve plus one refinement
+    step.  The caller has checked shapes and finiteness.
+    """
+    try:
+        sigma = np.linalg.svd(mats, compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
+        raise ConvergenceFailure(str(exc)) from exc
+    conds = [condition_from_sigma(s) for s in np.atleast_2d(sigma)]
+    for index, cond in enumerate(conds):
+        if not well_posed(cond):
+            raise IllPosed(f"condition estimate {cond:.3e} beyond well-posed limit", cond, index)
+    return refined_solve(mats, np.eye(mats.shape[-1], dtype=complex)), conds
 
 
 @dataclass(frozen=True)

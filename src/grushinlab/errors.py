@@ -18,12 +18,14 @@ class ConvergenceFailure(GrushinLabError):
 
 
 class NonConvergent(GrushinLabError):
-    """Quadrature doubling hit its node cap; args carry the last two estimates."""
+    """Quadrature doubling hit its node cap; args carry the last two estimates
+    (arrays, when several integrals share the nodes)."""
 
 
 class IllPosed(GrushinLabError):
     """Bordered system is singular or its condition estimate exceeds the
-    well-posedness threshold; args carry the offending estimate."""
+    well-posedness threshold; args carry the offending estimate and, for a
+    stacked inversion, the index of the matrix at fault."""
 
 
 class EffectiveSingular(GrushinLabError):
@@ -86,6 +88,12 @@ class NonInteger(GrushinLabError):
 
 class IllPosedOnContour(GrushinLabError):
     """The bordered problem is ill posed at some quadrature node."""
+
+
+class IllPosedInside(IllPosedOnContour):
+    """The bordered matrix is singular somewhere inside the contour, so the
+    effective count misses its zeros; args carry the number of zeros of its
+    determinant inside."""
 
 
 class SingularAtNode(GrushinLabError):

@@ -31,6 +31,10 @@ WELL_POSED_LIMIT = 1.0 / (100.0 * EPS)
 #: Hard cap for quadrature node doubling.
 NODE_CAP = 2**18
 
+#: Nodes per stacked evaluation of a node-array integrand.  It bounds the
+#: quadrature driver's working set, which must not grow with the node count.
+STACK_NODES = 8
+
 
 def as_cmatrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Coerce ``a`` to a finite 2-D complex array, optionally checking its shape."""
@@ -270,32 +274,80 @@ def contour_integrate(
     tol: float = 1e-10,
     node_cap: int = NODE_CAP,
 ) -> complex:
-    """Trapezoidal closed-contour integral with node doubling.
+    """Trapezoidal closed-contour integral of a scalar integrand, with node doubling.
 
     Doubles the node count until two successive estimates differ by less than
     ``tol * (1 + |estimate|)`` or the cap is reached (:class:`NonConvergent`,
-    which carries the last two estimates).
+    which carries the last two estimates).  See :func:`integrate_nodes`.
+    """
+    return integrate_nodes(lambda z: [f(zk) for zk in z], contour, tol, node_cap)
+
+
+def integrate_nodes(
+    f: Callable[[np.ndarray], np.ndarray],
+    contour: Contour,
+    tol: float = 1e-10,
+    node_cap: int = NODE_CAP,
+):
+    """Closed-contour integrals of a node-array integrand, with node doubling.
+
+    ``f`` maps at most ``STACK_NODES`` nodes to values of shape ``(nodes,)``,
+    or ``(m, nodes)`` for m integrals on the same nodes.  A circle reuses its
+    nodes across doublings; a polyline is evaluated in full on every pass.
     """
     first = max(8, contour.nodes)
-    return doubling_quadrature(lambda n: _quad_once(f, contour, n), first, tol, node_cap)
+    return doubling_quadrature(f, contour.quadrature, first, tol, node_cap, contour.kind == "circle")
 
 
-def doubling_quadrature(rule: Callable[[int], complex], n: int, tol: float, cap: int) -> complex:
-    """Evaluate ``rule(n)``, doubling ``n`` until two successive estimates differ
-    by at most ``tol * (1 + |estimate|)``; :class:`NonConvergent`, carrying the
-    last two estimates, once ``n`` reaches ``cap``."""
-    estimates = [rule(n)]
+def periodic_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoidal nodes and weights for the integral over one period [0, 2 pi)."""
+    return 2.0 * np.pi * np.arange(n) / n, np.full(n, 2.0 * np.pi / n)
+
+
+def doubling_quadrature(
+    f: Callable[[np.ndarray], np.ndarray],
+    rule: Callable[[int], tuple[np.ndarray, np.ndarray]],
+    n: int,
+    tol: float,
+    cap: int,
+    nested: bool,
+):
+    """Sum the values of ``f`` at the nodes of ``rule(n)`` against its weights,
+    doubling ``n`` until two successive estimates differ by at most
+    ``tol * (1 + |estimate|)`` in every integral; :class:`NonConvergent`,
+    carrying the last two estimates, once ``n`` reaches ``cap``.
+
+    With ``nested`` the nodes of ``rule(2n)`` at even indices are those of
+    ``rule(n)``, so each doubling evaluates ``f`` at the odd ones only.
+    """
+    nodes, weights = rule(n)
+    values = _evaluate(f, nodes)
+    estimates = [_trapezoid(values, weights)]
     while n < cap:
         n *= 2
-        estimates.append(rule(n))
-        if abs(estimates[-1] - estimates[-2]) <= tol * (1.0 + abs(estimates[-1])):
-            return estimates[-1]
-    raise NonConvergent(f"no convergence at {cap} nodes", *estimates[-2:])
+        nodes, weights = rule(n)
+        if nested:
+            merged = np.empty(values.shape[:-1] + (n,), dtype=np.complex128)
+            merged[..., 0::2] = values
+            merged[..., 1::2] = _evaluate(f, nodes[1::2])
+            values = merged
+        else:
+            values = _evaluate(f, nodes)
+        estimates = [estimates[-1], _trapezoid(values, weights)]
+        if np.all(np.abs(estimates[1] - estimates[0]) <= tol * (1.0 + np.abs(estimates[1]))):
+            return estimates[1]
+    raise NonConvergent(f"no convergence at {cap} nodes", *estimates)
 
 
-def _quad_once(f, contour: Contour, n: int) -> complex:
-    z, w = contour.quadrature(n)
-    vals = np.array([f(zk) for zk in z], dtype=np.complex128)
-    if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
+def _evaluate(f, nodes: np.ndarray) -> np.ndarray:
+    """Values of a node-array integrand, ``STACK_NODES`` nodes per call."""
+    chunks = [f(nodes[i : i + STACK_NODES]) for i in range(0, len(nodes), STACK_NODES)]
+    values = np.concatenate([np.asarray(c, dtype=np.complex128) for c in chunks], axis=-1)
+    if not np.all(np.isfinite(values)):
         raise ValueError("integrand is not finite at a quadrature node")
-    return complex(np.sum(vals * w))
+    return values
+
+
+def _trapezoid(values: np.ndarray, weights: np.ndarray):
+    total = np.sum(values * weights, axis=-1)
+    return complex(total) if total.ndim == 0 else total

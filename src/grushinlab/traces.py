@@ -16,11 +16,12 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BorderedSystem, assemble, invert_system
+from .core import BorderedSystem, assemble, invert_stack
 from .errors import (
     ContractionCertificateFails,
     DimensionMismatch,
     IllPosed,
+    IllPosedInside,
     IllPosedOnContour,
     NonInteger,
     OnContourSingular,
@@ -32,8 +33,9 @@ from .linops import (
     Contour,
     as_cmatrix,
     condition_number,
-    contour_integrate,
     doubling_quadrature,
+    integrate_nodes,
+    periodic_rule,
     spectral_norm,
     tolerance_from_sigma,
     well_posed,
@@ -89,22 +91,45 @@ def count_direct(family: HolomorphicFamily, contour: Contour, tol: float = 1e-10
 
         (1 / 2 pi i) * closed integral of tr( P'(z) P(z)^{-1} ) dz .
 
-    The family must be invertible at the contour's node set; the integral
-    must land on an integer within 1e-6.
+    The family must be invertible at every quadrature node
+    (:class:`OnContourSingular` otherwise); the integral must land on an
+    integer within 1e-6.
     """
     family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
-    nodes, _ = contour.quadrature(max(8, contour.nodes))
-    for z in nodes:
-        p = family.value(z)
-        sig = np.linalg.svd(p, compute_uv=False)
-        if sig[-1] <= tolerance_from_sigma(sig, p.shape):
-            raise OnContourSingular(f"P(z) singular at node z={z}")
-
-    def integrand(z: complex) -> complex:
-        return complex(np.trace(np.linalg.solve(family.value(z), family.derivative(z))))
-
-    raw = contour_integrate(integrand, contour, tol) / TWO_PI_I
+    raw = integrate_nodes(_direct_integrand(family, None), contour, tol) / TWO_PI_I
     return _as_integer(raw)
+
+
+def _stack(fn: Callable[[complex], np.ndarray], nodes: np.ndarray) -> np.ndarray:
+    return np.stack([fn(z) for z in nodes])
+
+
+def _weighted(values: np.ndarray, nodes: np.ndarray, weight) -> np.ndarray:
+    if weight is None:
+        return values
+    # scalar products: numpy's vectorized complex multiply may round differently
+    return np.array([v * weight(z) for v, z in zip(values, nodes)])
+
+
+def _direct_integrand(family: HolomorphicFamily, weight):
+    """Node-array integrand tr( P'(z) P(z)^{-1} ) (times the weight)."""
+
+    def integrand(nodes: np.ndarray) -> np.ndarray:
+        p, dp = _stack(family.value, nodes), _stack(family.derivative, nodes)
+        traces = _log_derivative_trace(p, dp, nodes, lambda z: OnContourSingular(f"P(z) singular at node z={z}"))
+        return _weighted(traces, nodes, weight)
+
+    return integrand
+
+
+def _log_derivative_trace(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, fault) -> np.ndarray:
+    """tr( P^{-1} P' ) over a stack; raises ``fault(node)`` at the first node
+    where P is singular at the rank tolerance."""
+    sigma = np.linalg.svd(p, compute_uv=False)
+    for node, s in zip(nodes, sigma):
+        if s[-1] <= tolerance_from_sigma(s, p.shape[1:]):
+            raise fault(node)
+    return np.trace(np.linalg.solve(p, dp), axis1=1, axis2=2)
 
 
 def _as_integer(raw: complex, tol: float = 1e-6) -> int:
@@ -167,26 +192,58 @@ def count_effective(
 
     with constant borders, where E_-+' = -e_minus P' e_plus.  The bordered
     problem must be well posed at the contour's node set
-    (:class:`IllPosedOnContour` otherwise).
+    (:class:`IllPosedOnContour` otherwise) and inside it
+    (:class:`IllPosedInside`, see :func:`_effective_integral`).
+    """
+    family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
+    return _as_integer(_effective_integral(family, rminus, rplus, contour, tol, None))
+
+
+def _effective_integral(family, rminus, rplus, contour: Contour, tol: float, weight) -> complex:
+    """(1 / 2 pi i) * closed integral of tr( E_-+' E_-+^{-1} ) (times the weight).
+
+    Empty borders on either side leave the bordered matrix M(z) = P(z).  The
+    effective integral counts the zeros of det P inside minus those of det M,
+    so on the same nodes this also integrates tr( E P' ) = d/dz log det M and
+    raises :class:`IllPosedInside` when det M has zeros inside.
     """
     rm = as_cmatrix(rminus) if np.size(rminus) else None
     rp = as_cmatrix(rplus) if np.size(rplus) else None
-    if rm is None or rp is None:
-        rm = rp = ()  # assemble gives empty borders zero width on both sides
-    family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
 
-    def integrand(z: complex) -> complex:
+    def integrand(nodes: np.ndarray) -> np.ndarray:
+        p = _stack(family.value, nodes)
+        d = _stack(family.derivative, nodes)
+        n2, n1 = p.shape[1:]
+        if rm is None or rp is None:
+            mats = p.astype(np.complex128)
+        else:
+            rows, cols = n2 + rp.shape[0], n1 + rm.shape[1]
+            if (rm.shape[0], rp.shape[1]) != (n2, n1) or rows != cols:
+                raise DimensionMismatch(f"borders {rm.shape}, {rp.shape} do not square P {(n2, n1)}")
+            mats = np.zeros((len(nodes), rows, cols), dtype=np.complex128)
+            mats[:, :n2, :n1] = p
+            mats[:, :n2, n1:] = rm
+            mats[:, n2:, :n1] = rp
         try:
-            ginv = invert_system(assemble(family.value(z), rm, rp))
+            full, _ = invert_stack(mats)
         except IllPosed as exc:
-            raise IllPosedOnContour(f"bordered problem ill posed at node z={z}") from exc
-        if ginv.e_minus_plus.size == 0:
-            return 0.0j
-        num = ginv.e_minus @ family.derivative(z) @ ginv.e_plus
-        return complex(-np.trace(np.linalg.solve(ginv.e_minus_plus, num)))
+            raise IllPosedOnContour(f"bordered problem ill posed at node z={nodes[exc.args[2]]}") from exc
+        e_minus_plus = full[:, n1:, n2:]
+        if e_minus_plus.size == 0:
+            effective = np.zeros(len(nodes), dtype=np.complex128)
+        else:
+            num = full[:, n1:, :n2] @ d @ full[:, :n1, n2:]
+            effective = -np.trace(np.linalg.solve(e_minus_plus, num), axis1=1, axis2=2)
+        log_det = np.einsum("kij,kji->k", full[:, :n1, :n2], d)
+        return np.array([_weighted(effective, nodes, weight), log_det])
 
-    raw = contour_integrate(integrand, contour, tol) / TWO_PI_I
-    return _as_integer(raw)
+    effective, log_det = (complex(v) / TWO_PI_I for v in integrate_nodes(integrand, contour, tol))
+    zeros = round(log_det.real)
+    if zeros != 0:
+        raise IllPosedInside(
+            f"bordered matrix singular inside the contour: det M has {zeros} zero(s) there", zeros
+        )
+    return effective
 
 
 @dataclass(frozen=True)
@@ -209,30 +266,9 @@ def weighted_trace(
 ) -> WeightedTrace:
     """Both weighted counting integrals (they agree for holomorphic weights;
     with weight z the result is the sum of the enclosed spectral points)."""
-    rm = as_cmatrix(rminus) if np.size(rminus) else None
-    rp = as_cmatrix(rplus) if np.size(rplus) else None
     family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
-
-    def direct_integrand(z: complex) -> complex:
-        return complex(
-            np.trace(np.linalg.solve(family.value(z), family.derivative(z))) * weight(z)
-        )
-
-    def effective_integrand(z: complex) -> complex:
-        p = family.value(z)
-        if rm is None or rp is None:
-            return 0.0j
-        try:
-            ginv = invert_system(assemble(p, rm, rp))
-        except IllPosed as exc:
-            raise IllPosedOnContour(str(exc)) from exc
-        if ginv.e_minus_plus.size == 0:
-            return 0.0j
-        num = ginv.e_minus @ family.derivative(z) @ ginv.e_plus
-        return complex(-np.trace(np.linalg.solve(ginv.e_minus_plus, num)) * weight(z))
-
-    direct = contour_integrate(direct_integrand, contour, tol) / TWO_PI_I
-    effective = contour_integrate(effective_integrand, contour, tol) / TWO_PI_I
+    direct = integrate_nodes(_direct_integrand(family, weight), contour, tol) / TWO_PI_I
+    effective = _effective_integral(family, rminus, rplus, contour, tol, weight)
     return WeightedTrace(direct, effective)
 
 
@@ -336,13 +372,20 @@ class LoopTraceResult:
         return abs(self.trace_p - self.trace_effective)
 
 
+def _loop_integral(f: Callable[[np.ndarray], np.ndarray], tol: float, cap: int = 2**16) -> complex:
+    """Periodic trapezoidal integral over t in [0, 2 pi) of a node-array
+    integrand, from 64 nodes, reusing nodes across doublings."""
+    return doubling_quadrature(f, periodic_rule, 64, tol, cap, nested=True)
+
+
 def _periodic_integral(f: Callable[[float], complex], tol: float, cap: int = 2**16) -> complex:
-    return doubling_quadrature(lambda n: _periodic_once(f, n), 64, tol, cap)
+    return _loop_integral(lambda ts: [f(t) for t in ts], tol, cap)
 
 
-def _periodic_once(f, n: int) -> complex:
-    ts = 2.0 * np.pi * np.arange(n) / n
-    return complex(sum(f(t) for t in ts) * (2.0 * np.pi / n))
+def _periodic_once(f: Callable[[float], complex], n: int) -> complex:
+    """The loop rule's estimate at ``n`` nodes, without doubling."""
+    ts, weights = periodic_rule(n)
+    return complex(np.sum(np.array([f(t) for t in ts], dtype=np.complex128) * weights))
 
 
 def loop_trace_identity(
@@ -372,27 +415,23 @@ def loop_trace_identity(
                     f"certificate matrix singular at t={t:.3f}, s={s:.3f}"
                 )
 
-    def integrand_p(t: float) -> complex:
-        p = loop.system(t).p
-        sig = np.linalg.svd(p, compute_uv=False)
-        if sig[-1] <= tolerance_from_sigma(sig, p.shape):
-            raise SingularAtNode(f"P(t) singular at t={t:.4f}")
-        return complex(np.trace(np.linalg.solve(p, loop.p_derivative(t))))
+    def integrand_p(ts: np.ndarray) -> np.ndarray:
+        p = np.stack([loop.system(t).p for t in ts])
+        fault = lambda t: SingularAtNode(f"P(t) singular at t={t:.4f}")
+        return _log_derivative_trace(p, _stack(loop.p_derivative, ts), ts, fault)
 
-    def integrand_eff(t: float) -> complex:
-        system = loop.system(t)
+    def integrand_eff(ts: np.ndarray) -> np.ndarray:
+        systems = [loop.system(t) for t in ts]
         try:
-            ginv = invert_system(system)
+            full, _ = invert_stack(np.stack([system.assembled() for system in systems]))
         except IllPosed as exc:
-            raise SingularAtNode(f"bordered matrix singular at t={t:.4f}") from exc
-        n1, n2 = system.n_cols, system.n_rows
-        full = ginv.assembled()
-        dotted = -(full @ loop.assembled_derivative(t) @ full)
-        e_dot = dotted[n1:, n2:]
-        return complex(np.trace(np.linalg.solve(ginv.e_minus_plus, e_dot)))
+            raise SingularAtNode(f"bordered matrix singular at t={ts[exc.args[2]]:.4f}") from exc
+        n1, n2 = systems[0].n_cols, systems[0].n_rows
+        dotted = -(full @ _stack(loop.assembled_derivative, ts) @ full)
+        return np.trace(np.linalg.solve(full[:, n1:, n2:], dotted[:, n1:, n2:]), axis1=1, axis2=2)
 
-    trace_p = _periodic_integral(integrand_p, tol)
-    trace_eff = _periodic_integral(integrand_eff, tol)
+    trace_p = _loop_integral(integrand_p, tol)
+    trace_eff = _loop_integral(integrand_eff, tol)
     return LoopTraceResult(trace_p, trace_eff)
 
 

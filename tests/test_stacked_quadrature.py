@@ -1,0 +1,103 @@
+"""Node-array quadrature: node reuse across doublings, a working set that does
+not grow with the node count, and the border-pole check of the effective count."""
+
+import functools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from grushinlab import linops, traces
+from grushinlab.errors import IllPosedInside, IllPosedOnContour, NonConvergent
+from grushinlab.linops import Contour
+from grushinlab.traces import (
+    HolomorphicFamily,
+    LoopFamily,
+    count_direct,
+    count_effective,
+    loop_trace_identity,
+    weighted_trace,
+)
+
+# check_consistency evaluates P at two points beside each of three probes
+PROBE_VALUES = 6
+
+
+def _counting_pencil(a):
+    pencil = HolomorphicFamily.pencil(a)
+    calls = {"value": 0}
+
+    def value(z):
+        calls["value"] += 1
+        return pencil.value(z)
+
+    return HolomorphicFamily(value, pencil.derivative), calls
+
+
+def test_circle_integral_asks_each_node_once():
+    # tr (z - A)^{-1} = 1/z + 1/(z - 3): the trapezoid rule is exact for 1/z on
+    # this circle and the pole at 3 leaves an error of 3**-64, so the estimates
+    # at 64 and 128 nodes agree and the integral stops at N = 128
+    family, calls = _counting_pencil(np.diag([0.0, 3.0]).astype(complex))
+    contour = Contour.circle(0.0, 1.0)
+    assert count_direct(family, contour) == 1
+    assert calls["value"] == PROBE_VALUES + 128
+    calls["value"] = 0
+    rm = np.array([[1.0], [0.0]], dtype=complex)
+    assert count_effective(family, rm, rm.conj().T, contour) == 1
+    assert calls["value"] == PROBE_VALUES + 128
+
+
+def test_loop_integral_asks_each_node_once(monkeypatch):
+    # P(t) = e^{it} with unit borders: both integrands are the constant i, so
+    # each integral stops at N = 128
+    one = np.ones((1, 1), dtype=complex)
+    loop = LoopFamily.from_blocks({1: one}, {0: one}, {0: one})
+    calls = {"system": 0}
+    system = LoopFamily.system
+
+    def counting_system(self, t):
+        calls["system"] += 1
+        return system(self, t)
+
+    monkeypatch.setattr(LoopFamily, "system", counting_system)
+    result = loop_trace_identity(loop)
+    assert result.trace_p == pytest.approx(2j * np.pi, abs=1e-12)
+    # closure_residual evaluates the loop at t = 0 and t = 2 pi
+    assert calls["system"] == 2 + 128 + 128
+
+
+def test_quadrature_working_set_does_not_grow_with_nodes(monkeypatch):
+    # 24 x 24 pencil, 6-wide borders: one unchunked stack of 2**14 bordered
+    # 30 x 30 matrices would take 236 MB
+    rng = np.random.default_rng(3)
+    diag = np.concatenate([[1.0 + 1e-7], 0.1 * rng.random(5), 5.0 + rng.random(18)])
+    family = HolomorphicFamily.pencil(np.diag(diag).astype(complex))
+    eye = np.eye(24, dtype=complex)
+    # the eigenvalue 1 + 1e-7 sits just outside the unit circle, so the
+    # effective integrand never converges
+    monkeypatch.setattr(
+        traces, "integrate_nodes", functools.partial(linops.integrate_nodes, node_cap=2**14)
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonConvergent):
+            count_effective(family, eye[:, :6], eye[:6, :], Contour.circle(0.0, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_border_pole_inside_is_reported():
+    # M(z) = [[z, 0, 1], [0, z - 1, 0], [1, 0, 0]] is singular at z = 1, inside
+    # the contour: the effective count alone would read 1 where there are 2
+    family = HolomorphicFamily.pencil(np.diag([0.0, 1.0]).astype(complex))
+    contour = Contour.circle(0.5, 0.75)
+    rm = np.array([[1.0], [0.0]], dtype=complex)
+    assert count_direct(family, contour) == 2
+    with pytest.raises(IllPosedInside) as info:
+        count_effective(family, rm, rm.T, contour)
+    assert info.value.args[1] == 1
+    with pytest.raises(IllPosedOnContour):
+        weighted_trace(family, rm, rm.T, contour, lambda z: z)
