@@ -15,13 +15,14 @@ import numpy as np
 
 from .core import GrushinInverse, assemble, invert_system
 from .errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     GrushinLabError,
     IllPosed,
     OnSpectrum,
     ThresholdOnSingularValue,
 )
-from .linops import as_cmatrix, spectral_norm, svd, tolerance_from_sigma
+from .linops import as_cmatrix, spectral_norm, tolerance_from_sigma
 
 
 @dataclass(frozen=True)
@@ -57,23 +58,42 @@ class ProjectorGrushin:
     block_norms: dict
 
 
-def _small_subspaces(a, lam: complex, h: float):
+def _square(a) -> np.ndarray:
     a = as_cmatrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch("matrix must be square")
+    return a
+
+
+def _shifted(a, lam: complex, h: float) -> np.ndarray:
+    """``A - lam`` after the entry checks (finite square ``a``, finite ``lam``,
+    ``h > 0``); the kernels below take checked arrays and never validate."""
+    a = _square(a)
     if h <= 0.0:
         raise ValueError("threshold h must be positive")
-    shifted = a - lam * np.eye(a.shape[0])
-    dec = svd(shifted)
-    close = np.abs(dec.singular - h) < 1e-8
+    return as_cmatrix(a - lam * np.eye(a.shape[0]))
+
+
+def _small_subspaces(shifted: np.ndarray, h: float):
+    """One full SVD of ``shifted``; the orthonormal bases of its singular
+    subspaces with sigma <= h, after the threshold check."""
+    try:
+        left, singular, right_h = np.linalg.svd(shifted, full_matrices=True)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
+        raise ConvergenceFailure(str(exc)) from exc
+    close = np.abs(singular - h) < 1e-8
     if np.any(close):
         raise ThresholdOnSingularValue(
-            f"singular value(s) {dec.singular[close]} within 1e-8 of h={h}"
+            f"singular value(s) {singular[close]} within 1e-8 of h={h}"
         )
-    small = dec.singular <= h
-    u_small = dec.left[:, small]
-    v_small = dec.right_h[small, :].conj().T
-    return shifted, dec, u_small, v_small
+    small = singular <= h
+    return singular, right_h, left[:, small], right_h[small, :].conj().T
+
+
+def _pair(u_small: np.ndarray, v_small: np.ndarray, h: float) -> ProjectorPair:
+    return ProjectorPair(
+        u_small @ u_small.conj().T, v_small @ v_small.conj().T, float(h), u_small.shape[1]
+    )
 
 
 def threshold_projectors(a, lam: complex, h: float) -> ProjectorPair:
@@ -82,18 +102,13 @@ def threshold_projectors(a, lam: complex, h: float) -> ProjectorPair:
     Raises :class:`ThresholdOnSingularValue` when a singular value sits within
     1e-8 of h: the captured dimension would not be well defined.
     """
-    _, dec, u_small, v_small = _small_subspaces(a, lam, h)
-    return ProjectorPair(
-        pi_minus=u_small @ u_small.conj().T,
-        pi_plus=v_small @ v_small.conj().T,
-        h=float(h),
-        n_captured=u_small.shape[1],
-    )
+    _, _, u_small, v_small = _small_subspaces(_shifted(a, lam, h), h)
+    return _pair(u_small, v_small, h)
 
 
 def projector_identities(a, lam: complex, pair: ProjectorPair) -> dict:
     """Residuals of the structural projector identities (all zero in exact arithmetic)."""
-    a = as_cmatrix(a)
+    a = _square(a)
     n = a.shape[0]
     shifted = a - lam * np.eye(n)
     pm, pp = pair.pi_minus, pair.pi_plus
@@ -108,6 +123,27 @@ def projector_identities(a, lam: complex, pair: ProjectorPair) -> dict:
     }
 
 
+def _threshold_inverse(shifted: np.ndarray, h: float):
+    """Captured bases and bordered inverse of a checked ``shifted`` = A - lam:
+    one full SVD, one sigma-only SVD per norm hypothesis, one inversion."""
+    singular, right_h, u_small, v_small = _small_subspaces(shifted, h)
+    slack = 1.0 + 1e-8
+    try:
+        if u_small.shape[1]:
+            if np.linalg.svd(shifted @ v_small, compute_uv=False)[0] > h * slack:
+                raise IllPosed("||P pi_plus|| exceeds h")
+            if np.linalg.svd(shifted.conj().T @ u_small, compute_uv=False)[0] > h * slack:
+                raise IllPosed("||P* pi_minus|| exceeds h")
+        v_large = right_h[singular > h, :].conj().T
+        if v_large.shape[1]:
+            smallest = np.linalg.svd(shifted @ v_large, compute_uv=False)[-1]
+            if smallest < h / slack:
+                raise IllPosed("lower bound off the captured subspace fails")
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
+        raise ConvergenceFailure(str(exc)) from exc
+    return u_small, v_small, invert_system(assemble(shifted, u_small, v_small.conj().T))
+
+
 def projector_grushin(a, lam: complex, h: float) -> ProjectorGrushin:
     """Bordered problem with the threshold singular subspaces as borders.
 
@@ -116,33 +152,14 @@ def projector_grushin(a, lam: complex, h: float) -> ProjectorGrushin:
     verified numerically before inversion; measured block norms are returned
     for scaling studies across an h-sequence.
     """
-    shifted, dec, u_small, v_small = _small_subspaces(a, lam, h)
-    slack = 1.0 + 1e-8
-    if u_small.shape[1]:
-        if spectral_norm(shifted @ v_small) > h * slack:
-            raise IllPosed("||P pi_plus|| exceeds h")
-        if spectral_norm(shifted.conj().T @ u_small) > h * slack:
-            raise IllPosed("||P* pi_minus|| exceeds h")
-    large = dec.singular > h
-    v_large = dec.right_h[large, :].conj().T
-    if v_large.shape[1]:
-        smallest = np.linalg.svd(shifted @ v_large, compute_uv=False)[-1]
-        if smallest < h / slack:
-            raise IllPosed("lower bound off the captured subspace fails")
-    inverse = invert_system(assemble(shifted, u_small, v_small.conj().T))
+    u_small, v_small, inverse = _threshold_inverse(_shifted(a, lam, h), h)
     norms = {
         "e": spectral_norm(inverse.e),
         "e_plus": spectral_norm(inverse.e_plus),
         "e_minus": spectral_norm(inverse.e_minus),
         "e_minus_plus": spectral_norm(inverse.e_minus_plus),
     }
-    pair = ProjectorPair(
-        u_small @ u_small.conj().T,
-        v_small @ v_small.conj().T,
-        float(h),
-        u_small.shape[1],
-    )
-    return ProjectorGrushin(pair, inverse, norms)
+    return ProjectorGrushin(_pair(u_small, v_small, h), inverse, norms)
 
 
 @dataclass(frozen=True)
@@ -158,15 +175,14 @@ def estimate_check(a, lam: complex, h: float, trials: int, seed: int = 0) -> Est
 
     over seeded random data; the worst observed ratio is the reported C.
     """
-    pg = projector_grushin(a, lam, h)
-    n = pg.inverse.e.shape[0]
-    k = pg.pair.n_captured
+    inverse = _threshold_inverse(_shifted(a, lam, h), h)[2]
+    n, k = inverse.e.shape[0], inverse.e_minus_plus.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5E5]))
     ratios = np.zeros(trials)
     for i in range(trials):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v_plus = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        u, u_minus = pg.inverse.apply(v, v_plus)
+        u, u_minus = inverse.apply(v, v_plus)
         num = h * np.linalg.norm(u) + np.linalg.norm(u_minus)
         den = np.linalg.norm(v) + h * np.linalg.norm(v_plus)
         ratios[i] = num / den
@@ -180,27 +196,23 @@ def resolvent_bound(a, lam: complex, h: float) -> PseudospectrumCell:
     quantifies the additive O(1/h) discrepancy.  Raises :class:`OnSpectrum`
     when lam is an eigenvalue at rank tolerance.
     """
-    a = as_cmatrix(a)
-    sigma = np.linalg.svd(a - lam * np.eye(a.shape[0]), compute_uv=False)
-    return _resolvent_cell(a, lam, h, sigma)
+    shifted = _shifted(a, lam, h)
+    return _resolvent_cell(shifted, lam, h, np.linalg.svd(shifted, compute_uv=False))
 
 
 def _resolvent_cell(
-    a: np.ndarray, lam: complex, h: float, sigma: np.ndarray
+    shifted: np.ndarray, lam: complex, h: float, sigma: np.ndarray
 ) -> PseudospectrumCell:
-    """:func:`resolvent_bound` given the singular values ``sigma`` of A - lam."""
-    if sigma[-1] <= tolerance_from_sigma(sigma, a.shape):
+    """:func:`resolvent_bound` given a checked ``shifted`` = A - lam and its
+    singular values ``sigma``; it reads only E_-+ of the bordered inverse."""
+    if sigma[-1] <= tolerance_from_sigma(sigma, shifted.shape):
         raise OnSpectrum(f"sigma_min = {sigma[-1]:.3e} at tolerance")
-    pg = projector_grushin(a, lam, h)
-    emp = pg.inverse.e_minus_plus
-    if emp.size:
-        norm_eff_inv = 1.0 / np.linalg.svd(emp, compute_uv=False)[-1]
-    else:
-        norm_eff_inv = 0.0
+    emp = _threshold_inverse(shifted, h)[2].e_minus_plus
+    norm_eff_inv = 1.0 / np.linalg.svd(emp, compute_uv=False)[-1] if emp.size else 0.0
     sigma_min = float(sigma[-1])
     c_emp = abs(1.0 / sigma_min - norm_eff_inv) * h
     return PseudospectrumCell(
-        complex(lam), float(h), pg.pair.n_captured, float(norm_eff_inv), sigma_min, float(c_emp)
+        complex(lam), float(h), emp.shape[0], float(norm_eff_inv), sigma_min, float(c_emp)
     )
 
 
@@ -217,16 +229,20 @@ class PseudospectrumGrid:
 def pseudospectrum_grid(a, rectangle, resolution, h_rule) -> PseudospectrumGrid:
     """Evaluate resolvent bounds over a rectangular grid of probe points.
 
-    ``rectangle`` is (re_min, re_max, im_min, im_max); ``resolution`` a count
-    or (n_re, n_im) pair, each at least 2; ``h_rule`` either ("fixed", h) or
-    ("sigma-scaled", factor) with h = factor * sigma_min per cell.  Cell-level
-    failures are recorded in the cell, never raised.
+    ``rectangle`` is (re_min, re_max, im_min, im_max), finite; ``resolution``
+    an integer count or (n_re, n_im) pair, each at least 2; ``h_rule`` either
+    ("fixed", h) with h > 0 or ("sigma-scaled", factor) with factor > 0 and
+    h = factor * sigma_min per cell.  Input errors raise before any cell is
+    computed; cell-level failures are recorded in the cell, never raised.
     """
-    a = as_cmatrix(a)
-    re_min, re_max, im_min, im_max = [float(x) for x in rectangle]
+    a = _square(a)
+    bounds = [float(x) for x in rectangle]
+    if not np.all(np.isfinite(bounds)):
+        raise ValueError("rectangle bounds must be finite")
+    re_min, re_max, im_min, im_max = bounds
     if not (re_min < re_max and im_min < im_max):
         raise DimensionMismatch("rectangle bounds must be strictly increasing")
-    if isinstance(resolution, int):
+    if isinstance(resolution, (int, np.integer)):
         n_re = n_im = resolution
     else:
         n_re, n_im = resolution
@@ -235,21 +251,24 @@ def pseudospectrum_grid(a, rectangle, resolution, h_rule) -> PseudospectrumGrid:
     kind, value = h_rule
     if kind not in ("fixed", "sigma-scaled"):
         raise ValueError(f"unknown h rule {kind!r}")
+    value = float(value)
+    if value <= 0.0:
+        what = "threshold h" if kind == "fixed" else "sigma-scaled factor"
+        raise ValueError(f"{what} must be positive")
     res = np.linspace(re_min, re_max, n_re)
     ims = np.linspace(im_min, im_max, n_im)
+    eye = np.eye(a.shape[0])
     cells = []
     for im in ims:
         for re in res:
             lam = complex(re, im)
-            sigma = np.linalg.svd(a - lam * np.eye(a.shape[0]), compute_uv=False)
+            shifted = a - lam * eye
+            sigma = np.linalg.svd(shifted, compute_uv=False)
+            h = value if kind == "fixed" else value * float(sigma[-1])
             try:
-                if kind == "fixed":
-                    h = float(value)
-                else:
-                    h = float(value) * float(sigma[-1])
-                    if h <= 0.0:
-                        raise OnSpectrum("sigma_min vanished under sigma-scaled rule")
-                cells.append(_resolvent_cell(a, lam, h, sigma))
+                if h <= 0.0:
+                    raise OnSpectrum("sigma_min vanished under sigma-scaled rule")
+                cells.append(_resolvent_cell(shifted, lam, h, sigma))
             except GrushinLabError as exc:
                 cells.append(
                     PseudospectrumCell(

@@ -23,6 +23,7 @@ from .errors import (
     IllPosed,
     IllPosedInside,
     IllPosedOnContour,
+    NonConvergent,
     NonInteger,
     OnContourSingular,
     SingularAtNode,
@@ -378,16 +379,6 @@ def _loop_integral(f: Callable[[np.ndarray], np.ndarray], tol: float, cap: int =
     return doubling_quadrature(f, periodic_rule, 64, tol, cap, nested=True)
 
 
-def _periodic_integral(f: Callable[[float], complex], tol: float, cap: int = 2**16) -> complex:
-    return _loop_integral(lambda ts: [f(t) for t in ts], tol, cap)
-
-
-def _periodic_once(f: Callable[[float], complex], n: int) -> complex:
-    """The loop rule's estimate at ``n`` nodes, without doubling."""
-    ts, weights = periodic_rule(n)
-    return complex(np.sum(np.array([f(t) for t in ts], dtype=np.complex128) * weights))
-
-
 def loop_trace_identity(
     loop: LoopFamily,
     certificate: Callable[[float, float], np.ndarray] | None = None,
@@ -702,18 +693,23 @@ def selfadjoint_obstruction(
     Computes A (the ordered double integral), B (the mean), checks the exact
     identity |B|^2 = 2 Re A, and locates the real shifts where
     Re(A e^{-i pi z / h}) changes sign -- the problem is never well posed for
-    all real shifts once A is nonzero.
+    all real shifts once A is nonzero.  The nodes double from 512 until A and
+    B settle to ``tol``; :class:`NonConvergent`, carrying the last two (A, B)
+    pairs, once they reach ``node_cap``.
     """
     n = 512
-    a_prev, b_prev = _obstruction_once(profile, n)
-    delta = np.inf
+    if node_cap <= n:
+        raise ValueError(f"node_cap must exceed the {n} starting nodes")
+    last = _obstruction_once(profile, n)
     while n < node_cap:
         n *= 2
-        a_val, b_val = _obstruction_once(profile, n)
-        delta = max(abs(a_val - a_prev), abs(b_val - b_prev))
-        if delta <= tol * max(1.0, abs(a_val)):
+        previous, last = last, _obstruction_once(profile, n)
+        delta = max(abs(last[0] - previous[0]), abs(last[1] - previous[1]))
+        if delta <= tol * max(1.0, abs(last[0])):
             break
-        a_prev, b_prev = a_val, b_val
+    else:
+        raise NonConvergent(f"no convergence at {n} nodes", previous, last)
+    a_val, b_val = last
     residual = abs(abs(b_val) ** 2 - 2.0 * a_val.real)
 
     def sign_fn(z: float) -> float:

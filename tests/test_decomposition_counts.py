@@ -1,10 +1,11 @@
 """Each rank or well-posedness decision costs one SVD of the matrix in question."""
 
 import numpy as np
+import pytest
 
 from grushinlab.bvp1d import Discretization, bvp_grushin, n2d_map, potential_from_name
 from grushinlab.perturbation import jordan_block
-from grushinlab.pseudospectra import resolvent_bound
+from grushinlab.pseudospectra import projector_grushin, pseudospectrum_grid, resolvent_bound
 
 
 def _record_svds(monkeypatch):
@@ -46,3 +47,43 @@ def test_resolvent_cell_decomposes_shifted_matrix_once(monkeypatch):
     calls = _record_svds(monkeypatch)
     resolvent_bound(a, lam, 1e-2)
     assert sum(np.array_equal(x, shifted) and not uv for x, uv in calls) == 1
+
+
+def _cell_svds(n, k):
+    """(shape, with vectors) of every SVD one pseudospectrum cell with k >= 1
+    captured directions makes: sigma of A - lam, its full SVD, the two norm
+    hypotheses, the lower bound off the captured space, the bordered inverse's
+    well-posedness gate and sigma_min of E_-+."""
+    return [((n, n), False), ((n, n), True), ((n, k), False), ((n, k), False),
+            ((n, n - k), False), ((n + k, n + k), False), ((k, k), False)]
+
+
+def _two_jordan_blocks():
+    return np.kron(np.eye(2), jordan_block(8))
+
+
+@pytest.mark.parametrize("a, k", [(jordan_block(10), 1), (_two_jordan_blocks(), 2)])
+def test_resolvent_cell_makes_seven_svds(monkeypatch, a, k):
+    calls = _record_svds(monkeypatch)
+    cell = resolvent_bound(a, 0.5 + 0.1j, 1e-2)
+    assert cell.n_captured == k
+    assert [(x.shape, uv) for x, uv in calls] == _cell_svds(a.shape[0], k)
+
+
+def test_grid_cells_make_seven_svds_each(monkeypatch):
+    a = jordan_block(10)
+    calls = _record_svds(monkeypatch)
+    grid = pseudospectrum_grid(a, (0.45, 0.55, -0.05, 0.05), 2, ("fixed", 1e-2))
+    assert [cell.n_captured for cell in grid.cells] == [1, 1, 1, 1]
+    assert [(x.shape, uv) for x, uv in calls] == _cell_svds(10, 1) * 4
+
+
+def test_grid_cells_equal_resolvent_bound_cells():
+    for a in (jordan_block(10), _two_jordan_blocks()):
+        for rule in (("fixed", 1e-2), ("sigma-scaled", 3.0)):
+            grid = pseudospectrum_grid(a, (0.45, 0.55, -0.05, 0.05), 3, rule)
+            for cell in grid.cells:
+                assert cell.error is None and cell.n_captured >= 1
+                assert cell == resolvent_bound(a, cell.lam, cell.h)
+                emp = projector_grushin(a, cell.lam, cell.h).inverse.e_minus_plus
+                assert cell.norm_eff_inv == 1.0 / np.linalg.svd(emp, compute_uv=False)[-1]

@@ -219,3 +219,51 @@ def test_grid_sigma_scaled_rule():
     for cell in grid.cells:
         if cell.error is None:
             assert cell.n_captured >= 1
+
+
+def test_non_square_matrix_is_a_dimension_mismatch():
+    a = np.ones((3, 4), dtype=complex)
+    with pytest.raises(DimensionMismatch, match="matrix must be square"):
+        resolvent_bound(a, 0.5, 0.1)
+    with pytest.raises(DimensionMismatch, match="matrix must be square"):
+        pseudospectrum_grid(a, (0.0, 1.0, 0.0, 1.0), 3, ("fixed", 0.1))
+    with pytest.raises(DimensionMismatch, match="matrix must be square"):
+        projector_identities(a, 0.5, threshold_projectors(np.eye(3), 0.5, 0.1))
+
+
+def test_grid_rejects_non_positive_h_before_any_cell(monkeypatch):
+    calls = []
+    real_svd = np.linalg.svd
+
+    def recording_svd(*args, **kwargs):
+        calls.append(args[0])
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    a = jordan_block(6)
+    for rule, message in (
+        (("fixed", 0.0), "threshold h must be positive"),
+        (("fixed", -1e-2), "threshold h must be positive"),
+        (("sigma-scaled", 0.0), "sigma-scaled factor must be positive"),
+        (("sigma-scaled", -3.0), "sigma-scaled factor must be positive"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            pseudospectrum_grid(a, (0.2, 0.6, -0.2, 0.2), 3, rule)
+    assert calls == []
+
+
+def test_grid_accepts_numpy_integer_resolution():
+    a = jordan_block(6)
+    rect, rule = (0.2, 0.6, -0.2, 0.2), ("fixed", 1e-2)
+    grid = pseudospectrum_grid(a, rect, np.int64(3), rule)
+    assert repr(grid.cells) == repr(pseudospectrum_grid(a, rect, 3, rule).cells)
+
+
+def test_non_finite_probe_points_are_rejected():
+    a = jordan_block(6)
+    # numpy's SVD fails on inf or nan entries ("SVD did not converge", or it never
+    # returns), so both are caught at entry
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="entries must be finite"):
+        resolvent_bound(a, complex(np.inf, 0.0), 0.1)
+    with pytest.raises(ValueError, match="rectangle bounds must be finite"):
+        pseudospectrum_grid(a, (0.0, np.inf, -0.2, 0.2), 3, ("fixed", 0.1))

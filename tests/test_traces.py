@@ -12,14 +12,14 @@ from grushinlab.errors import (
     SingularAtNode,
     SupportViolation,
 )
-from grushinlab.linops import Contour, eigenvalues, spectral_norm
+from grushinlab.linops import Contour, eigenvalues, periodic_rule, spectral_norm
 from grushinlab.perturbation import gaussian_matrix, jordan_block, rank_one_coupling
 from grushinlab.traces import (
     DecayCertificate,
     HolomorphicFamily,
     LoopFamily,
-    _periodic_integral,
-    _periodic_once,
+    _loop_integral,
+    _obstruction_once,
     borders_from_base_point,
     count_direct,
     count_effective,
@@ -279,6 +279,34 @@ def test_obstruction_indicator_profile():
     report = selfadjoint_obstruction(profile, 0.2, np.linspace(-1, 1, 41), tol=1e-9)
     assert report.ordered_pairing == pytest.approx(np.pi**2 / 2.0, abs=1e-6)
     assert report.mean_value == pytest.approx(np.pi, abs=1e-8)
+
+
+def _periodic_integral(f, tol, cap=2**16):
+    """The loop integral of a scalar integrand in t."""
+    return _loop_integral(lambda ts: [f(t) for t in ts], tol, cap)
+
+
+def _periodic_once(f, n):
+    """The loop rule's estimate at ``n`` nodes, without doubling."""
+    ts, weights = periodic_rule(n)
+    return complex(np.sum(np.array([f(t) for t in ts], dtype=np.complex128) * weights))
+
+
+def test_obstruction_raises_at_node_cap():
+    # |sin x|^0.5 has square-root cusps at 0, pi and 2 pi, so the trapezoid
+    # error decays like n^-1.5 and tol=1e-14 is out of reach at 2^12 nodes
+    profile = lambda x: abs(np.sin(x)) ** 0.5
+    with pytest.raises(NonConvergent) as info:
+        selfadjoint_obstruction(profile, 1.0, [0.0, 1.0], tol=1e-14, node_cap=2**12)
+    message, previous, last = info.value.args
+    assert message == "no convergence at 4096 nodes"
+    assert previous == _obstruction_once(profile, 2048)
+    assert last == _obstruction_once(profile, 4096)
+
+
+def test_obstruction_cap_at_start_is_a_clear_error():
+    with pytest.raises(ValueError, match="node_cap must exceed the 512 starting nodes"):
+        selfadjoint_obstruction(lambda x: 1.0, 1.0, [0.0, 1.0], node_cap=512)
 
 
 def test_loop_quadrature_cap_reports_last_two_estimates():
