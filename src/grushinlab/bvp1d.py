@@ -58,8 +58,7 @@ class Discretization:
             raise ValueError("need a < b")
         if self.m < 3:
             raise ValueError("need at least 3 interior nodes")
-        vals = np.array([self.v(x) for x in self.grid()], dtype=float)
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(_stencil(self, 0.0)[2])):
             raise ValueError("potential must be finite at every grid node")
 
     @property
@@ -82,33 +81,33 @@ class BoundaryData:
         return np.array([self.left, self.right], dtype=np.complex128)
 
 
+def _stencil(d: Discretization, z: complex) -> tuple[np.ndarray, float, np.ndarray]:
+    """Second-order stencil of -d2/dx2 + V - z at grid nodes 0..m+1, one call
+    of the potential per node: the diagonal 2/h^2 + V - z, the off-diagonal
+    -1/h^2, and V - z for :func:`_difference_rows`."""
+    h = d.step
+    v = np.array([d.v(x) for x in d.grid()], dtype=float)
+    return (2.0 / h**2 + v - z).astype(np.complex128), -1.0 / h**2, v - z
+
+
+def _tridiagonal(diag: np.ndarray, off: float) -> np.ndarray:
+    mat = np.diag(diag)
+    idx = np.arange(diag.size - 1)
+    mat[idx, idx + 1] = mat[idx + 1, idx] = off
+    return mat
+
+
 def dirichlet_matrix(d: Discretization, z: complex) -> np.ndarray:
     """Second-order stencil of -d2/dx2 + V - z with zero boundary values eliminated."""
-    h = d.step
-    x = d.grid()
-    diag = 2.0 / h**2 + np.array([d.v(xj) for xj in x[1:-1]]) - z
-    mat = np.diag(diag.astype(np.complex128))
-    off = -1.0 / h**2
-    idx = np.arange(d.m - 1)
-    mat[idx, idx + 1] = off
-    mat[idx + 1, idx] = off
-    return mat
+    diag, off, _ = _stencil(d, z)
+    return _tridiagonal(diag[1:-1], off)
 
 
 def neumann_matrix(d: Discretization, z: complex) -> np.ndarray:
     """Stencil on all nodes with zero Neumann data eliminated through ghost points."""
-    h = d.step
-    x = d.grid()
-    n = d.m + 2
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for j in range(1, n - 1):
-        mat[j, j - 1] = -1.0 / h**2
-        mat[j, j] = 2.0 / h**2 + d.v(x[j]) - z
-        mat[j, j + 1] = -1.0 / h**2
-    mat[0, 0] = 2.0 / h**2 + d.v(x[0]) - z
-    mat[0, 1] = -2.0 / h**2
-    mat[n - 1, n - 1] = 2.0 / h**2 + d.v(x[-1]) - z
-    mat[n - 1, n - 2] = -2.0 / h**2
+    diag, off, _ = _stencil(d, z)
+    mat = _tridiagonal(diag, off)
+    mat[0, 1] = mat[-1, -2] = 2.0 * off
     return mat
 
 
@@ -162,16 +161,12 @@ def n2d_map(d: Discretization, z: complex) -> np.ndarray:
 #   [ghost_left, u_1, ..., u_m, ghost_right]   (length m + 2).
 
 
-def _difference_rows(d: Discretization, z: complex, extended: np.ndarray) -> np.ndarray:
-    """Apply the difference expression at nodes 0..m+1 to an extended-grid vector."""
-    h = d.step
-    x = d.grid()
+def _difference_rows(h: float, shifted: np.ndarray, extended: np.ndarray) -> np.ndarray:
+    """Apply the stencil, with ``shifted`` = V - z at nodes 0..m+1, to an
+    extended-grid vector.  Written as diag * u + off * (neighbours) instead,
+    it would move the effective Hamiltonian in its last bits."""
     inner = extended[1:-1]  # values at nodes 0..m+1
-    vvals = np.array([d.v(xj) for xj in x], dtype=np.complex128)
-    return (
-        (-extended[:-2] + 2.0 * inner - extended[2:]) / h**2
-        + (vvals - z) * inner
-    )
+    return (-extended[:-2] + 2.0 * inner - extended[2:]) / h**2 + shifted * inner
 
 
 def extension_profiles(d: Discretization, support_fraction: float = 0.125) -> np.ndarray:
@@ -208,20 +203,12 @@ def bvp_bordered_system(
     h = d.step
     m = d.m
     dim = m + 2  # ghost_left, u_1..u_m, ghost_right
-    x = d.grid()
+    diag, off, shifted = _stencil(d, z)
 
+    # rows: nodes 0..m+1; node 0 couples ghost_left and u_1, node m+1 u_m and ghost_right
     p = np.zeros((dim, dim), dtype=np.complex128)
-    # row: node 0; unknown ghost_left at column 0, u_1 at column 1
-    p[0, 0] = -1.0 / h**2
-    p[0, 1] = -1.0 / h**2
-    for j in range(1, m + 1):  # node j, unknown u_j at column j
-        if j - 1 >= 1:
-            p[j, j - 1] = -1.0 / h**2
-        p[j, j] = 2.0 / h**2 + d.v(x[j]) - z
-        if j + 1 <= m:
-            p[j, j + 1] = -1.0 / h**2
-    p[m + 1, m] = -1.0 / h**2
-    p[m + 1, m + 1] = -1.0 / h**2
+    p[1:-1, 1:-1] = _tridiagonal(diag[1:-1], off)
+    p[0, :2] = p[-1, -2:] = off
 
     rplus = np.zeros((2, dim), dtype=np.complex128)
     rplus[0, 0] = 1.0 / (2.0 * h)
@@ -231,7 +218,7 @@ def bvp_bordered_system(
 
     profiles = extension_profiles(d, support_fraction)
     rminus = np.column_stack(
-        [_difference_rows(d, z, profiles[:, 0]), _difference_rows(d, z, profiles[:, 1])]
+        [_difference_rows(h, shifted, profiles[:, 0]), _difference_rows(h, shifted, profiles[:, 1])]
     )
     return assemble(p, rminus, rplus)
 

@@ -229,7 +229,8 @@ class PseudospectrumGrid:
 def pseudospectrum_grid(a, rectangle, resolution, h_rule) -> PseudospectrumGrid:
     """Evaluate resolvent bounds over a rectangular grid of probe points.
 
-    ``rectangle`` is (re_min, re_max, im_min, im_max), finite; ``resolution``
+    ``rectangle`` is (re_min, re_max, im_min, im_max), finite, with
+    max|A| + max|lam| finite in the real and in the imaginary part; ``resolution``
     an integer count or (n_re, n_im) pair, each at least 2; ``h_rule`` either
     ("fixed", h) with h > 0 or ("sigma-scaled", factor) with factor > 0 and
     h = factor * sigma_min per cell.  Input errors raise before any cell is
@@ -242,6 +243,11 @@ def pseudospectrum_grid(a, rectangle, resolution, h_rule) -> PseudospectrumGrid:
     re_min, re_max, im_min, im_max = bounds
     if not (re_min < re_max and im_min < im_max):
         raise DimensionMismatch("rectangle bounds must be strictly increasing")
+    # max|A| + max|lam| bounds every entry of A - lam, per part: while it is
+    # finite, no cell's shifted matrix overflows
+    for part, low, high in ((a.real, re_min, re_max), (a.imag, im_min, im_max)):
+        if not np.isfinite(float(np.abs(part).max(initial=0.0)) + max(abs(low), abs(high))):
+            raise ValueError("A - lam overflows on the rectangle")
     if isinstance(resolution, (int, np.integer)):
         n_re = n_im = resolution
     else:

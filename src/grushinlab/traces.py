@@ -83,8 +83,8 @@ class HolomorphicFamily:
 
 
 def _probe_points(contour: Contour) -> list[complex]:
-    z, _ = contour.quadrature(8)
-    return [z[0], z[3], z[5]]
+    z, _ = contour.quadrature(8)  # on a polyline, 8 nodes per edge
+    return [z[0], z[3 * z.size // 8], z[5 * z.size // 8]]
 
 
 def count_direct(family: HolomorphicFamily, contour: Contour, tol: float = 1e-10) -> int:
@@ -373,12 +373,6 @@ class LoopTraceResult:
         return abs(self.trace_p - self.trace_effective)
 
 
-def _loop_integral(f: Callable[[np.ndarray], np.ndarray], tol: float, cap: int = 2**16) -> complex:
-    """Periodic trapezoidal integral over t in [0, 2 pi) of a node-array
-    integrand, from 64 nodes, reusing nodes across doublings."""
-    return doubling_quadrature(f, periodic_rule, 64, tol, cap, nested=True)
-
-
 def loop_trace_identity(
     loop: LoopFamily,
     certificate: Callable[[float, float], np.ndarray] | None = None,
@@ -421,8 +415,9 @@ def loop_trace_identity(
         dotted = -(full @ _stack(loop.assembled_derivative, ts) @ full)
         return np.trace(np.linalg.solve(full[:, n1:, n2:], dotted[:, n1:, n2:]), axis1=1, axis2=2)
 
-    trace_p = _loop_integral(integrand_p, tol)
-    trace_eff = _loop_integral(integrand_eff, tol)
+    # periodic trapezoid rule in t from 64 nodes, doubling up to 2^16
+    trace_p = doubling_quadrature(integrand_p, periodic_rule, 64, tol, 2**16)
+    trace_eff = doubling_quadrature(integrand_eff, periodic_rule, 64, tol, 2**16)
     return LoopTraceResult(trace_p, trace_eff)
 
 

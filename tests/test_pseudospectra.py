@@ -267,3 +267,18 @@ def test_non_finite_probe_points_are_rejected():
         resolvent_bound(a, complex(np.inf, 0.0), 0.1)
     with pytest.raises(ValueError, match="rectangle bounds must be finite"):
         pseudospectrum_grid(a, (0.0, np.inf, -0.2, 0.2), 3, ("fixed", 0.1))
+
+
+def test_grid_rejects_overflowing_shift_before_any_svd(monkeypatch):
+    # A - lam overflows to inf in the first cell; numpy's SVD does not always
+    # return on such a matrix, so no SVD may be attempted
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD attempted")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    big = np.diag([1e308, 1.0, 2.0]).astype(complex)
+    with pytest.raises(ValueError, match="overflows"):
+        pseudospectrum_grid(big, (-1e308, 0.0, 0.0, 1.0), 2, ("fixed", 0.1))
+    with pytest.raises(ValueError, match="overflows"):
+        pseudospectrum_grid(1j * big, (0.0, 1.0, -1e308, 0.0), 2, ("fixed", 0.1))
+

@@ -12,13 +12,12 @@ from grushinlab.errors import (
     SingularAtNode,
     SupportViolation,
 )
-from grushinlab.linops import Contour, eigenvalues, periodic_rule, spectral_norm
+from grushinlab.linops import Contour, doubling_quadrature, eigenvalues, periodic_rule, spectral_norm
 from grushinlab.perturbation import gaussian_matrix, jordan_block, rank_one_coupling
 from grushinlab.traces import (
     DecayCertificate,
     HolomorphicFamily,
     LoopFamily,
-    _loop_integral,
     _obstruction_once,
     borders_from_base_point,
     count_direct,
@@ -283,7 +282,7 @@ def test_obstruction_indicator_profile():
 
 def _periodic_integral(f, tol, cap=2**16):
     """The loop integral of a scalar integrand in t."""
-    return _loop_integral(lambda ts: [f(t) for t in ts], tol, cap)
+    return doubling_quadrature(lambda ts: [f(t) for t in ts], periodic_rule, 64, tol, cap)
 
 
 def _periodic_once(f, n):
