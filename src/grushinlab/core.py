@@ -34,7 +34,9 @@ from .errors import (
     TransferSingular,
 )
 from .linops import (
+    WELL_POSED_LIMIT,
     as_cmatrix,
+    certified,
     condition_from_sigma,
     condition_number,
     numerical_rank,
@@ -159,14 +161,16 @@ def assemble(p, rminus, rplus, corner=None) -> BorderedSystem:
 def invert_system(system: BorderedSystem) -> GrushinInverse:
     """Invert a bordered system and report its condition estimate.
 
-    Well-posedness means the condition estimate stays below
-    ``WELL_POSED_LIMIT``; otherwise :class:`IllPosed` carries the estimate.
-    This is :func:`invert_stack` for one matrix.
+    Well-posedness means the condition estimate sigma_max/sigma_min, from one
+    sigma-only SVD, stays below ``WELL_POSED_LIMIT``; otherwise
+    :class:`IllPosed` carries the estimate.  The inverse is one LU solve plus
+    one refinement step.
     """
     mat = system.assembled()
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"assembled system is {mat.shape}, not square")
-    full, (cond,) = invert_stack(mat)
+    (cond,) = _well_posedness_gate(mat, [0])
+    full = refined_solve(mat, np.eye(len(mat), dtype=complex))
     n1, n2 = system.n_cols, system.n_rows
     return GrushinInverse(
         e=full[:n1, :n2],
@@ -177,24 +181,42 @@ def invert_system(system: BorderedSystem) -> GrushinInverse:
     )
 
 
-def invert_stack(mats: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """Refined inverses of a stack of square matrices, shape ``(N, m, m)``, or
-    of one, shape ``(m, m)``, and their condition estimates sigma_max/sigma_min.
+def invert_stack(mats: np.ndarray) -> np.ndarray:
+    """Refined inverses of a stack of well-posed square matrices, shape
+    ``(N, m, m)``: the inverses :func:`invert_system` computes, bit for bit.
 
-    One sigma-only SVD per matrix decides well-posedness; :class:`IllPosed`
-    carries the estimate and the stack index of the first matrix beyond
-    ``WELL_POSED_LIMIT``.  Each inverse is one LU solve plus one refinement
-    step.  The caller has checked shapes and finiteness.
+    Each inverse is one LU solve plus one refinement step.  A matrix whose
+    inverse certifies its condition number below ``WELL_POSED_LIMIT``
+    (:func:`linops.certified`) needs no SVD; the others, and every matrix of
+    a stack the LU solve rejects, face the sigma-only SVD gate of
+    :func:`invert_system`.  :class:`IllPosed` carries the estimate and the
+    stack index of the first matrix beyond the limit.  The caller has checked
+    shapes and finiteness.
     """
+    try:
+        inverses = refined_solve(mats, np.eye(mats.shape[-1], dtype=complex))
+    except np.linalg.LinAlgError:
+        _well_posedness_gate(mats, range(len(mats)))
+        raise
+    doubtful = np.flatnonzero(~certified(mats, inverses, WELL_POSED_LIMIT))
+    if doubtful.size:
+        _well_posedness_gate(mats[doubtful], doubtful)
+    return inverses
+
+
+def _well_posedness_gate(mats: np.ndarray, indices) -> list[float]:
+    """Condition estimates sigma_max/sigma_min of one matrix or a stack, from
+    one sigma-only SVD; :class:`IllPosed`, carrying the estimate and the
+    matrix's entry of ``indices``, at the first beyond ``WELL_POSED_LIMIT``."""
     try:
         sigma = np.linalg.svd(mats, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
         raise ConvergenceFailure(str(exc)) from exc
     conds = [condition_from_sigma(s) for s in np.atleast_2d(sigma)]
-    for index, cond in enumerate(conds):
+    for index, cond in zip(indices, conds):
         if not well_posed(cond):
-            raise IllPosed(f"condition estimate {cond:.3e} beyond well-posed limit", cond, index)
-    return refined_solve(mats, np.eye(mats.shape[-1], dtype=complex)), conds
+            raise IllPosed(f"condition estimate {cond:.3e} beyond well-posed limit", cond, int(index))
+    return conds
 
 
 @dataclass(frozen=True)

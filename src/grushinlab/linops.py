@@ -28,6 +28,12 @@ EPS = float(np.finfo(np.float64).eps)
 #: below 1/(100*eps).
 WELL_POSED_LIMIT = 1.0 / (100.0 * EPS)
 
+#: An explicit inverse decides a condition gate without an SVD while the bound
+#: ||M||_F ||X||_F stays below the gate's limit times this margin; the LU
+#: backward error keeps such a decision the SVD's (README, "Numerical
+#: conventions").
+CERTIFIED_MARGIN = 1e-6
+
 #: Hard cap for quadrature node doubling.
 NODE_CAP = 2**18
 
@@ -86,6 +92,15 @@ def condition_from_sigma(sigma: np.ndarray) -> float:
 def well_posed(cond: float) -> bool:
     """The well-posedness gate: a finite condition estimate below ``WELL_POSED_LIMIT``."""
     return bool(np.isfinite(cond)) and cond < WELL_POSED_LIMIT
+
+
+def certified(mats: np.ndarray, inverses: np.ndarray, limit: float) -> np.ndarray:
+    """Mask of a stack's matrices whose condition number the LU-computed
+    ``inverses`` certify to lie below ``limit``: ||M||_F ||X||_F at most
+    ``limit * CERTIFIED_MARGIN``.  A non-finite bound or an empty matrix
+    certifies nothing; the caller decides those from the singular values."""
+    bound = np.linalg.norm(mats, axis=(-2, -1)) * np.linalg.norm(inverses, axis=(-2, -1))
+    return (bound <= limit * CERTIFIED_MARGIN) & (mats.shape[-1] > 0)
 
 
 def condition_number(a) -> float:

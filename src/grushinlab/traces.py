@@ -33,7 +33,8 @@ from .linops import (
     EPS,
     Contour,
     as_cmatrix,
-    condition_number,
+    certified,
+    condition_from_sigma,
     doubling_quadrature,
     integrate_nodes,
     periodic_rule,
@@ -71,15 +72,21 @@ class HolomorphicFamily:
 
         return HolomorphicFamily(value, derivative)
 
-    def check_consistency(self, probes: Sequence[complex], rtol: float = 1e-6, scale: float = 1.0):
-        """Central-difference check of the derivative at the probe points."""
+    def check_consistency(
+        self, probes: Sequence[complex], rtol: float = 1e-6, scale: float = 1.0
+    ) -> tuple[int, ...] | None:
+        """Central-difference check of the derivative at the probe points;
+        returns the shape of P there (None without probes)."""
         step = EPS ** (1.0 / 3.0) * scale
+        shape = None
         for z in probes:
             fd = (self.value(z + step) - self.value(z - step)) / (2.0 * step)
             dv = self.derivative(z)
             ref = max(spectral_norm(dv), 1.0)
             if spectral_norm(fd - dv) > rtol * ref:
                 raise ValueError(f"derivative inconsistent with finite differences at z={z}")
+            shape = fd.shape
+        return shape
 
 
 def _probe_points(contour: Contour) -> list[complex]:
@@ -125,12 +132,32 @@ def _direct_integrand(family: HolomorphicFamily, weight):
 
 def _log_derivative_trace(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, fault) -> np.ndarray:
     """tr( P^{-1} P' ) over a stack; raises ``fault(node)`` at the first node
-    where P is singular at the rank tolerance."""
-    sigma = np.linalg.svd(p, compute_uv=False)
-    for node, s in zip(nodes, sigma):
+    where P is singular at the rank tolerance.
+
+    One solve of P X = [P' | I] gives P^{-1} P' and P^{-1}.  A node whose
+    inverse certifies cond(P) below 1/(8 n eps), where the rank tolerance
+    would flag P (:func:`linops.certified`), needs no SVD.
+    """
+    n = p.shape[-1]
+    rhs = np.concatenate([dp, np.broadcast_to(np.eye(n, dtype=dp.dtype), p.shape)], axis=-1)
+    try:
+        x = np.linalg.solve(p, rhs)
+    except np.linalg.LinAlgError:
+        _rank_gate(p, nodes, fault)
+        raise
+    limit = 1.0 / tolerance_from_sigma(np.ones(1), p.shape[1:])
+    doubtful = np.flatnonzero(~certified(p, x[..., n:], limit))
+    if doubtful.size:
+        _rank_gate(p[doubtful], nodes[doubtful], fault)
+    return np.trace(x[..., :n], axis1=1, axis2=2)
+
+
+def _rank_gate(p: np.ndarray, nodes: np.ndarray, fault) -> None:
+    """``fault(node)`` at the first node where P, by one sigma-only SVD of the
+    stack, is singular at the rank tolerance."""
+    for node, s in zip(nodes, np.linalg.svd(p, compute_uv=False)):
         if s[-1] <= tolerance_from_sigma(s, p.shape[1:]):
             raise fault(node)
-    return np.trace(np.linalg.solve(p, dp), axis1=1, axis2=2)
 
 
 def _as_integer(raw: complex, tol: float = 1e-6) -> int:
@@ -196,39 +223,45 @@ def count_effective(
     (:class:`IllPosedOnContour` otherwise) and inside it
     (:class:`IllPosedInside`, see :func:`_effective_integral`).
     """
-    family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
-    return _as_integer(_effective_integral(family, rminus, rplus, contour, tol, None))
+    shape = family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
+    template = _bordered_template(rminus, rplus, shape)
+    return _as_integer(_effective_integral(family, template, contour, tol, None))
 
 
-def _effective_integral(family, rminus, rplus, contour: Contour, tol: float, weight) -> complex:
+def _bordered_template(rminus, rplus, shape: tuple[int, int]) -> np.ndarray:
+    """The bordered matrix [[0, R-], [R+, 0]] with a zero block of ``shape``
+    where P goes (just that zero block when both borders are empty);
+    :class:`DimensionMismatch` unless P is square and the borders fit it with
+    k- = k+, so that one-sided borders never pass."""
+    n2, n1 = shape
+    rm = as_cmatrix(rminus) if np.size(rminus) else np.zeros((n2, 0), complex)
+    rp = as_cmatrix(rplus) if np.size(rplus) else np.zeros((0, n1), complex)
+    k_plus, k_minus = rp.shape[0], rm.shape[1]
+    if (rm.shape[0], rp.shape[1]) != shape or n2 != n1 or k_plus != k_minus:
+        raise DimensionMismatch(f"borders {np.shape(rminus)}, {np.shape(rplus)} do not square P {shape}")
+    return np.block([[np.zeros(shape), rm], [rp, np.zeros((k_plus, k_minus))]])
+
+
+def _effective_integral(family, template: np.ndarray, contour: Contour, tol: float, weight) -> complex:
     """(1 / 2 pi i) * closed integral of tr( E_-+' E_-+^{-1} ) (times the weight).
 
-    Empty borders on either side leave the bordered matrix M(z) = P(z).  The
-    effective integral counts the zeros of det P inside minus those of det M,
-    so on the same nodes this also integrates tr( E P' ) = d/dz log det M and
-    raises :class:`IllPosedInside` when det M has zeros inside.
+    The bordered matrix M(z) is ``template`` (:func:`_bordered_template`)
+    with P(z) in its zero block.  The effective integral counts the zeros of
+    det P inside minus those of det M, so on the same nodes this also
+    integrates tr( E P' ) = d/dz log det M and raises :class:`IllPosedInside`
+    when det M has zeros inside.
     """
-    rm = as_cmatrix(rminus) if np.size(rminus) else None
-    rp = as_cmatrix(rplus) if np.size(rplus) else None
 
     def integrand(nodes: np.ndarray) -> np.ndarray:
         p = _stack(family.value, nodes)
         d = _stack(family.derivative, nodes)
         n2, n1 = p.shape[1:]
-        if rm is None or rp is None:
-            mats = p.astype(np.complex128)
-        else:
-            rows, cols = n2 + rp.shape[0], n1 + rm.shape[1]
-            if (rm.shape[0], rp.shape[1]) != (n2, n1) or rows != cols:
-                raise DimensionMismatch(f"borders {rm.shape}, {rp.shape} do not square P {(n2, n1)}")
-            mats = np.zeros((len(nodes), rows, cols), dtype=np.complex128)
-            mats[:, :n2, :n1] = p
-            mats[:, :n2, n1:] = rm
-            mats[:, n2:, :n1] = rp
+        mats = np.repeat(template[None], len(nodes), axis=0)
+        mats[:, :n2, :n1] = p
         try:
-            full, _ = invert_stack(mats)
+            full = invert_stack(mats)
         except IllPosed as exc:
-            raise IllPosedOnContour(f"bordered problem ill posed at node z={nodes[exc.args[2]]}") from exc
+            raise IllPosedOnContour(f"bordered problem ill posed at node z={nodes[exc.index]}") from exc
         e_minus_plus = full[:, n1:, n2:]
         if e_minus_plus.size == 0:
             effective = np.zeros(len(nodes), dtype=np.complex128)
@@ -267,9 +300,10 @@ def weighted_trace(
 ) -> WeightedTrace:
     """Both weighted counting integrals (they agree for holomorphic weights;
     with weight z the result is the sum of the enclosed spectral points)."""
-    family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
+    shape = family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
+    template = _bordered_template(rminus, rplus, shape)
     direct = integrate_nodes(_direct_integrand(family, weight), contour, tol) / TWO_PI_I
-    effective = _effective_integral(family, rminus, rplus, contour, tol, weight)
+    effective = _effective_integral(family, template, contour, tol, weight)
     return WeightedTrace(direct, effective)
 
 
@@ -392,13 +426,15 @@ def loop_trace_identity(
         certificate = lambda t, s: loop.disc_system(s * np.exp(1j * t))
     if loop.closure_residual() > 1e-12:
         raise ValueError("loop does not close up")
-    for s in np.linspace(0.0, 1.0, certificate_radii):
-        for t in 2.0 * np.pi * np.arange(certificate_times) / certificate_times:
-            mat = certificate(float(t), float(s))
-            if not well_posed(condition_number(mat)):
-                raise ContractionCertificateFails(
-                    f"certificate matrix singular at t={t:.3f}, s={s:.3f}"
-                )
+    grid = [
+        (t, s)
+        for s in np.linspace(0.0, 1.0, certificate_radii)
+        for t in 2.0 * np.pi * np.arange(certificate_times) / certificate_times
+    ]
+    mats = np.stack([as_cmatrix(certificate(float(t), float(s))) for t, s in grid])
+    for (t, s), sigma in zip(grid, np.linalg.svd(mats, compute_uv=False)):
+        if not well_posed(condition_from_sigma(sigma)):
+            raise ContractionCertificateFails(f"certificate matrix singular at t={t:.3f}, s={s:.3f}")
 
     def integrand_p(ts: np.ndarray) -> np.ndarray:
         p = np.stack([loop.system(t).p for t in ts])
@@ -408,9 +444,9 @@ def loop_trace_identity(
     def integrand_eff(ts: np.ndarray) -> np.ndarray:
         systems = [loop.system(t) for t in ts]
         try:
-            full, _ = invert_stack(np.stack([system.assembled() for system in systems]))
+            full = invert_stack(np.stack([system.assembled() for system in systems]))
         except IllPosed as exc:
-            raise SingularAtNode(f"bordered matrix singular at t={ts[exc.args[2]]:.4f}") from exc
+            raise SingularAtNode(f"bordered matrix singular at t={ts[exc.index]:.4f}") from exc
         n1, n2 = systems[0].n_cols, systems[0].n_rows
         dotted = -(full @ _stack(loop.assembled_derivative, ts) @ full)
         return np.trace(np.linalg.solve(full[:, n1:, n2:], dotted[:, n1:, n2:]), axis1=1, axis2=2)

@@ -9,6 +9,7 @@ from grushinlab.core import (
     dft_matrix,
     effective_index,
     feshbach_effective,
+    invert_stack,
     invert_system,
     iterate,
     recover_resolvent,
@@ -81,8 +82,16 @@ def test_invert_jordan_shift():
 
 
 def test_invert_illposed():
-    with pytest.raises(IllPosed):
+    with pytest.raises(IllPosed) as info:
         invert_system(assemble(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))))
+    assert (info.value.condition, info.value.index) == (np.inf, 0) == info.value.args[1:]
+    stack = np.stack([np.eye(2), np.diag([1.0, 1e-15]), np.zeros((2, 2))]).astype(complex)
+    with pytest.raises(IllPosed) as info:
+        invert_stack(stack)
+    assert info.value.index == info.value.args[2] == 1
+    assert info.value.condition == info.value.args[1] == pytest.approx(1e15)
+    bare = IllPosed("no estimate")
+    assert (bare.condition, bare.index, bare.args) == (None, None, ("no estimate",))
 
 
 def test_two_sided_inverse_with_corners():

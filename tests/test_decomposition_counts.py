@@ -1,11 +1,22 @@
-"""Each rank or well-posedness decision costs one SVD of the matrix in question."""
+"""Each rank or well-posedness decision costs one SVD of the matrix in question,
+or none where an inverse already computed certifies it."""
 
 import numpy as np
 import pytest
 
 from grushinlab.bvp1d import Discretization, bvp_grushin, n2d_map, potential_from_name
-from grushinlab.perturbation import jordan_block
+from grushinlab.cli import seeded_loop_family
+from grushinlab.linops import Contour
+from grushinlab.perturbation import gaussian_matrix, jordan_block
 from grushinlab.pseudospectra import projector_grushin, pseudospectrum_grid, resolvent_bound
+from grushinlab.traces import (
+    HolomorphicFamily,
+    count_direct,
+    count_effective,
+    invariant_subspace_borders,
+    loop_trace_identity,
+    weighted_trace,
+)
 
 
 def _record_svds(monkeypatch):
@@ -87,3 +98,29 @@ def test_grid_cells_equal_resolvent_bound_cells():
                 assert cell == resolvent_bound(a, cell.lam, cell.h)
                 emp = projector_grushin(a, cell.lam, cell.h).inverse.e_minus_plus
                 assert cell.norm_eff_inv == 1.0 / np.linalg.svd(emp, compute_uv=False)[-1]
+
+
+def _stacked_svds(calls):
+    return [x.shape for x, _ in calls if x.ndim == 3]
+
+
+def test_counting_integrals_make_no_stacked_svd(monkeypatch):
+    # well posed at every node: each node's inverse certifies its gate
+    a = gaussian_matrix(12, 5) / np.sqrt(12)
+    contour = Contour.circle(0.1 - 0.05j, 0.6)
+    family = HolomorphicFamily.pencil(a)
+    rm, rp = invariant_subspace_borders(a, contour)
+    calls = _record_svds(monkeypatch)
+    assert count_direct(family, contour) == count_effective(family, rm, rp, contour) > 0
+    weighted_trace(family, rm, rp, contour, lambda z: z)
+    assert _stacked_svds(calls) == []
+
+
+@pytest.mark.parametrize("winding", [False, True])
+def test_loop_identity_makes_one_stacked_svd_for_its_certificate(monkeypatch, winding):
+    loop = seeded_loop_family(4, 7000, winding)
+    size = loop.system(0.0).assembled().shape[0]
+    calls = _record_svds(monkeypatch)
+    loop_trace_identity(loop)
+    # the 17 x 9 certificate grid, none at the quadrature nodes
+    assert _stacked_svds(calls) == [(17 * 9, size, size)]

@@ -6,6 +6,9 @@ import pytest
 from grushinlab.core import assemble, invert_system
 from grushinlab.errors import (
     ContractionCertificateFails,
+    DimensionMismatch,
+    IllPosed,
+    IllPosedOnContour,
     NonConvergent,
     NonInteger,
     OnContourSingular,
@@ -215,6 +218,60 @@ def test_loop_certificate_failure():
     )
     with pytest.raises(ContractionCertificateFails):
         loop_trace_identity(loop)
+
+
+def test_loop_certificate_reports_first_failing_point_in_s_then_t():
+    one = np.ones((1, 1), dtype=complex)
+    loop = LoopFamily.from_blocks({1: one}, {0: one}, {0: one})
+    times = 2.0 * np.pi * np.arange(17) / 17
+    radii = np.linspace(0.0, 1.0, 9)
+    # (t5, s3) comes first with s outer and t inner; (t2, s6) would come first
+    # with t outer
+    bad = {(times[2], radii[6]), (times[11], radii[3]), (times[5], radii[3])}
+
+    def certificate(t, s):
+        return np.zeros((2, 2)) if (t, s) in bad else np.eye(2)
+
+    with pytest.raises(ContractionCertificateFails) as info:
+        loop_trace_identity(loop, certificate)
+    assert str(info.value) == f"certificate matrix singular at t={times[5]:.3f}, s={radii[3]:.3f}"
+
+
+@pytest.mark.parametrize(
+    "rminus, rplus", [(np.zeros((3, 0)), [[1.0, 0.0, 0.0]]), ([[1.0], [0.0], [0.0]], np.zeros((0, 3)))]
+)
+def test_one_sided_empty_borders_are_a_dimension_mismatch(rminus, rplus):
+    pencil = HolomorphicFamily.pencil(np.diag([0.1, 0.5, 0.9]))
+    calls = []
+
+    def value(z):
+        calls.append(z)
+        return pencil.value(z)
+
+    family = HolomorphicFamily(value, pencil.derivative)
+    contour = Contour.circle(0.1, 0.2)
+    with pytest.raises(DimensionMismatch, match="do not square P"):
+        count_effective(family, rminus, rplus, contour)
+    with pytest.raises(DimensionMismatch, match="do not square P"):
+        weighted_trace(family, rminus, rplus, contour, lambda z: z)
+    # raised at entry: only the derivative checks' 2 x 3 probe values, per call
+    assert len(calls) == 12
+    with pytest.raises(DimensionMismatch):
+        invert_system(assemble(np.eye(3), rminus, rplus))
+
+
+def test_ill_posed_node_is_named_from_the_stack_index():
+    # M(z) = [[z, 0, 1], [0, z - z3, 0], [1, 0, 0]] is singular exactly at the
+    # fourth quadrature node z3
+    contour = Contour.circle(0.0, 1.0)
+    z3 = contour.quadrature(64)[0][3]
+    family = HolomorphicFamily.pencil(np.diag([0.0, z3]))
+    rm = np.array([[1.0], [0.0]], dtype=complex)
+    with pytest.raises(IllPosedOnContour) as info:
+        count_effective(family, rm, rm.T, contour)
+    assert str(info.value) == f"bordered problem ill posed at node z={z3}"
+    assert isinstance(info.value.__cause__, IllPosed)
+    assert info.value.__cause__.index == 3
 
 
 def test_loop_closes():
