@@ -252,7 +252,7 @@ def dn_trace_identity(d: Discretization, contour: Contour, tol: float = 1e-8) ->
     eye_n = np.eye(a_n.shape[0], dtype=np.complex128)
     eye_d = np.eye(a_d.shape[0], dtype=np.complex128)
 
-    nodes, _ = contour.quadrature(max(8, contour.nodes))
+    nodes, _ = contour.quadrature(contour.nodes)
     for z in nodes:
         for mat in (z * eye_n - a_n, z * eye_d - a_d):
             sig = np.linalg.svd(mat, compute_uv=False)

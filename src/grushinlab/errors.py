@@ -19,7 +19,12 @@ class ConvergenceFailure(GrushinLabError):
 
 class NonConvergent(GrushinLabError):
     """Quadrature doubling hit its node cap; args carry the last two estimates
-    (arrays, when several integrals share the nodes)."""
+    (arrays, when several integrals share the nodes), also read as
+    ``estimates``."""
+
+    @property
+    def estimates(self) -> tuple:
+        return self.args[1:]
 
 
 class IllPosed(GrushinLabError):

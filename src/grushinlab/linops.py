@@ -317,7 +317,8 @@ def integrate_nodes(
 
     ``f`` maps at most ``STACK_NODES`` nodes to values of shape ``(nodes,)``,
     or ``(m, nodes)`` for m integrals on the same nodes.  On a polyline the
-    node count and ``node_cap`` count nodes per edge.
+    starting node count ``contour.nodes`` is per edge, while ``node_cap``
+    bounds the total, as on a circle.
     """
     return doubling_quadrature(f, contour.quadrature, contour.nodes, tol, node_cap)
 
@@ -337,7 +338,7 @@ def doubling_quadrature(
     """Sum the values of ``f`` at the nodes of ``rule(n)`` against its weights,
     doubling ``n`` until two successive estimates differ by at most
     ``tol * (1 + |estimate|)`` in every integral; :class:`NonConvergent`,
-    carrying the last two estimates, once ``n`` reaches ``cap``.
+    carrying the last two estimates, once the rule's node count reaches ``cap``.
 
     The nodes of ``rule(2n)`` at even indices must be those of ``rule(n)``:
     each doubling evaluates ``f`` at the odd ones only.
@@ -345,7 +346,7 @@ def doubling_quadrature(
     nodes, weights = rule(n)
     values = _evaluate(f, nodes)
     estimates = [_weighted_sum(values, weights)]
-    while n < cap:
+    while nodes.size < cap:
         n *= 2
         nodes, weights = rule(n)
         merged = np.empty(values.shape[:-1] + nodes.shape, dtype=np.complex128)

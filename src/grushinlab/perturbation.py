@@ -22,7 +22,7 @@ from .errors import (
     DimensionMismatch,
     OutsideConvergenceRegime,
 )
-from .linops import as_cmatrix, eigenvalues, spectral_norm
+from .linops import as_cmatrix, condition_number, eigenvalues, spectral_norm
 
 
 def jordan_block(n: int, shift: complex = 0.0) -> np.ndarray:
@@ -192,7 +192,7 @@ def projected_inverse_blocks(t, basis) -> GrushinInverse:
     e_minus = b.conj().T @ (np.eye(n) + t @ one_minus_pi)
     e_minus_plus = b.conj().T @ t @ b - np.eye(b.shape[1])
     system = assemble(np.eye(n) - pi @ t, b, b.conj().T)
-    cond = float(np.linalg.cond(system.assembled()))
+    cond = condition_number(system.assembled())
     return GrushinInverse(e, e_plus, e_minus, e_minus_plus, cond)
 
 

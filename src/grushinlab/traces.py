@@ -104,8 +104,8 @@ def count_direct(family: HolomorphicFamily, contour: Contour, tol: float = 1e-10
     integer within 1e-6.
     """
     family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
-    raw = integrate_nodes(_direct_integrand(family, None), contour, tol) / TWO_PI_I
-    return _as_integer(raw)
+    (direct,) = _trace_integrals(family, contour, tol)
+    return _as_integer(direct)
 
 
 def _stack(fn: Callable[[complex], np.ndarray], nodes: np.ndarray) -> np.ndarray:
@@ -119,15 +119,64 @@ def _weighted(values: np.ndarray, nodes: np.ndarray, weight) -> np.ndarray:
     return np.array([v * weight(z) for v, z in zip(values, nodes)])
 
 
-def _direct_integrand(family: HolomorphicFamily, weight):
-    """Node-array integrand tr( P'(z) P(z)^{-1} ) (times the weight)."""
+def _trace_integrals(
+    family: HolomorphicFamily,
+    contour: Contour,
+    tol: float,
+    weight=None,
+    template: np.ndarray | None = None,
+    direct: bool = True,
+) -> list[complex]:
+    """(1 / 2 pi i) * closed integrals, in one doubling pass that evaluates P
+    and P' once per node: tr( P' P^{-1} ) when ``direct``, then, with a
+    ``template``, tr( E_-+' E_-+^{-1} ); each times the weight.
+
+    The bordered matrix M(z) is ``template`` (:func:`_bordered_template`)
+    with P(z) in its zero block.  The effective integral counts the zeros of
+    det P inside minus those of det M, so the same pass also integrates
+    tr( E P' ) = d/dz log det M and raises :class:`IllPosedInside` when det M
+    has zeros inside.  A node where P is singular raises
+    :class:`OnContourSingular`, one where M is ill posed
+    :class:`IllPosedOnContour`; the first failing node stack decides.
+    """
 
     def integrand(nodes: np.ndarray) -> np.ndarray:
         p, dp = _stack(family.value, nodes), _stack(family.derivative, nodes)
-        traces = _log_derivative_trace(p, dp, nodes, lambda z: OnContourSingular(f"P(z) singular at node z={z}"))
-        return _weighted(traces, nodes, weight)
+        rows = []
+        if direct:
+            fault = lambda z: OnContourSingular(f"P(z) singular at node z={z}")
+            rows.append(_weighted(_log_derivative_trace(p, dp, nodes, fault), nodes, weight))
+        if template is not None:
+            effective, log_det = _effective_rows(p, dp, nodes, template)
+            rows += [_weighted(effective, nodes, weight), log_det]
+        return np.array(rows)
 
-    return integrand
+    values = [complex(v) / TWO_PI_I for v in integrate_nodes(integrand, contour, tol)]
+    if template is not None:
+        zeros = round(values.pop().real)
+        if zeros != 0:
+            raise IllPosedInside(
+                f"bordered matrix singular inside the contour: det M has {zeros} zero(s) there", zeros
+            )
+    return values
+
+
+def _effective_rows(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, template: np.ndarray):
+    """tr( E_-+' E_-+^{-1} ) and tr( E P' ) over a stack, with E_-+' = -E_- P' E_+."""
+    n2, n1 = p.shape[1:]
+    mats = np.repeat(template[None], len(nodes), axis=0)
+    mats[:, :n2, :n1] = p
+    try:
+        full = invert_stack(mats)
+    except IllPosed as exc:
+        raise IllPosedOnContour(f"bordered problem ill posed at node z={nodes[exc.index]}") from exc
+    e_minus_plus = full[:, n1:, n2:]
+    if e_minus_plus.size == 0:
+        effective = np.zeros(len(nodes), dtype=np.complex128)
+    else:
+        num = full[:, n1:, :n2] @ dp @ full[:, :n1, n2:]
+        effective = -np.trace(np.linalg.solve(e_minus_plus, num), axis1=1, axis2=2)
+    return effective, np.einsum("kij,kji->k", full[:, :n1, :n2], dp)
 
 
 def _log_derivative_trace(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, fault) -> np.ndarray:
@@ -221,11 +270,12 @@ def count_effective(
     with constant borders, where E_-+' = -e_minus P' e_plus.  The bordered
     problem must be well posed at the contour's node set
     (:class:`IllPosedOnContour` otherwise) and inside it
-    (:class:`IllPosedInside`, see :func:`_effective_integral`).
+    (:class:`IllPosedInside`, see :func:`_trace_integrals`).
     """
     shape = family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
     template = _bordered_template(rminus, rplus, shape)
-    return _as_integer(_effective_integral(family, template, contour, tol, None))
+    (effective,) = _trace_integrals(family, contour, tol, None, template, direct=False)
+    return _as_integer(effective)
 
 
 def _bordered_template(rminus, rplus, shape: tuple[int, int]) -> np.ndarray:
@@ -240,44 +290,6 @@ def _bordered_template(rminus, rplus, shape: tuple[int, int]) -> np.ndarray:
     if (rm.shape[0], rp.shape[1]) != shape or n2 != n1 or k_plus != k_minus:
         raise DimensionMismatch(f"borders {np.shape(rminus)}, {np.shape(rplus)} do not square P {shape}")
     return np.block([[np.zeros(shape), rm], [rp, np.zeros((k_plus, k_minus))]])
-
-
-def _effective_integral(family, template: np.ndarray, contour: Contour, tol: float, weight) -> complex:
-    """(1 / 2 pi i) * closed integral of tr( E_-+' E_-+^{-1} ) (times the weight).
-
-    The bordered matrix M(z) is ``template`` (:func:`_bordered_template`)
-    with P(z) in its zero block.  The effective integral counts the zeros of
-    det P inside minus those of det M, so on the same nodes this also
-    integrates tr( E P' ) = d/dz log det M and raises :class:`IllPosedInside`
-    when det M has zeros inside.
-    """
-
-    def integrand(nodes: np.ndarray) -> np.ndarray:
-        p = _stack(family.value, nodes)
-        d = _stack(family.derivative, nodes)
-        n2, n1 = p.shape[1:]
-        mats = np.repeat(template[None], len(nodes), axis=0)
-        mats[:, :n2, :n1] = p
-        try:
-            full = invert_stack(mats)
-        except IllPosed as exc:
-            raise IllPosedOnContour(f"bordered problem ill posed at node z={nodes[exc.index]}") from exc
-        e_minus_plus = full[:, n1:, n2:]
-        if e_minus_plus.size == 0:
-            effective = np.zeros(len(nodes), dtype=np.complex128)
-        else:
-            num = full[:, n1:, :n2] @ d @ full[:, :n1, n2:]
-            effective = -np.trace(np.linalg.solve(e_minus_plus, num), axis1=1, axis2=2)
-        log_det = np.einsum("kij,kji->k", full[:, :n1, :n2], d)
-        return np.array([_weighted(effective, nodes, weight), log_det])
-
-    effective, log_det = (complex(v) / TWO_PI_I for v in integrate_nodes(integrand, contour, tol))
-    zeros = round(log_det.real)
-    if zeros != 0:
-        raise IllPosedInside(
-            f"bordered matrix singular inside the contour: det M has {zeros} zero(s) there", zeros
-        )
-    return effective
 
 
 @dataclass(frozen=True)
@@ -299,36 +311,22 @@ def weighted_trace(
     tol: float = 1e-10,
 ) -> WeightedTrace:
     """Both weighted counting integrals (they agree for holomorphic weights;
-    with weight z the result is the sum of the enclosed spectral points)."""
+    with weight z the result is the sum of the enclosed spectral points), in
+    one pass over the nodes (:func:`_trace_integrals`)."""
     shape = family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
     template = _bordered_template(rminus, rplus, shape)
-    direct = integrate_nodes(_direct_integrand(family, weight), contour, tol) / TWO_PI_I
-    effective = _effective_integral(family, template, contour, tol, weight)
-    return WeightedTrace(direct, effective)
+    return WeightedTrace(*_trace_integrals(family, contour, tol, weight, template))
 
 
 # ---------------------------------------------------------------------------
 # closed loops of bordered systems
 
 
-def _trig_eval(coeffs: Mapping[int, np.ndarray], t: float, differentiate: bool) -> np.ndarray:
+def _fourier_sum(coeffs: Mapping[int, np.ndarray], factor: Callable[[int], complex]) -> np.ndarray:
+    """sum_m factor(m) * C_m over the Fourier coefficients {m: C_m}, in their order."""
     total = None
     for m, c in coeffs.items():
-        factor = np.exp(1j * m * t)
-        if differentiate:
-            factor *= 1j * m
-        term = factor * c
-        total = term if total is None else total + term
-    return total
-
-
-def _trig_disc(coeffs: Mapping[int, np.ndarray], z: complex) -> np.ndarray:
-    # harmonic extension to the closed unit disc: e^{imt} -> z^m (m >= 0),
-    # conj(z)^{|m|} (m < 0)
-    total = None
-    for m, c in coeffs.items():
-        factor = z**m if m >= 0 else np.conj(z) ** (-m)
-        term = factor * c
+        term = factor(m) * c
         total = term if total is None else total + term
     return total
 
@@ -366,32 +364,22 @@ class LoopFamily:
         corner = norm(corner, lambda: np.zeros((k_plus, k_minus), complex))
         return LoopFamily(p, rminus, rplus, corner)
 
-    def system(self, t: float) -> BorderedSystem:
-        return assemble(
-            _trig_eval(self.p_coeffs, t, False),
-            _trig_eval(self.rminus_coeffs, t, False),
-            _trig_eval(self.rplus_coeffs, t, False),
-            _trig_eval(self.corner_coeffs, t, False),
-        )
+    def _blocks(self, factor: Callable[[int], complex]) -> list[np.ndarray]:
+        coeffs = (self.p_coeffs, self.rminus_coeffs, self.rplus_coeffs, self.corner_coeffs)
+        return [_fourier_sum(c, factor) for c in coeffs]
 
-    def p_derivative(self, t: float) -> np.ndarray:
-        return _trig_eval(self.p_coeffs, t, True)
+    def system(self, t: float) -> BorderedSystem:
+        return assemble(*self._blocks(lambda m: np.exp(1j * m * t)))
 
     def assembled_derivative(self, t: float) -> np.ndarray:
-        return np.block(
-            [
-                [_trig_eval(self.p_coeffs, t, True), _trig_eval(self.rminus_coeffs, t, True)],
-                [_trig_eval(self.rplus_coeffs, t, True), _trig_eval(self.corner_coeffs, t, True)],
-            ]
-        )
+        p, rminus, rplus, corner = self._blocks(lambda m: np.exp(1j * m * t) * (1j * m))
+        return np.block([[p, rminus], [rplus, corner]])
 
     def disc_system(self, z: complex) -> np.ndarray:
-        return np.block(
-            [
-                [_trig_disc(self.p_coeffs, z), _trig_disc(self.rminus_coeffs, z)],
-                [_trig_disc(self.rplus_coeffs, z), _trig_disc(self.corner_coeffs, z)],
-            ]
-        )
+        # harmonic extension to the closed unit disc: e^{imt} -> z^m (m >= 0),
+        # conj(z)^{|m|} (m < 0)
+        p, rminus, rplus, corner = self._blocks(lambda m: z**m if m >= 0 else np.conj(z) ** (-m))
+        return np.block([[p, rminus], [rplus, corner]])
 
     def closure_residual(self) -> float:
         return spectral_norm(self.system(0.0).assembled() - self.system(2.0 * np.pi).assembled())
@@ -419,8 +407,12 @@ def loop_trace_identity(
     The loop must come with a contraction certificate: a sampled homotopy
     (t, s) -> assembled bordered matrix, s in [0, 1], that stays invertible
     (default: the harmonic extension of the trigonometric blocks to the unit
-    disc).  Both traces are computed by doubling trapezoidal quadrature in t;
+    disc).  Both traces come from one doubling trapezoidal quadrature in t,
+    which assembles the bordered matrix M(t) and its derivative once per node
+    (P and P' are their top-left blocks) and stops when both traces settle;
     each is 2 pi i times a winding integer for these finite-dimensional loops.
+    A node where P(t) is singular raises :class:`SingularAtNode` before one
+    where M(t) is, within the first failing node stack.
     """
     if certificate is None:
         certificate = lambda t, s: loop.disc_system(s * np.exp(1j * t))
@@ -436,25 +428,24 @@ def loop_trace_identity(
         if not well_posed(condition_from_sigma(sigma)):
             raise ContractionCertificateFails(f"certificate matrix singular at t={t:.3f}, s={s:.3f}")
 
-    def integrand_p(ts: np.ndarray) -> np.ndarray:
-        p = np.stack([loop.system(t).p for t in ts])
-        fault = lambda t: SingularAtNode(f"P(t) singular at t={t:.4f}")
-        return _log_derivative_trace(p, _stack(loop.p_derivative, ts), ts, fault)
-
-    def integrand_eff(ts: np.ndarray) -> np.ndarray:
+    def integrand(ts: np.ndarray) -> np.ndarray:
         systems = [loop.system(t) for t in ts]
+        mats = np.stack([system.assembled() for system in systems])
+        dm = _stack(loop.assembled_derivative, ts)
+        n1, n2 = systems[0].n_cols, systems[0].n_rows
+        fault = lambda t: SingularAtNode(f"P(t) singular at t={t:.4f}")
+        trace_p = _log_derivative_trace(mats[:, :n2, :n1], dm[:, :n2, :n1], ts, fault)
         try:
-            full = invert_stack(np.stack([system.assembled() for system in systems]))
+            full = invert_stack(mats)
         except IllPosed as exc:
             raise SingularAtNode(f"bordered matrix singular at t={ts[exc.index]:.4f}") from exc
-        n1, n2 = systems[0].n_cols, systems[0].n_rows
-        dotted = -(full @ _stack(loop.assembled_derivative, ts) @ full)
-        return np.trace(np.linalg.solve(full[:, n1:, n2:], dotted[:, n1:, n2:]), axis1=1, axis2=2)
+        dotted = -(full @ dm @ full)
+        trace_eff = np.trace(np.linalg.solve(full[:, n1:, n2:], dotted[:, n1:, n2:]), axis1=1, axis2=2)
+        return np.array([trace_p, trace_eff])
 
     # periodic trapezoid rule in t from 64 nodes, doubling up to 2^16
-    trace_p = doubling_quadrature(integrand_p, periodic_rule, 64, tol, 2**16)
-    trace_eff = doubling_quadrature(integrand_eff, periodic_rule, 64, tol, 2**16)
-    return LoopTraceResult(trace_p, trace_eff)
+    trace_p, trace_eff = doubling_quadrature(integrand, periodic_rule, 64, tol, 2**16)
+    return LoopTraceResult(complex(trace_p), complex(trace_eff))
 
 
 # ---------------------------------------------------------------------------

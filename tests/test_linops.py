@@ -176,6 +176,18 @@ def test_contour_nonconvergent_reports_estimates():
     assert len(info.value.args) == 3
 
 
+def test_nonconvergent_estimates_are_the_last_two():
+    c = Contour.circle(0.0, 1.0, nodes=8)
+    f = lambda z: 1.0 / (z - 1.0 - 1e-9)
+    with pytest.raises(NonConvergent) as info:
+        contour_integrate(f, c, tol=1e-14, node_cap=64)
+    previous, last = info.value.estimates
+    for estimate, n in ((previous, 32), (last, 64)):
+        z, w = c.quadrature(n)
+        assert estimate == complex(np.sum(np.array([f(zk) for zk in z]) * w))
+    assert info.value.args == ("no convergence at 64 nodes", previous, last)
+
+
 def test_contour_validation():
     with pytest.raises(ValueError):
         Contour.circle(0.0, -1.0)

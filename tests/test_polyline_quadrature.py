@@ -69,11 +69,19 @@ def test_polyline_integral_asks_each_node_once():
     assert set(nodes) == set(SQUARE.quadrature(128)[0])
 
 
-def test_polyline_cap_counts_nodes_per_edge():
-    # the pole sits on the right edge, so no estimate settles
+def test_polyline_cap_bounds_the_total_node_count():
+    # the pole sits on the right edge, so no estimate settles; 64 nodes per
+    # edge double twice to 4 * 256 = 1024 nodes in all
+    asked = []
+
+    def f(z):
+        asked.append(z)
+        return 1.0 / (z - (1.0 + 0.3j))
+
     with pytest.raises(NonConvergent) as info:
-        contour_integrate(lambda z: 1.0 / (z - (1.0 + 0.3j)), SQUARE, node_cap=128)
-    assert info.value.args[0] == "no convergence at 512 nodes"
+        contour_integrate(f, SQUARE, node_cap=1024)
+    assert info.value.args[0] == "no convergence at 1024 nodes"
+    assert len(asked) == 1024
 
 
 def test_derivative_probes_spread_over_the_polyline():

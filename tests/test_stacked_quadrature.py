@@ -15,6 +15,7 @@ from grushinlab.traces import (
     LoopFamily,
     count_direct,
     count_effective,
+    invariant_subspace_borders,
     loop_trace_identity,
     weighted_trace,
 )
@@ -48,9 +49,39 @@ def test_circle_integral_asks_each_node_once():
     assert calls["value"] == PROBE_VALUES + 128
 
 
+def test_weighted_trace_asks_each_node_once():
+    # the direct and the effective integral share one pass over the nodes, which
+    # stops at N = 128 as in test_circle_integral_asks_each_node_once
+    a = np.diag([0.2, 0.7, 3.0]).astype(complex)
+    family, calls = _counting_pencil(a)
+    contour = Contour.circle(0.0, 1.0)
+    rm, rp = invariant_subspace_borders(a, contour)
+    result = weighted_trace(family, rm, rp, contour, lambda z: z)
+    assert result.direct == pytest.approx(0.9, abs=1e-10)
+    assert result.difference <= 1e-10
+    assert calls["value"] == PROBE_VALUES + 128
+
+
+def test_weighted_trace_nonconvergence_carries_every_row(monkeypatch):
+    # the eigenvalue 1 + 1e-7 sits just outside the unit circle, so no row
+    # settles before the cap; the rows are direct, effective and log det M
+    a = np.diag([0.2, 1.0 + 1e-7]).astype(complex)
+    contour = Contour.circle(0.0, 1.0)
+    rm, rp = invariant_subspace_borders(a, contour)
+    monkeypatch.setattr(
+        traces, "integrate_nodes", functools.partial(linops.integrate_nodes, node_cap=256)
+    )
+    with pytest.raises(NonConvergent) as info:
+        weighted_trace(HolomorphicFamily.pencil(a), rm, rp, contour, lambda z: z)
+    previous, last = info.value.estimates
+    assert info.value.args[0] == "no convergence at 256 nodes"
+    assert previous.shape == last.shape == (3,)
+    assert previous is info.value.args[1] and last is info.value.args[2]
+
+
 def test_loop_integral_asks_each_node_once(monkeypatch):
     # P(t) = e^{it} with unit borders: both integrands are the constant i, so
-    # each integral stops at N = 128
+    # the one pass for both integrals stops at N = 128
     one = np.ones((1, 1), dtype=complex)
     loop = LoopFamily.from_blocks({1: one}, {0: one}, {0: one})
     calls = {"system": 0}
@@ -64,7 +95,7 @@ def test_loop_integral_asks_each_node_once(monkeypatch):
     result = loop_trace_identity(loop)
     assert result.trace_p == pytest.approx(2j * np.pi, abs=1e-12)
     # closure_residual evaluates the loop at t = 0 and t = 2 pi
-    assert calls["system"] == 2 + 128 + 128
+    assert calls["system"] == 2 + 128
 
 
 def test_quadrature_working_set_does_not_grow_with_nodes(monkeypatch):

@@ -210,6 +210,16 @@ def test_loop_singular_at_node():
         loop_trace_identity(loop)
 
 
+def test_loop_bordered_singular_at_node():
+    # P = 1 with unit borders and corner 2 - e^{it}: det M = 1 - e^{it}, so the
+    # bordered matrix, and not P, is singular, at t = 0 only
+    one = np.ones((1, 1), dtype=complex)
+    loop = LoopFamily.from_blocks({0: one}, {0: one}, {0: one}, {0: 2.0 * one, 1: -one})
+    with pytest.raises(SingularAtNode) as info:
+        loop_trace_identity(loop, lambda t, s: np.eye(2))
+    assert str(info.value) == "bordered matrix singular at t=0.0000"
+
+
 def test_loop_certificate_failure():
     loop = LoopFamily.from_blocks(
         p={1: np.array([[1.0]], dtype=complex)},
