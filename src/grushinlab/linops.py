@@ -56,16 +56,6 @@ def as_cmatrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarra
     return m
 
 
-def as_cvector(v, size: int | None = None) -> np.ndarray:
-    """Coerce ``v`` to a finite 1-D complex array."""
-    w = np.asarray(v, dtype=np.complex128).ravel()
-    if not np.all(np.isfinite(w.real)) or not np.all(np.isfinite(w.imag)):
-        raise ValueError("vector entries must be finite")
-    if size is not None and w.size != size:
-        raise DimensionMismatch(f"expected length {size}, got {w.size}")
-    return w
-
-
 def singular_values(a) -> np.ndarray:
     a = as_cmatrix(a)
     if a.size == 0:
@@ -338,12 +328,15 @@ def doubling_quadrature(
     """Sum the values of ``f`` at the nodes of ``rule(n)`` against its weights,
     doubling ``n`` until two successive estimates differ by at most
     ``tol * (1 + |estimate|)`` in every integral; :class:`NonConvergent`,
-    carrying the last two estimates, once the rule's node count reaches ``cap``.
+    carrying the last two estimates, once the rule's node count reaches ``cap``,
+    and ``ValueError``, before ``f`` is called, when ``rule(n)`` already does.
 
     The nodes of ``rule(2n)`` at even indices must be those of ``rule(n)``:
     each doubling evaluates ``f`` at the odd ones only.
     """
     nodes, weights = rule(n)
+    if nodes.size >= cap:
+        raise ValueError(f"node_cap must exceed the {nodes.size} starting nodes")
     values = _evaluate(f, nodes)
     estimates = [_weighted_sum(values, weights)]
     while nodes.size < cap:

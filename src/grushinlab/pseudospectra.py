@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GrushinInverse, assemble, invert_system
+from .core import GrushinInverse, assemble, invert_stack, invert_system
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -123,9 +123,9 @@ def projector_identities(a, lam: complex, pair: ProjectorPair) -> dict:
     }
 
 
-def _threshold_inverse(shifted: np.ndarray, h: float):
-    """Captured bases and bordered inverse of a checked ``shifted`` = A - lam:
-    one full SVD, one sigma-only SVD per norm hypothesis, one inversion."""
+def _threshold_borders(shifted: np.ndarray, h: float):
+    """Captured bases of a checked ``shifted`` = A - lam after the norm
+    hypotheses: one full SVD, one sigma-only SVD per hypothesis."""
     singular, right_h, u_small, v_small = _small_subspaces(shifted, h)
     slack = 1.0 + 1e-8
     try:
@@ -141,7 +141,18 @@ def _threshold_inverse(shifted: np.ndarray, h: float):
                 raise IllPosed("lower bound off the captured subspace fails")
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
         raise ConvergenceFailure(str(exc)) from exc
-    return u_small, v_small, invert_system(assemble(shifted, u_small, v_small.conj().T))
+    return u_small, v_small
+
+
+def _threshold_inverse(shifted: np.ndarray, h: float) -> np.ndarray:
+    """Inverse of the bordered matrix [[A - lam, U_small], [V_small^H, 0]] of a
+    checked ``shifted``, filled into one array: :func:`invert_system`'s bits,
+    with the SVD gate only where the inverse does not certify it."""
+    u_small, v_small = _threshold_borders(shifted, h)
+    n, k = u_small.shape
+    mat = np.zeros((1, n + k, n + k), dtype=np.complex128)
+    mat[0, :n, :n], mat[0, :n, n:], mat[0, n:, :n] = shifted, u_small, v_small.conj().T
+    return invert_stack(mat)[0]
 
 
 def projector_grushin(a, lam: complex, h: float) -> ProjectorGrushin:
@@ -152,7 +163,9 @@ def projector_grushin(a, lam: complex, h: float) -> ProjectorGrushin:
     verified numerically before inversion; measured block norms are returned
     for scaling studies across an h-sequence.
     """
-    u_small, v_small, inverse = _threshold_inverse(_shifted(a, lam, h), h)
+    shifted = _shifted(a, lam, h)
+    u_small, v_small = _threshold_borders(shifted, h)
+    inverse = invert_system(assemble(shifted, u_small, v_small.conj().T))
     norms = {
         "e": spectral_norm(inverse.e),
         "e_plus": spectral_norm(inverse.e_plus),
@@ -175,14 +188,16 @@ def estimate_check(a, lam: complex, h: float, trials: int, seed: int = 0) -> Est
 
     over seeded random data; the worst observed ratio is the reported C.
     """
-    inverse = _threshold_inverse(_shifted(a, lam, h), h)[2]
-    n, k = inverse.e.shape[0], inverse.e_minus_plus.shape[0]
+    shifted = _shifted(a, lam, h)
+    x = _threshold_inverse(shifted, h)
+    n, k = len(shifted), len(x) - len(shifted)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5E5]))
     ratios = np.zeros(trials)
     for i in range(trials):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v_plus = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        u, u_minus = inverse.apply(v, v_plus)
+        u = x[:n, :n] @ v + x[:n, n:] @ v_plus
+        u_minus = x[n:, :n] @ v + x[n:, n:] @ v_plus
         num = h * np.linalg.norm(u) + np.linalg.norm(u_minus)
         den = np.linalg.norm(v) + h * np.linalg.norm(v_plus)
         ratios[i] = num / den
@@ -207,7 +222,8 @@ def _resolvent_cell(
     singular values ``sigma``; it reads only E_-+ of the bordered inverse."""
     if sigma[-1] <= tolerance_from_sigma(sigma, shifted.shape):
         raise OnSpectrum(f"sigma_min = {sigma[-1]:.3e} at tolerance")
-    emp = _threshold_inverse(shifted, h)[2].e_minus_plus
+    n = shifted.shape[0]
+    emp = _threshold_inverse(shifted, h)[n:, n:]
     norm_eff_inv = 1.0 / np.linalg.svd(emp, compute_uv=False)[-1] if emp.size else 0.0
     sigma_min = float(sigma[-1])
     c_emp = abs(1.0 / sigma_min - norm_eff_inv) * h

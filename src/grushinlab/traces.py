@@ -481,19 +481,6 @@ class DecayCertificate:
             return self.constant
         raise ValueError(f"unknown certificate kind {self.kind!r}")
 
-    def tail_integral(self, w: float) -> float:
-        if self.kind == "polynomial":
-            if self.rate <= 1.0:
-                return np.inf
-            return 2.0 * self.constant / ((self.rate - 1.0) * w ** (self.rate - 1.0))
-        if self.kind == "gaussian":
-            return self.constant * math.exp(-self.rate * w * w) / max(self.rate * w, 1.0)
-        if self.kind == "compact":
-            return 0.0 if w >= self.constant else np.inf
-        if self.kind == "null":
-            return self.constant
-        raise ValueError(f"unknown certificate kind {self.kind!r}")
-
 
 @dataclass(frozen=True)
 class TestFunction:

@@ -8,7 +8,12 @@ from grushinlab.bvp1d import Discretization, bvp_grushin, n2d_map, potential_fro
 from grushinlab.cli import seeded_loop_family
 from grushinlab.linops import Contour
 from grushinlab.perturbation import gaussian_matrix, jordan_block
-from grushinlab.pseudospectra import projector_grushin, pseudospectrum_grid, resolvent_bound
+from grushinlab.pseudospectra import (
+    estimate_check,
+    projector_grushin,
+    pseudospectrum_grid,
+    resolvent_bound,
+)
 from grushinlab.traces import (
     HolomorphicFamily,
     count_direct,
@@ -63,10 +68,10 @@ def test_resolvent_cell_decomposes_shifted_matrix_once(monkeypatch):
 def _cell_svds(n, k):
     """(shape, with vectors) of every SVD one pseudospectrum cell with k >= 1
     captured directions makes: sigma of A - lam, its full SVD, the two norm
-    hypotheses, the lower bound off the captured space, the bordered inverse's
-    well-posedness gate and sigma_min of E_-+."""
+    hypotheses, the lower bound off the captured space and sigma_min of E_-+.
+    The bordered inverse certifies its own well-posedness gate."""
     return [((n, n), False), ((n, n), True), ((n, k), False), ((n, k), False),
-            ((n, n - k), False), ((n + k, n + k), False), ((k, k), False)]
+            ((n, n - k), False), ((k, k), False)]
 
 
 def _two_jordan_blocks():
@@ -74,19 +79,27 @@ def _two_jordan_blocks():
 
 
 @pytest.mark.parametrize("a, k", [(jordan_block(10), 1), (_two_jordan_blocks(), 2)])
-def test_resolvent_cell_makes_seven_svds(monkeypatch, a, k):
+def test_resolvent_cell_makes_six_svds(monkeypatch, a, k):
     calls = _record_svds(monkeypatch)
     cell = resolvent_bound(a, 0.5 + 0.1j, 1e-2)
     assert cell.n_captured == k
     assert [(x.shape, uv) for x, uv in calls] == _cell_svds(a.shape[0], k)
 
 
-def test_grid_cells_make_seven_svds_each(monkeypatch):
+def test_grid_cells_make_six_svds_each(monkeypatch):
     a = jordan_block(10)
     calls = _record_svds(monkeypatch)
     grid = pseudospectrum_grid(a, (0.45, 0.55, -0.05, 0.05), 2, ("fixed", 1e-2))
     assert [cell.n_captured for cell in grid.cells] == [1, 1, 1, 1]
     assert [(x.shape, uv) for x, uv in calls] == _cell_svds(10, 1) * 4
+
+
+@pytest.mark.parametrize("a, k", [(jordan_block(10), 1), (_two_jordan_blocks(), 2)])
+def test_estimate_check_makes_no_bordered_svd(monkeypatch, a, k):
+    calls = _record_svds(monkeypatch)
+    estimate_check(a, 0.5 + 0.1j, 1e-2, 4)
+    # the full SVD of A - lam and the three norm hypotheses, nothing of size n + k
+    assert [(x.shape, uv) for x, uv in calls] == _cell_svds(a.shape[0], k)[1:5]
 
 
 def test_grid_cells_equal_resolvent_bound_cells():

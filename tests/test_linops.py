@@ -188,6 +188,18 @@ def test_nonconvergent_estimates_are_the_last_two():
     assert info.value.args == ("no convergence at 64 nodes", previous, last)
 
 
+def test_cap_at_start_is_a_clear_error():
+    asked = []
+
+    def f(z):
+        asked.append(z)
+        return 1.0
+
+    with pytest.raises(ValueError, match="node_cap must exceed the 64 starting nodes"):
+        contour_integrate(f, Contour.circle(0, 1), node_cap=64)
+    assert asked == []
+
+
 def test_contour_validation():
     with pytest.raises(ValueError):
         Contour.circle(0.0, -1.0)

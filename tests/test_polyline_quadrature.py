@@ -84,6 +84,12 @@ def test_polyline_cap_bounds_the_total_node_count():
     assert len(asked) == 1024
 
 
+def test_polyline_cap_at_start_is_a_clear_error():
+    # 64 starting nodes on each of the 4 edges already exceed the cap
+    with pytest.raises(ValueError, match="node_cap must exceed the 256 starting nodes"):
+        contour_integrate(lambda z: 1.0, SQUARE, node_cap=128)
+
+
 def test_derivative_probes_spread_over_the_polyline():
     first, second, third = _probe_points(SQUARE)
     assert first == -1 - 1j

@@ -1,12 +1,20 @@
 """Property tests over random shapes, borders and corners."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grushinlab.core import assemble, invert_stack, invert_system
-from grushinlab.errors import IllPosed
-from grushinlab.linops import condition_from_sigma, tolerance_from_sigma, well_posed
+from grushinlab.core import assemble, invert_stack, invert_system, recover_resolvent
+from grushinlab.errors import GrushinLabError, IllPosed
+from grushinlab.linops import (
+    EPS,
+    condition_from_sigma,
+    spectral_norm,
+    tolerance_from_sigma,
+    well_posed,
+)
+from grushinlab.pseudospectra import _shifted, _threshold_borders, _threshold_inverse
 from grushinlab.traces import _log_derivative_trace
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -56,6 +64,75 @@ def test_stacked_inversion_equals_invert_system(systems):
     assert first_bad is None
     for ginv, inverse in zip(singles, full):
         assert np.array_equal(ginv.assembled(), inverse)
+
+
+def _well_posed_pairs(systems):
+    """(system, inverse) for each system ``invert_system`` accepts."""
+    for system in systems:
+        try:
+            yield system, invert_system(system)
+        except IllPosed:
+            pass
+
+
+def _round_trip_tolerance(inverse):
+    """64 m eps times the condition estimate, for the m x m assembled system."""
+    return 64 * len(inverse.assembled()) * EPS * inverse.condition
+
+
+@PROPERTY
+@given(bordered_systems())
+def test_invert_system_round_trip(systems):
+    for system, inverse in _well_posed_pairs(systems):
+        mat, full = system.assembled(), inverse.assembled()
+        assert spectral_norm(full @ mat - np.eye(len(mat))) <= _round_trip_tolerance(inverse)
+        assert np.array_equal(invert_stack(mat[None])[0], full)
+
+
+@PROPERTY
+@given(bordered_systems())
+def test_recover_resolvent_residual(systems):
+    for system, inverse in _well_posed_pairs(systems):
+        if system.n_rows == system.n_cols:
+            residual = recover_resolvent(system, inverse).residual
+            assert residual <= _round_trip_tolerance(inverse)
+
+
+@st.composite
+def threshold_cells(draw):
+    """A, lam and h of one pseudospectrum cell: a complex Gaussian n x n A,
+    n = 2..12, scaled by 10**s, s = 0..16, in which one or two rows are
+    scaled by 10**-j, j = 0..18, and h = 10**(s - e), e = -2..16.  The
+    bordered matrix's condition number then falls below the certified bound,
+    between it and WELL_POSED_LIMIT, and beyond."""
+    n, s = draw(st.integers(2, 12)), draw(st.integers(0, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    scalings = st.tuples(st.integers(0, n - 1), st.integers(0, 18))
+    for row, j in draw(st.lists(scalings, min_size=1, max_size=2)):
+        a[row] *= 10.0**-j
+    lam = complex(*rng.standard_normal(2))
+    return a * 10.0**s, lam, 10.0 ** (s - draw(st.integers(-2, 16)))
+
+
+@PROPERTY
+@given(threshold_cells())
+def test_cell_inverse_decides_as_invert_system(cell):
+    a, lam, h = cell
+    shifted = _shifted(a, lam, h)
+    try:
+        u_small, v_small = _threshold_borders(shifted, h)
+    except GrushinLabError:
+        return  # the threshold and norm-hypothesis checks precede either inversion
+    try:
+        reference = invert_system(assemble(shifted, u_small, v_small.conj().T))
+    except IllPosed as exc:
+        with pytest.raises(IllPosed) as info:
+            _threshold_inverse(shifted, h)
+        assert info.value.args == exc.args
+        return
+    n = len(shifted)
+    assert np.array_equal(_threshold_inverse(shifted, h)[n:, n:], reference.e_minus_plus)
 
 
 @st.composite
