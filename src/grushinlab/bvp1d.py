@@ -34,9 +34,10 @@ from .errors import (
     OnContourSingular,
 )
 from .linops import (
+    EPS,
     Contour,
     condition_from_sigma,
-    contour_integrate,
+    integrate_nodes,
     refined_solve,
     spectral_norm,
     tolerance_from_sigma,
@@ -76,9 +77,6 @@ class BoundaryData:
 
     left: complex
     right: complex
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.left, self.right], dtype=np.complex128)
 
 
 def _stencil(d: Discretization, z: complex) -> tuple[np.ndarray, float, np.ndarray]:
@@ -237,46 +235,74 @@ def bvp_grushin(
     return inverse
 
 
+def _boundary_map_and_derivative(x_n: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """N(z) = -(2/h) X and its exact derivative N'(z) = (2/h) X^2 on the two
+    boundary nodes, from X = (z - A_N)^{-1}, since dX/dz = -X^2."""
+    ends = [0, -1]
+    return -2.0 / step * x_n[np.ix_(ends, ends)], 2.0 / step * (x_n[ends] @ x_n[:, ends])
+
+
+def _node_check(a_n: np.ndarray, a_d: np.ndarray) -> Callable[[complex], None]:
+    """A function of z that raises :class:`OnContourSingular` where z - A_N or
+    z - A_D, in that order, has sigma_min at or below 1e3 times the rank
+    tolerance.
+
+    The eigenvalues are computed once, here.  A_D is real symmetric, and so is
+    S = D A_N D^{-1} with D = diag(1/sqrt 2, 1, ..., 1, 1/sqrt 2).  So the
+    singular values of z - A_D are the |z - lambda|, and those of z - A_N lie
+    within the factor kappa(D) = sqrt 2 of the |z - lambda(S)|.  Widened by
+    8 n eps kappa (|z| + ||A||) for the error of the eigenvalues and of the
+    SVD they stand in for, these bounds pass most z; any other z gets the
+    sigma-only SVD (README, "Numerical conventions").
+    """
+    w = np.ones(a_n.shape[0])
+    w[[0, -1]] = math.sqrt(0.5)
+    sym = w[:, None] * a_n.real / w
+    spectra = [(a_n, np.linalg.eigvalsh(sym), math.sqrt(2.0)), (a_d, np.linalg.eigvalsh(a_d.real), 1.0)]
+
+    def check(z: complex) -> None:
+        for a, eigs, kappa in spectra:
+            dist = np.abs(z - eigs)
+            slack = 8.0 * a.shape[0] * EPS * kappa * (abs(z) + np.abs(eigs).max())
+            high = kappa * (dist.max() + slack) + slack
+            if (dist.min() - slack) / kappa - slack > 1e3 * tolerance_from_sigma(np.array([high]), a.shape):
+                continue
+            sig = np.linalg.svd(z * np.eye(a.shape[0]) - a, compute_uv=False)
+            if sig[-1] <= 1e3 * tolerance_from_sigma(sig, a.shape):
+                raise OnContourSingular(f"contour node z={z} on a discrete spectrum", complex(z))
+
+    return check
+
+
 def dn_trace_identity(d: Discretization, contour: Contour, tol: float = 1e-8) -> tuple[int, int]:
     """Count (Neumann eigenvalues inside) - (Dirichlet eigenvalues inside) two ways:
 
       * difference of the two resolvent traces integrated over the contour,
-      * minus the winding of the Neumann-to-Dirichlet map (derivative by
-        central differences).
+      * minus the winding of the Neumann-to-Dirichlet map N, with the exact
+        derivative N' read off the same Neumann inverse.
 
-    Both are returned as integers and must agree; node checks reject contours
-    through either discrete spectrum.
+    Both rows come from one doubling pass that inverts z - A_N and z - A_D
+    once per node; they are returned as integers and must agree.  Every
+    evaluated node is checked against both discrete spectra
+    (:class:`OnContourSingular`).
     """
     a_n = neumann_matrix(d, 0.0)
     a_d = dirichlet_matrix(d, 0.0)
     eye_n = np.eye(a_n.shape[0], dtype=np.complex128)
     eye_d = np.eye(a_d.shape[0], dtype=np.complex128)
+    check = _node_check(a_n, a_d)
 
-    nodes, _ = contour.quadrature(contour.nodes)
-    for z in nodes:
-        for mat in (z * eye_n - a_n, z * eye_d - a_d):
-            sig = np.linalg.svd(mat, compute_uv=False)
-            if sig[-1] <= 1e3 * tolerance_from_sigma(sig, mat.shape):
-                raise OnContourSingular(f"contour node z={z} on a discrete spectrum")
+    def integrand(nodes: np.ndarray) -> np.ndarray:
+        rows = np.empty((2, len(nodes)), dtype=np.complex128)
+        for k, z in enumerate(nodes):
+            check(z)
+            x_n = np.linalg.inv(z * eye_n - a_n)
+            x_d = np.linalg.inv(z * eye_d - a_d)
+            n_val, n_dot = _boundary_map_and_derivative(x_n, d.step)
+            rows[:, k] = np.trace(x_n) - np.trace(x_d), -np.trace(np.linalg.solve(n_val, n_dot))
+        return rows
 
-    def lhs_integrand(z: complex) -> complex:
-        res_n = np.trace(np.linalg.inv(z * eye_n - a_n))
-        res_d = np.trace(np.linalg.inv(z * eye_d - a_d))
-        return complex(res_n - res_d)
-
-    delta = 1e-4 * contour.scale()
-
-    def boundary_map(z: complex) -> np.ndarray:
-        # nodes were prechecked; skip the per-call invertibility scan
-        return _n2d_from_matrix(a_n - z * eye_n, d.step)
-
-    def rhs_integrand(z: complex) -> complex:
-        n_val = boundary_map(z)
-        n_dot = (boundary_map(z + delta) - boundary_map(z - delta)) / (2.0 * delta)
-        return complex(np.trace(np.linalg.solve(n_val, n_dot)))
-
-    lhs_raw = contour_integrate(lhs_integrand, contour, tol) / (2j * np.pi)
-    rhs_raw = -contour_integrate(rhs_integrand, contour, tol) / (2j * np.pi)
+    lhs_raw, rhs_raw = (complex(v) / (2j * np.pi) for v in integrate_nodes(integrand, contour, tol))
     lhs_count = int(round(lhs_raw.real))
     rhs_count = int(round(rhs_raw.real))
     if abs(lhs_raw - lhs_count) >= 1e-6 or abs(rhs_raw - rhs_count) >= 1e-6:

@@ -92,7 +92,19 @@ class OnSpectrum(GrushinLabError):
     """The probe point is an eigenvalue at tolerance; the resolvent does not exist."""
 
 
-class OnContourSingular(GrushinLabError):
+class _NodeError(GrushinLabError):
+    """A failure at one quadrature node; args carry the message and the node
+    (z, or t on a loop), also read as ``node``; ``str`` is the message alone."""
+
+    @property
+    def node(self) -> complex | float | None:
+        return self.args[1] if len(self.args) > 1 else None
+
+    def __str__(self) -> str:
+        return str(self.args[0]) if self.args else ""
+
+
+class OnContourSingular(_NodeError):
     """A quadrature node hit (or nearly hit) the spectrum."""
 
 
@@ -100,17 +112,19 @@ class NonInteger(GrushinLabError):
     """A counting integral did not land on an integer within tolerance."""
 
 
-class IllPosedOnContour(GrushinLabError):
+class IllPosedOnContour(_NodeError):
     """The bordered problem is ill posed at some quadrature node."""
 
 
 class IllPosedInside(IllPosedOnContour):
     """The bordered matrix is singular somewhere inside the contour, so the
     effective count misses its zeros; args carry the number of zeros of its
-    determinant inside."""
+    determinant inside, and ``node`` is None."""
+
+    node = None
 
 
-class SingularAtNode(GrushinLabError):
+class SingularAtNode(_NodeError):
     """A loop-family value is singular at a quadrature node."""
 
 

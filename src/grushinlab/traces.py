@@ -144,7 +144,7 @@ def _trace_integrals(
         p, dp = _stack(family.value, nodes), _stack(family.derivative, nodes)
         rows = []
         if direct:
-            fault = lambda z: OnContourSingular(f"P(z) singular at node z={z}")
+            fault = lambda z: OnContourSingular(f"P(z) singular at node z={z}", complex(z))
             rows.append(_weighted(_log_derivative_trace(p, dp, nodes, fault), nodes, weight))
         if template is not None:
             effective, log_det = _effective_rows(p, dp, nodes, template)
@@ -169,7 +169,8 @@ def _effective_rows(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, template: 
     try:
         full = invert_stack(mats)
     except IllPosed as exc:
-        raise IllPosedOnContour(f"bordered problem ill posed at node z={nodes[exc.index]}") from exc
+        node = nodes[exc.index]
+        raise IllPosedOnContour(f"bordered problem ill posed at node z={node}", complex(node)) from exc
     e_minus_plus = full[:, n1:, n2:]
     if e_minus_plus.size == 0:
         effective = np.zeros(len(nodes), dtype=np.complex128)
@@ -433,12 +434,13 @@ def loop_trace_identity(
         mats = np.stack([system.assembled() for system in systems])
         dm = _stack(loop.assembled_derivative, ts)
         n1, n2 = systems[0].n_cols, systems[0].n_rows
-        fault = lambda t: SingularAtNode(f"P(t) singular at t={t:.4f}")
+        fault = lambda t: SingularAtNode(f"P(t) singular at t={t:.4f}", float(t))
         trace_p = _log_derivative_trace(mats[:, :n2, :n1], dm[:, :n2, :n1], ts, fault)
         try:
             full = invert_stack(mats)
         except IllPosed as exc:
-            raise SingularAtNode(f"bordered matrix singular at t={ts[exc.index]:.4f}") from exc
+            t = ts[exc.index]
+            raise SingularAtNode(f"bordered matrix singular at t={t:.4f}", float(t)) from exc
         dotted = -(full @ dm @ full)
         trace_eff = np.trace(np.linalg.solve(full[:, n1:, n2:], dotted[:, n1:, n2:]), axis1=1, axis2=2)
         return np.array([trace_p, trace_eff])

@@ -4,7 +4,7 @@ or none where an inverse already computed certifies it."""
 import numpy as np
 import pytest
 
-from grushinlab.bvp1d import Discretization, bvp_grushin, n2d_map, potential_from_name
+from grushinlab.bvp1d import Discretization, bvp_grushin, dn_trace_identity, n2d_map, potential_from_name
 from grushinlab.cli import seeded_loop_family
 from grushinlab.linops import Contour
 from grushinlab.perturbation import gaussian_matrix, jordan_block
@@ -36,6 +36,18 @@ def _record_svds(monkeypatch):
     return calls
 
 
+def _record_shapes(monkeypatch, name):
+    shapes = []
+    real = getattr(np.linalg, name)
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return shapes
+
+
 def _grid(m):
     return Discretization(0.0, np.pi, m, potential_from_name("harmonic", 0.0, np.pi))
 
@@ -54,6 +66,24 @@ def test_bvp_grushin_builds_reference_from_checked_matrix(monkeypatch):
     bvp_grushin(d, -1.0 + 0.5j)
     # the Neumann check (m + 2) and invert_system (m + 4); the rest are 2x2 norms
     assert sum(min(a.shape) >= m + 2 for a, _ in calls) == 2
+
+
+def test_dn_trace_identity_inverts_each_node_twice_and_makes_no_svd(monkeypatch):
+    m = 20
+    d = _grid(m)
+    # encloses two Neumann and one Dirichlet eigenvalue, and every node certifies
+    contour = Contour.circle(1.5, 1.2)
+    svds = _record_svds(monkeypatch)
+    invs, eigs, solves = (_record_shapes(monkeypatch, k) for k in ("inv", "eigvalsh", "solve"))
+    assert dn_trace_identity(d, contour) == (1, 1)
+    assert svds == []
+    assert eigs == [(m + 2, m + 2), (m, m)]
+    assert set(solves) == {(2, 2)}
+    nodes = len(invs) // 2
+    assert invs == [(m + 2, m + 2), (m, m)] * nodes
+    # the nested trapezoid rule evaluates contour.nodes * 2^k nodes, k >= 1
+    doublings = np.log2(nodes / contour.nodes)
+    assert doublings >= 1 and doublings == int(doublings)
 
 
 def test_resolvent_cell_decomposes_shifted_matrix_once(monkeypatch):
