@@ -10,6 +10,7 @@ record index, so identical configurations give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -195,14 +196,11 @@ def _cmd_jordan_series(args, seed: int):
         spec = JordanSpec.with_gaussian(args.n, lam, args.epsilon,
                                         child_seed(seed, "jordan-series"))
     exact = jordan_effective_exact(spec)
-    records = []
-    errors = []
-    for order in range(args.order + 1):
-        value = jordan_effective_series(spec, order).value
-        err = abs(value - exact)
-        errors.append(err)
-        records.append({"order": order, "partial_sum": value, "abs_error": err})
     result = jordan_effective_series(spec, args.order)
+    records, errors = [], []
+    for order, value in enumerate(itertools.accumulate(result.terms)):
+        errors.append(abs(value - exact))
+        records.append({"order": order, "partial_sum": value, "abs_error": errors[-1]})
     ratio_cap = result.contraction + 1e-3
     ok = all(
         errors[i + 1] <= ratio_cap * errors[i] + 1e-14

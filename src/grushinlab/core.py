@@ -38,7 +38,6 @@ from .linops import (
     as_cmatrix,
     certified,
     condition_from_sigma,
-    condition_number,
     numerical_rank,
     refined_solve,
     singular_values,
@@ -134,10 +133,15 @@ class IndexReport:
 
 
 def assemble(p, rminus, rplus, corner=None) -> BorderedSystem:
-    """Build a bordered system, checking block compatibility only."""
+    """Build a bordered system, checking block compatibility only.  An empty
+    border means no border, unless it is 2-D and already fits P (a P with no
+    rows or no columns still borders on k- columns or k+ rows)."""
     p = as_cmatrix(p)
-    rminus = as_cmatrix(rminus) if np.size(rminus) else np.zeros((p.shape[0], 0), complex)
-    rplus = as_cmatrix(rplus) if np.size(rplus) else np.zeros((0, p.shape[1]), complex)
+    if not (np.size(rminus) or np.ndim(rminus) == 2 and np.shape(rminus)[0] == p.shape[0]):
+        rminus = np.zeros((p.shape[0], 0), complex)
+    if not (np.size(rplus) or np.ndim(rplus) == 2 and np.shape(rplus)[1] == p.shape[1]):
+        rplus = np.zeros((0, p.shape[1]), complex)
+    rminus, rplus = as_cmatrix(rminus), as_cmatrix(rplus)
     if rminus.shape[0] != p.shape[0]:
         raise DimensionMismatch(
             f"rminus has {rminus.shape[0]} rows, P has {p.shape[0]}"
@@ -163,13 +167,13 @@ def invert_system(system: BorderedSystem) -> GrushinInverse:
 
     Well-posedness means the condition estimate sigma_max/sigma_min, from one
     sigma-only SVD, stays below ``WELL_POSED_LIMIT``; otherwise
-    :class:`IllPosed` carries the estimate.  The inverse is one LU solve plus
-    one refinement step.
+    :class:`IllPosed` carries the estimate.  The empty system is well posed
+    with condition 1.0.  The inverse is one LU solve plus one refinement step.
     """
     mat = system.assembled()
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"assembled system is {mat.shape}, not square")
-    (cond,) = _well_posedness_gate(mat, [0])
+    (cond,) = _well_posedness_gate(mat, [0]) if mat.size else (1.0,)
     full = refined_solve(mat, np.eye(len(mat), dtype=complex))
     n1, n2 = system.n_cols, system.n_rows
     return GrushinInverse(
@@ -318,21 +322,20 @@ def transfer(inverse: GrushinInverse, rminus_new, rplus_new) -> GrushinInverse:
         G = [[-R+' e R-',  R+' e_plus],
              [-e_minus R-',  e_minus_plus]],
 
-    inverts it, and reads the new inverse blocks from it.  Raises
-    :class:`TransferSingular` when G is singular or beyond the well-posed
-    limit (the re-bordered problem is ill posed).
+    inverts it (:func:`invert_system`), and reads the new inverse blocks from
+    it.  Raises :class:`TransferSingular` when G is singular or beyond the
+    well-posed limit (the re-bordered problem is ill posed).
     """
-    rm = as_cmatrix(rminus_new) if np.size(rminus_new) else np.zeros((inverse.e.shape[0], 0), complex)
+    rm = as_cmatrix(rminus_new) if np.size(rminus_new) else np.zeros((inverse.e.shape[1], 0), complex)
     rp = as_cmatrix(rplus_new) if np.size(rplus_new) else np.zeros((0, inverse.e.shape[0]), complex)
     if rm.shape[0] != inverse.e.shape[1]:
         raise DimensionMismatch("new rminus rows must match the codomain of P")
     if rp.shape[1] != inverse.e.shape[0]:
         raise DimensionMismatch("new rplus columns must match the domain of P")
     e, ep, em, emp = inverse.e, inverse.e_plus, inverse.e_minus, inverse.e_minus_plus
-    g = np.block([[-rp @ e @ rm, rp @ ep], [-em @ rm, emp]])
-    if g.shape[0] != g.shape[1]:
+    if rp.shape[0] + emp.shape[0] != rm.shape[1] + emp.shape[1]:
         raise DimensionMismatch("transfer system is not square; borders incompatible")
-    if g.size == 0:
+    if rp.shape[0] + emp.shape[0] == 0:
         # empty borders on both sides: the re-bordered inverse is P^{-1} = e
         n1, n2 = e.shape
         return GrushinInverse(
@@ -342,26 +345,20 @@ def transfer(inverse: GrushinInverse, rminus_new, rplus_new) -> GrushinInverse:
             np.zeros((0, 0), complex),
             inverse.condition,
         )
-    cond_g = condition_number(g)
-    if not well_posed(cond_g):
-        raise TransferSingular(f"transfer system condition {cond_g:.3e}", cond_g)
-    w = refined_solve(g, np.eye(len(g), dtype=complex))
-    k_new_minus = rm.shape[1]
-    w11 = w[:k_new_minus, : rp.shape[0]]
-    w12 = w[:k_new_minus, rp.shape[0]:]
-    w21 = w[k_new_minus:, : rp.shape[0]]
-    w22 = w[k_new_minus:, rp.shape[0]:]
-    new_emp = w11
-    new_em = -w11 @ rp @ e - w12 @ em
-    new_ep = -e @ rm @ w11 + ep @ w21
+    try:
+        w = invert_system(assemble(-rp @ e @ rm, rp @ ep, -em @ rm, emp))
+    except IllPosed as exc:
+        raise TransferSingular(f"transfer system condition {exc.condition:.3e}", exc.condition) from exc
     new_e = (
         e
-        + e @ rm @ w11 @ rp @ e
-        + e @ rm @ w12 @ em
-        - ep @ w21 @ rp @ e
-        - ep @ w22 @ em
+        + e @ rm @ w.e @ rp @ e
+        + e @ rm @ w.e_plus @ em
+        - ep @ w.e_minus @ rp @ e
+        - ep @ w.e_minus_plus @ em
     )
-    return GrushinInverse(new_e, new_ep, new_em, new_emp, cond_g * inverse.condition)
+    new_ep = -e @ rm @ w.e + ep @ w.e_minus
+    new_em = -w.e @ rp @ e - w.e_plus @ em
+    return GrushinInverse(new_e, new_ep, new_em, w.e, w.condition * inverse.condition)
 
 
 def iterate(inverse: GrushinInverse, nminus, nplus) -> GrushinInverse:
@@ -370,7 +367,7 @@ def iterate(inverse: GrushinInverse, nminus, nplus) -> GrushinInverse:
     The result equals the inverse of the problem bordered by
     ``rminus @ nminus`` and ``nplus @ rplus``.  Raises
     :class:`InnerSingular` when [[e_minus_plus, N-], [N+, 0]] is not
-    invertible.
+    invertible (:func:`invert_system`).
     """
     nm = as_cmatrix(nminus)
     np_ = as_cmatrix(nplus)
@@ -379,28 +376,19 @@ def iterate(inverse: GrushinInverse, nminus, nplus) -> GrushinInverse:
         raise DimensionMismatch("nminus rows must match k_minus")
     if np_.shape[1] != emp.shape[1]:
         raise DimensionMismatch("nplus columns must match k_plus")
-    inner = np.block(
-        [[emp, nm], [np_, np.zeros((np_.shape[0], nm.shape[1]), complex)]]
-    )
-    if inner.shape[0] != inner.shape[1]:
+    if emp.shape[0] + np_.shape[0] != emp.shape[1] + nm.shape[1]:
         raise DimensionMismatch("inner system is not square")
-    cond_inner = condition_number(inner)
-    if not well_posed(cond_inner):
-        raise InnerSingular(f"inner system condition {cond_inner:.3e}", cond_inner)
-    finv = refined_solve(inner, np.eye(len(inner), dtype=complex))
-    k_plus = emp.shape[1]
-    k_minus = emp.shape[0]
-    f = finv[:k_plus, :k_minus]
-    f_plus = finv[:k_plus, k_minus:]
-    f_minus = finv[k_plus:, :k_minus]
-    f_minus_plus = finv[k_plus:, k_minus:]
+    try:
+        f = invert_system(assemble(emp, nm, np_))
+    except IllPosed as exc:
+        raise InnerSingular(f"inner system condition {exc.condition:.3e}", exc.condition) from exc
     e, ep, em = inverse.e, inverse.e_plus, inverse.e_minus
     return GrushinInverse(
-        e - ep @ f @ em,
-        ep @ f_plus,
-        f_minus @ em,
-        -f_minus_plus,
-        cond_inner * inverse.condition,
+        e - ep @ f.e @ em,
+        ep @ f.e_plus,
+        f.e_minus @ em,
+        -f.e_minus_plus,
+        f.condition * inverse.condition,
     )
 
 

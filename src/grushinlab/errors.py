@@ -2,7 +2,11 @@
 
 
 class GrushinLabError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; ``str`` is the message (``args[0]``)
+    alone, whatever structured fields follow it in ``args``."""
+
+    def __str__(self) -> str:
+        return str(self.args[0]) if self.args else ""
 
 
 class DimensionMismatch(GrushinLabError):
@@ -56,11 +60,14 @@ class RankAmbiguous(GrushinLabError):
 
 
 class TransferSingular(GrushinLabError):
-    """The border-transfer system is not invertible: the new problem is ill posed."""
+    """The border-transfer system is not invertible: the new problem is ill
+    posed; args carry the message and the transfer system's condition
+    estimate."""
 
 
 class InnerSingular(GrushinLabError):
-    """The inner system of an iterated bordered problem is not invertible."""
+    """The inner system of an iterated bordered problem is not invertible;
+    args carry the message and the inner system's condition estimate."""
 
 
 class ComplementSingular(GrushinLabError):
@@ -94,14 +101,11 @@ class OnSpectrum(GrushinLabError):
 
 class _NodeError(GrushinLabError):
     """A failure at one quadrature node; args carry the message and the node
-    (z, or t on a loop), also read as ``node``; ``str`` is the message alone."""
+    (z, or t on a loop), also read as ``node``."""
 
     @property
     def node(self) -> complex | float | None:
         return self.args[1] if len(self.args) > 1 else None
-
-    def __str__(self) -> str:
-        return str(self.args[0]) if self.args else ""
 
 
 class OnContourSingular(_NodeError):

@@ -290,7 +290,7 @@ def _bordered_template(rminus, rplus, shape: tuple[int, int]) -> np.ndarray:
     k_plus, k_minus = rp.shape[0], rm.shape[1]
     if (rm.shape[0], rp.shape[1]) != shape or n2 != n1 or k_plus != k_minus:
         raise DimensionMismatch(f"borders {np.shape(rminus)}, {np.shape(rplus)} do not square P {shape}")
-    return np.block([[np.zeros(shape), rm], [rp, np.zeros((k_plus, k_minus))]])
+    return BorderedSystem(np.zeros(shape), rm, rp, np.zeros((k_plus, k_minus))).assembled()
 
 
 @dataclass(frozen=True)
@@ -373,14 +373,12 @@ class LoopFamily:
         return assemble(*self._blocks(lambda m: np.exp(1j * m * t)))
 
     def assembled_derivative(self, t: float) -> np.ndarray:
-        p, rminus, rplus, corner = self._blocks(lambda m: np.exp(1j * m * t) * (1j * m))
-        return np.block([[p, rminus], [rplus, corner]])
+        return BorderedSystem(*self._blocks(lambda m: np.exp(1j * m * t) * (1j * m))).assembled()
 
     def disc_system(self, z: complex) -> np.ndarray:
         # harmonic extension to the closed unit disc: e^{imt} -> z^m (m >= 0),
         # conj(z)^{|m|} (m < 0)
-        p, rminus, rplus, corner = self._blocks(lambda m: z**m if m >= 0 else np.conj(z) ** (-m))
-        return np.block([[p, rminus], [rplus, corner]])
+        return BorderedSystem(*self._blocks(lambda m: z**m if m >= 0 else np.conj(z) ** (-m))).assembled()
 
     def closure_residual(self) -> float:
         return spectral_norm(self.system(0.0).assembled() - self.system(2.0 * np.pi).assembled())

@@ -1,9 +1,11 @@
+import functools
 import json
 import os
 
 import numpy as np
 import pytest
 
+from grushinlab import linops, traces
 from grushinlab.cli import (
     child_seed,
     parse_report,
@@ -72,6 +74,13 @@ def test_gate_failure_exits_1(tmp_path):
     report = parse_report(path.read_text())
     assert report["summary"]["pass"] is False
     assert any(rec["error"] for rec in report["records"])
+
+
+def test_quadrature_cap_prints_the_message(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(traces, "integrate_nodes", functools.partial(linops.integrate_nodes, node_cap=128))
+    code, _ = _run(tmp_path, ["trace-count"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: no convergence at 128 nodes\n"
 
 
 def test_env_seed_override(tmp_path, monkeypatch):

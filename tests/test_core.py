@@ -296,6 +296,21 @@ def test_transfer_empty_borders_returns_resolvent():
     assert moved.e_minus_plus.shape == (0, 0)
 
 
+@pytest.mark.parametrize("n_rows, n_cols, k_minus, k_plus", [(2, 3, 0, 1), (3, 2, 1, 0)])
+def test_transfer_rectangular_p_to_one_sided_borders(n_rows, n_cols, k_minus, k_plus):
+    # a P with more columns than rows keeps no R-, one with more rows no R+
+    rng = _rng(25)
+    p = _random_complex(rng, (n_rows, n_cols))
+    ginv = invert_system(assemble(p, _random_complex(rng, (n_rows, k_minus + 1)),
+                                  _random_complex(rng, (k_plus + 1, n_cols))))
+    rm_new = _random_complex(rng, (n_rows, k_minus))
+    rp_new = _random_complex(rng, (k_plus, n_cols))
+    moved = transfer(ginv, rm_new, rp_new)
+    direct = invert_system(assemble(p, rm_new, rp_new))
+    assert moved.e_minus_plus.shape == (k_minus, k_plus)
+    assert spectral_norm(moved.assembled() - direct.assembled()) <= 1e-9 * spectral_norm(direct.assembled())
+
+
 def test_transfer_monodromy_selfadjoint_border_singular():
     # equal borders f(x) e^{ixz/h} on the circle problem: the transfer matrix
     # determinant is -2 e^{i pi z/h} Re(A e^{-i pi z/h}); pick z at a sign change
@@ -330,6 +345,14 @@ def test_iterate_identity_recovers_blocks():
         (same.e_minus, ginv.e_minus), (same.e_minus_plus, ginv.e_minus_plus),
     ):
         assert spectral_norm(blk - ref) <= 1e-10 * max(1.0, spectral_norm(ref))
+
+
+def test_iterate_without_borders_keeps_the_inverse():
+    p = _random_complex(_rng(33), (4, 4)) + 2.0 * np.eye(4)
+    ginv = invert_system(assemble(p, [], []))
+    same = iterate(ginv, np.zeros((0, 0)), np.zeros((0, 0)))
+    assert np.array_equal(same.e, ginv.e) and same.condition == ginv.condition
+    assert same.e_minus_plus.shape == (0, 0)
 
 
 def test_iterate_matches_direct_inversion():

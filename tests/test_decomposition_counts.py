@@ -6,6 +6,7 @@ import pytest
 
 from grushinlab.bvp1d import Discretization, bvp_grushin, dn_trace_identity, n2d_map, potential_from_name
 from grushinlab.cli import seeded_loop_family
+from grushinlab.core import assemble, invert_system, iterate, transfer
 from grushinlab.linops import Contour
 from grushinlab.perturbation import gaussian_matrix, jordan_block
 from grushinlab.pseudospectra import (
@@ -84,6 +85,22 @@ def test_dn_trace_identity_inverts_each_node_twice_and_makes_no_svd(monkeypatch)
     # the nested trapezoid rule evaluates contour.nodes * 2^k nodes, k >= 1
     doublings = np.log2(nodes / contour.nodes)
     assert doublings >= 1 and doublings == int(doublings)
+
+
+@pytest.mark.parametrize("compose", [
+    lambda inverse, rng: transfer(inverse, rng.standard_normal((6, 3)), rng.standard_normal((3, 6))),
+    lambda inverse, rng: iterate(inverse, rng.standard_normal((2, 1)), rng.standard_normal((1, 2))),
+], ids=["transfer", "iterate"])
+def test_transfer_and_iterate_invert_once_through_invert_system(monkeypatch, compose):
+    rng = np.random.default_rng(3)
+    inverse = invert_system(assemble(rng.standard_normal((6, 6)), rng.standard_normal((6, 2)),
+                                     rng.standard_normal((2, 6))))
+    calls = _record_svds(monkeypatch)
+    solves = _record_shapes(monkeypatch, "solve")
+    compose(inverse, rng)
+    # the well-posedness gate and one refined solve of the transfer or inner system
+    assert [uv for _, uv in calls] == [False]
+    assert solves == [calls[0][0].shape] * 2
 
 
 def test_resolvent_cell_decomposes_shifted_matrix_once(monkeypatch):

@@ -1,11 +1,22 @@
-"""Errors at a quadrature node name that node as ``node`` (``args[1]``), and
-print as their message alone."""
+"""Every library error prints as its message alone, whatever fields follow it
+in ``args``; errors at a quadrature node name that node as ``node``
+(``args[1]``)."""
 
 import numpy as np
 import pytest
 
 from grushinlab.bvp1d import Discretization, dn_trace_identity
-from grushinlab.errors import IllPosedInside, IllPosedOnContour, OnContourSingular, SingularAtNode
+from grushinlab.core import assemble, invert_system, iterate, transfer
+from grushinlab.errors import (
+    IllPosed,
+    IllPosedInside,
+    IllPosedOnContour,
+    InnerSingular,
+    NonConvergent,
+    OnContourSingular,
+    SingularAtNode,
+    TransferSingular,
+)
 from grushinlab.linops import Contour
 from grushinlab.traces import HolomorphicFamily, LoopFamily, count_direct, count_effective, loop_trace_identity
 
@@ -68,3 +79,26 @@ def test_boundary_trace_names_its_node():
 def test_node_is_none_without_one():
     assert OnContourSingular("no node").node is None
     assert str(OnContourSingular("no node")) == "no node"
+
+
+@pytest.mark.parametrize("error, fields", [
+    (IllPosed, (1e17, 3)),
+    (NonConvergent, (1.5 - 98174767.3j, 3.5 - 49087382.1j)),
+    (TransferSingular, (2.9e16,)),
+    (InnerSingular, (2.9e16,)),
+])
+def test_errors_with_fields_print_their_message(error, fields):
+    exc = error("what happened", *fields)
+    assert str(exc) == "what happened"
+    assert exc.args == ("what happened", *fields)
+
+
+def test_singular_transfer_and_inner_systems_print_their_message():
+    one = np.ones((1, 1))
+    ginv = invert_system(assemble(np.zeros((1, 1)), one, one))
+    with pytest.raises(InnerSingular) as inner:
+        iterate(ginv, np.zeros((1, 1)), np.zeros((1, 1)))
+    with pytest.raises(TransferSingular) as moved:
+        transfer(ginv, np.zeros((1, 1)), np.zeros((1, 1)))
+    for info, system in ((inner, "inner"), (moved, "transfer")):
+        assert str(info.value) == f"{system} system condition {info.value.args[1]:.3e}"

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grushinlab.core import assemble, invert_stack, invert_system, recover_resolvent
-from grushinlab.errors import GrushinLabError, IllPosed
+from grushinlab.core import (
+    assemble,
+    effective_index,
+    invert_stack,
+    invert_system,
+    iterate,
+    recover_resolvent,
+    transfer,
+)
+from grushinlab.errors import GrushinLabError, IllPosed, InnerSingular, RankAmbiguous, TransferSingular
 from grushinlab.linops import (
     EPS,
     condition_from_sigma,
@@ -96,6 +104,56 @@ def test_recover_resolvent_residual(systems):
         if system.n_rows == system.n_cols:
             residual = recover_resolvent(system, inverse).residual
             assert residual <= _round_trip_tolerance(inverse)
+
+
+def _block_tolerance(result, reference):
+    """The round-trip bound of ``result`` scaled to the size of ``reference``."""
+    return _round_trip_tolerance(result) * max(1.0, spectral_norm(reference.assembled()))
+
+
+@PROPERTY
+@given(bordered_systems(), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_transfer_there_and_back(systems, extra, seed):
+    """Re-bordering by k +- extra random borders and back to the old ones
+    gives the inverse with the old borders (and a zero corner: transfer
+    always drops the corner).  The re-bordered problem must be well posed by
+    :func:`invert_system`: the scale-free condition of the transfer system
+    alone passes a transfer system that is zero up to rounding."""
+    rng = np.random.default_rng(seed)
+    for system in systems:
+        shape_m, shape_p = (system.n_rows, system.k_minus + extra), (system.k_plus + extra, system.n_cols)
+        rm = rng.standard_normal(shape_m) + 1j * rng.standard_normal(shape_m)
+        rp = rng.standard_normal(shape_p) + 1j * rng.standard_normal(shape_p)
+        try:
+            reference = invert_system(assemble(system.p, system.rminus, system.rplus))
+            invert_system(assemble(system.p, rm, rp))
+            back = transfer(transfer(reference, rm, rp), system.rminus, system.rplus)
+        except (IllPosed, TransferSingular):
+            continue
+        error = spectral_norm(back.assembled() - reference.assembled())
+        assert error <= _block_tolerance(back, reference)
+
+
+@PROPERTY
+@given(bordered_systems())
+def test_iterate_with_identity_inner_borders(systems):
+    for system, inverse in _well_posed_pairs(systems):
+        try:
+            same = iterate(inverse, np.eye(system.k_minus), np.eye(system.k_plus))
+        except InnerSingular:
+            continue
+        assert spectral_norm(same.assembled() - inverse.assembled()) <= _block_tolerance(same, inverse)
+
+
+@PROPERTY
+@given(bordered_systems())
+def test_effective_index_is_k_plus_minus_k_minus(systems):
+    for system, inverse in _well_posed_pairs(systems):
+        try:
+            report = effective_index(system, inverse)
+        except RankAmbiguous:
+            continue
+        assert report.index == system.k_plus - system.k_minus
 
 
 @st.composite
