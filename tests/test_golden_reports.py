@@ -1,11 +1,11 @@
-"""Committed reports the CLI must write again: the default json report of every
-subcommand, and two more ``bvp-trace`` potentials.
+"""Committed reports the CLI must write again: the default json and csv
+reports of every subcommand, and two more ``bvp-trace`` potentials.
 
 The ``bvp-trace`` reports hold only integers, a bool and the configuration,
 so they compare byte for byte everywhere.  The others carry floats that the
 BLAS may round differently: they compare byte for byte where the running
 Python, numpy and BLAS match ``golden/STAMP.json``, and elsewhere in all but
-their floats."""
+their floats (in a csv report, all but its numbers)."""
 
 import functools
 import json
@@ -22,12 +22,13 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
-    """The report bytes ``run(argv)`` writes, each argv run once per module."""
+    """The report bytes ``run(argv)`` writes, each argv and format run once per
+    module; the suffix of the output file picks the format."""
     directory = tmp_path_factory.mktemp("reports")
 
     @functools.cache
-    def write(*argv: str) -> bytes:
-        out = directory / f"{'_'.join(argv)}.json"
+    def write(*argv: str, suffix: str = ".json") -> bytes:
+        out = directory / f"{'_'.join(argv)}{suffix}"
         with pytest.MonkeyPatch.context() as patch:
             patch.delenv("GRUSHIN_SEED", raising=False)
             assert run([*argv, "--out", str(out)]) == 0
@@ -55,6 +56,19 @@ def _without_floats(value):
     return value
 
 
+def _csv_without_numbers(text: bytes) -> list[list[str]]:
+    """The csv rows with every cell that reads as a number replaced by a marker."""
+
+    def cell(value: str) -> str:
+        try:
+            float(value)
+        except ValueError:
+            return value
+        return "<number>"
+
+    return [[cell(value) for value in line.split(",")] for line in text.decode().splitlines()]
+
+
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -80,3 +94,16 @@ def test_every_subcommand_matches_its_golden_report(report, command):
     assert written["config"] == expected["config"]
     assert _without_floats(written) == _without_floats(expected)
     pytest.skip(f"float bytes not compared: golden reports stamped {stamp}, running {_environment()}")
+
+
+@pytest.mark.parametrize("command", sorted(HANDLERS))
+def test_every_subcommand_matches_its_golden_csv_report(report, command):
+    golden = GOLDEN / f"{command}.csv"
+    assert golden.exists(), f"no golden csv report for {command}"
+    written, expected = report(command, suffix=".csv"), golden.read_bytes()
+    stamp = json.loads((GOLDEN / "STAMP.json").read_text())
+    if stamp == _environment():
+        assert written == expected
+        return
+    assert _csv_without_numbers(written) == _csv_without_numbers(expected)
+    pytest.skip(f"numbers not compared: golden reports stamped {stamp}, running {_environment()}")

@@ -5,19 +5,37 @@ in ``args``; errors at a quadrature node name that node as ``node``
 import numpy as np
 import pytest
 
-from grushinlab.bvp1d import Discretization, dn_trace_identity
-from grushinlab.core import assemble, invert_system, iterate, transfer
+from grushinlab.bvp1d import Discretization, dn_trace_identity, n2d_map
+from grushinlab.core import (
+    Split,
+    assemble,
+    feshbach_effective,
+    invert_stack,
+    invert_system,
+    iterate,
+    recover_resolvent,
+    schur_check,
+    transfer,
+)
 from grushinlab.errors import (
+    ComplementSingular,
+    ContractionCertificateFails,
+    CornerSingular,
+    EffectiveSingular,
     IllPosed,
     IllPosedInside,
     IllPosedOnContour,
     InnerSingular,
+    NeumannEigenvalue,
     NonConvergent,
     OnContourSingular,
+    OnSpectrum,
     SingularAtNode,
+    SingularMatrix,
     TransferSingular,
 )
-from grushinlab.linops import Contour
+from grushinlab.linops import Contour, solve_linear
+from grushinlab.pseudospectra import resolvent_bound
 from grushinlab.traces import HolomorphicFamily, LoopFamily, count_direct, count_effective, loop_trace_identity
 
 
@@ -102,3 +120,65 @@ def test_singular_transfer_and_inner_systems_print_their_message():
         transfer(ginv, np.zeros((1, 1)), np.zeros((1, 1)))
     for info, system in ((inner, "inner"), (moved, "transfer")):
         assert str(info.value) == f"{system} system condition {info.value.args[1]:.3e}"
+
+
+def _recover(p, corner, tol=None):
+    system = assemble(np.diag(p), np.array([[1.0], [0.0]]), np.array([[1.0, 0.0]]), corner)
+    return recover_resolvent(system, invert_system(system), tol)
+
+
+def _certificate_loop():
+    one = np.ones((1, 1), dtype=complex)
+    loop = LoopFamily.from_blocks({0: one}, {0: one}, {0: one}, {0: 2.0 * one, 1: -one})
+    # singular on the third radius (s = 0.25) of the certificate grid
+    return loop_trace_identity(loop, lambda t, s: np.diag([1.0, s - 0.25]))
+
+
+def _schur():
+    a = np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 2.0], [0.0, 0.5, 1.0]])
+    return schur_check(a, np.eye(3), 1)
+
+
+_ZERO_POTENTIAL = Discretization(0.0, np.pi, 20, lambda x: 0.0)
+_ILL = "condition estimate 1.000e+17 beyond well-posed limit"
+
+
+@pytest.mark.parametrize("call, error, args", [
+    (lambda: solve_linear(np.diag([1.0, 1e-20]), np.ones((2, 1))),
+     SingularMatrix, ("sigma_min=1.000e-20 <= tol=3.553e-15",)),
+    (lambda: solve_linear(np.diag([1.0, 1e-14]), np.ones((2, 1)), tol_factor=800.0),
+     SingularMatrix, ("sigma_min=1.000e-14 <= tol=3.553e-13",)),
+    (lambda: _recover([0.0, 1.0], [[1.0]]),
+     EffectiveSingular, ("effective Hamiltonian singular (sigma_min=0.000e+00)",)),
+    (lambda: _recover([1e-3, 1.0], None, tol=1e-2),
+     EffectiveSingular, ("effective Hamiltonian singular (sigma_min=1.000e-03)",)),
+    (_schur, CornerSingular, ("A22 singular at tolerance (sigma_min=0.000e+00)",)),
+    (lambda: feshbach_effective(np.diag([0.0, 2.0, 3.0]), Split((0,)), 2.0),
+     ComplementSingular, ("z within spectrum of the complementary block (sigma_min=0.000e+00)",)),
+    (lambda: n2d_map(_ZERO_POTENTIAL, 0.0),
+     NeumannEigenvalue, ("z = 0.0 is a discrete Neumann eigenvalue (sigma_min=1.367e-14)",)),
+    (lambda: dn_trace_identity(_ZERO_POTENTIAL, Contour.circle(-0.5, 0.5)),
+     OnContourSingular, ("contour node z=0j on a discrete spectrum", 0j)),
+    (lambda: count_direct(HolomorphicFamily.pencil(np.diag([1.0, -3.0])), Contour.circle(0.0, 1.0)),
+     OnContourSingular, ("P(z) singular at node z=(1+0j)", 1.0)),
+    (lambda: invert_system(assemble(np.diag([1.0, 1e-17]), [], [])), IllPosed, (_ILL, 1e17, 0)),
+    (lambda: invert_stack(np.stack([np.eye(2), np.diag([1.0, 1e-17]), np.zeros((2, 2))]).astype(complex)),
+     IllPosed, (_ILL, 1e17, 1)),
+    (_certificate_loop,
+     ContractionCertificateFails, ("certificate matrix singular at t=0.000, s=0.250",)),
+    (lambda: resolvent_bound(np.diag([0.0, 1.0]), 0.0, 0.5), OnSpectrum, ("sigma_min = 0.000e+00 at tolerance",)),
+    (lambda: resolvent_bound(np.diag([1e-17, 1.0]), 0.0, 0.5), OnSpectrum, ("sigma_min = 1.000e-17 at tolerance",)),
+], ids=[
+    "solve_linear", "solve_linear-tol_factor", "recover_resolvent", "recover_resolvent-tol", "schur_check",
+    "feshbach_effective", "neumann", "dn_trace-fallback", "count_direct", "invert_system", "invert_stack",
+    "certificate", "resolvent_bound-zero", "resolvent_bound-tiny",
+])
+def test_every_gate_raises_its_own_error(call, error, args):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert info.value.args == args
+    assert str(info.value) == args[0]
+    if error is IllPosed:
+        assert (info.value.condition, info.value.index) == args[1:]
+
