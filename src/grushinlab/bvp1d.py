@@ -35,13 +35,13 @@ from .errors import (
 )
 from .linops import (
     EPS,
+    WELL_POSED_LIMIT,
     Contour,
-    condition_from_sigma,
     integrate_nodes,
+    is_singular,
     refined_solve,
+    singular_gate,
     spectral_norm,
-    tolerance_from_sigma,
-    well_posed,
 )
 
 
@@ -111,9 +111,8 @@ def neumann_matrix(d: Discretization, z: complex) -> np.ndarray:
 
 def _require_neumann_invertible(d: Discretization, z: complex) -> np.ndarray:
     mat = neumann_matrix(d, z)
-    sig = np.linalg.svd(mat, compute_uv=False)
-    if sig[-1] <= tolerance_from_sigma(sig, mat.shape) or not well_posed(condition_from_sigma(sig)):
-        raise NeumannEigenvalue(f"z = {z} is a discrete Neumann eigenvalue (sigma_min={sig[-1]:.3e})")
+    singular_gate(mat, lambda _, s: NeumannEigenvalue(f"z = {z} is a discrete Neumann eigenvalue "
+                                                      f"(sigma_min={s[-1]:.3e})"), limit=WELL_POSED_LIMIT)
     return mat
 
 
@@ -264,12 +263,10 @@ def _node_check(a_n: np.ndarray, a_d: np.ndarray) -> Callable[[complex], None]:
         for a, eigs, kappa in spectra:
             dist = np.abs(z - eigs)
             slack = 8.0 * a.shape[0] * EPS * kappa * (abs(z) + np.abs(eigs).max())
-            high = kappa * (dist.max() + slack) + slack
-            if (dist.min() - slack) / kappa - slack > 1e3 * tolerance_from_sigma(np.array([high]), a.shape):
-                continue
-            sig = np.linalg.svd(z * np.eye(a.shape[0]) - a, compute_uv=False)
-            if sig[-1] <= 1e3 * tolerance_from_sigma(sig, a.shape):
-                raise OnContourSingular(f"contour node z={z} on a discrete spectrum", complex(z))
+            bounds = np.array([kappa * (dist.max() + slack) + slack, (dist.min() - slack) / kappa - slack])
+            if is_singular(bounds, a.shape, 1e3):
+                fault = lambda *_: OnContourSingular(f"contour node z={z} on a discrete spectrum", complex(z))
+                singular_gate(z * np.eye(a.shape[0]) - a, fault, 1e3)
 
     return check
 

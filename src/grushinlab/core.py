@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     ComplementSingular,
     ConsistencyError,
-    ConvergenceFailure,
     CornerSingular,
     DimensionMismatch,
     EffectiveSingular,
@@ -36,14 +35,13 @@ from .errors import (
 from .linops import (
     WELL_POSED_LIMIT,
     as_cmatrix,
-    certified,
     condition_from_sigma,
     numerical_rank,
     refined_solve,
+    singular_gate,
     singular_values,
     spectral_norm,
     tolerance_from_sigma,
-    well_posed,
 )
 
 
@@ -97,6 +95,12 @@ class GrushinInverse:
 
     def assembled(self) -> np.ndarray:
         return np.block([[self.e, self.e_plus], [self.e_minus, self.e_minus_plus]])
+
+    @staticmethod
+    def from_full(full: np.ndarray, n1: int, n2: int, condition: float = np.nan) -> "GrushinInverse":
+        """The blocks of ``full``, the inverse of a bordered system with an n2 x n1 P;
+        ``condition`` is nan where no estimate was made (a certified inverse)."""
+        return GrushinInverse(full[:n1, :n2], full[:n1, n2:], full[n1:, :n2], full[n1:, n2:], condition)
 
     def apply(self, v, v_plus) -> tuple[np.ndarray, np.ndarray]:
         v = np.asarray(v, dtype=np.complex128)
@@ -173,54 +177,34 @@ def invert_system(system: BorderedSystem) -> GrushinInverse:
     mat = system.assembled()
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"assembled system is {mat.shape}, not square")
-    (cond,) = _well_posedness_gate(mat, [0]) if mat.size else (1.0,)
+    cond = condition_from_sigma(singular_gate(mat, _ill_posed, None, WELL_POSED_LIMIT)) if mat.size else 1.0
     full = refined_solve(mat, np.eye(len(mat), dtype=complex))
-    n1, n2 = system.n_cols, system.n_rows
-    return GrushinInverse(
-        e=full[:n1, :n2],
-        e_plus=full[:n1, n2:],
-        e_minus=full[n1:, :n2],
-        e_minus_plus=full[n1:, n2:],
-        condition=cond,
-    )
+    return GrushinInverse.from_full(full, system.n_cols, system.n_rows, cond)
 
 
 def invert_stack(mats: np.ndarray) -> np.ndarray:
     """Refined inverses of a stack of well-posed square matrices, shape
     ``(N, m, m)``: the inverses :func:`invert_system` computes, bit for bit.
 
-    Each inverse is one LU solve plus one refinement step.  A matrix whose
-    inverse certifies its condition number below ``WELL_POSED_LIMIT``
-    (:func:`linops.certified`) needs no SVD; the others, and every matrix of
-    a stack the LU solve rejects, face the sigma-only SVD gate of
-    :func:`invert_system`.  :class:`IllPosed` carries the estimate and the
-    stack index of the first matrix beyond the limit.  The caller has checked
-    shapes and finiteness.
+    Each inverse is one LU solve plus one refinement step.  The stack faces the
+    well-posedness gate of :func:`invert_system` (:func:`linops.singular_gate`),
+    where an inverse that certifies its matrix spares it the SVD, and a stack
+    the LU solve rejects faces it whole.  :class:`IllPosed` carries the
+    estimate and the stack index of the first matrix beyond the limit.  The
+    caller has checked shapes and finiteness.
     """
     try:
         inverses = refined_solve(mats, np.eye(mats.shape[-1], dtype=complex))
     except np.linalg.LinAlgError:
-        _well_posedness_gate(mats, range(len(mats)))
+        singular_gate(mats, _ill_posed, None, WELL_POSED_LIMIT)
         raise
-    doubtful = np.flatnonzero(~certified(mats, inverses, WELL_POSED_LIMIT))
-    if doubtful.size:
-        _well_posedness_gate(mats[doubtful], doubtful)
+    singular_gate(mats, _ill_posed, None, WELL_POSED_LIMIT, inverses=inverses)
     return inverses
 
 
-def _well_posedness_gate(mats: np.ndarray, indices) -> list[float]:
-    """Condition estimates sigma_max/sigma_min of one matrix or a stack, from
-    one sigma-only SVD; :class:`IllPosed`, carrying the estimate and the
-    matrix's entry of ``indices``, at the first beyond ``WELL_POSED_LIMIT``."""
-    try:
-        sigma = np.linalg.svd(mats, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
-        raise ConvergenceFailure(str(exc)) from exc
-    conds = [condition_from_sigma(s) for s in np.atleast_2d(sigma)]
-    for index, cond in zip(indices, conds):
-        if not well_posed(cond):
-            raise IllPosed(f"condition estimate {cond:.3e} beyond well-posed limit", cond, int(index))
-    return conds
+def _ill_posed(index: int, sigma: np.ndarray) -> IllPosed:
+    cond = condition_from_sigma(sigma)
+    return IllPosed(f"condition estimate {cond:.3e} beyond well-posed limit", cond, index)
 
 
 @dataclass(frozen=True)
@@ -242,11 +226,8 @@ def recover_resolvent(
     if emp.shape[0] != emp.shape[1]:
         raise DimensionMismatch("effective Hamiltonian must be square to invert")
     if emp.size:
-        sig = singular_values(emp)
-        if sig[-1] <= (tolerance_from_sigma(sig, emp.shape) if tol is None else tol):
-            raise EffectiveSingular(
-                f"effective Hamiltonian singular (sigma_min={sig[-1]:.3e})"
-            )
+        fault = lambda _, s: EffectiveSingular(f"effective Hamiltonian singular (sigma_min={s[-1]:.3e})")
+        singular_gate(as_cmatrix(emp), fault, tol=tol)
         pinv = inverse.e - inverse.e_plus @ np.linalg.solve(emp, inverse.e_minus)
     else:
         pinv = inverse.e
@@ -268,9 +249,7 @@ def schur_check(a, b, head: int) -> float:
         raise DimensionMismatch(f"invalid split {head} of size {a.shape[0]}")
     a11, a12 = a[:head, :head], a[:head, head:]
     a21, a22 = a[head:, :head], a[head:, head:]
-    sig = singular_values(a22)
-    if sig[-1] <= tolerance_from_sigma(sig, a22.shape):
-        raise CornerSingular(f"A22 singular at tolerance (sigma_min={sig[-1]:.3e})")
+    singular_gate(a22, lambda _, s: CornerSingular(f"A22 singular at tolerance (sigma_min={s[-1]:.3e})"))
     complement = a11 - a12 @ np.linalg.solve(a22, a21)
     b11 = b[:head, :head]
     return float(spectral_norm(refined_solve(b11, np.eye(head, dtype=complex)) - complement))
@@ -286,19 +265,14 @@ def effective_index(
     Checks that the dimensions computed from P agree with those computed from
     the effective Hamiltonian and that the index equals k_plus - k_minus.
     """
-    sp = singular_values(system.p)
-    tp = tolerance_from_sigma(sp, system.p.shape) if tol is None else tol
-    rank_p = numerical_rank(sp, tp)
+
+    def rank(mat: np.ndarray) -> int:
+        sigma = singular_values(mat)
+        return numerical_rank(sigma, tolerance_from_sigma(sigma, mat.shape) if tol is None else tol)
+
+    rank_p, rank_e = rank(system.p), rank(inverse.e_minus_plus)
     dim_ker = system.n_cols - rank_p
     dim_coker = system.n_rows - rank_p
-
-    emp = inverse.e_minus_plus
-    se = singular_values(emp)
-    te = tolerance_from_sigma(se, emp.shape) if tol is None else tol
-    if emp.size == 0:
-        rank_e = 0
-    else:
-        rank_e = numerical_rank(se, te)
     ker_e = system.k_plus - rank_e
     coker_e = system.k_minus - rank_e
     if (dim_ker, dim_coker) != (ker_e, coker_e):
@@ -324,7 +298,9 @@ def transfer(inverse: GrushinInverse, rminus_new, rplus_new) -> GrushinInverse:
 
     inverts it (:func:`invert_system`), and reads the new inverse blocks from
     it.  Raises :class:`TransferSingular` when G is singular or beyond the
-    well-posed limit (the re-bordered problem is ill posed).
+    well-posed limit (the re-bordered problem is ill posed), also where the
+    Frobenius norms ||R+'|| ||e|| ||R-'|| + ||R+'|| ||e_plus|| + ||e_minus|| ||R-'||
+    + ||e_minus_plus|| of its blocks times ||G^{-1}|| reach ``WELL_POSED_LIMIT``.
     """
     rm = as_cmatrix(rminus_new) if np.size(rminus_new) else np.zeros((inverse.e.shape[1], 0), complex)
     rp = as_cmatrix(rplus_new) if np.size(rplus_new) else np.zeros((0, inverse.e.shape[0]), complex)
@@ -337,18 +313,16 @@ def transfer(inverse: GrushinInverse, rminus_new, rplus_new) -> GrushinInverse:
         raise DimensionMismatch("transfer system is not square; borders incompatible")
     if rp.shape[0] + emp.shape[0] == 0:
         # empty borders on both sides: the re-bordered inverse is P^{-1} = e
-        n1, n2 = e.shape
-        return GrushinInverse(
-            e,
-            np.zeros((n1, 0), complex),
-            np.zeros((0, n2), complex),
-            np.zeros((0, 0), complex),
-            inverse.condition,
-        )
+        return GrushinInverse.from_full(e, *e.shape, inverse.condition)
     try:
         w = invert_system(assemble(-rp @ e @ rm, rp @ ep, -em @ rm, emp))
     except IllPosed as exc:
         raise TransferSingular(f"transfer system condition {exc.condition:.3e}", exc.condition) from exc
+    # sigma_max/sigma_min misses a G that is zero up to rounding; its blocks' scale does not
+    n_rp, n_e, n_rm, n_ep, n_em, n_emp = (np.linalg.norm(x) for x in (rp, e, rm, ep, em, emp))
+    estimate = float((n_rp * n_e * n_rm + n_rp * n_ep + n_em * n_rm + n_emp) * np.linalg.norm(w.assembled()))
+    if not estimate < WELL_POSED_LIMIT:
+        raise TransferSingular(f"transfer system condition {estimate:.3e}", estimate)
     new_e = (
         e
         + e @ rm @ w.e @ rp @ e
@@ -412,10 +386,9 @@ def feshbach_effective(h, split: Split, z: complex, cross_check: bool = True) ->
     hvw = h[np.ix_(v, w)]
     hwv = h[np.ix_(w, v)]
     hww = h[np.ix_(w, w)]
-    zw = z * np.eye(len(w)) - hww
-    sig = singular_values(zw)
-    if sig[-1] <= tolerance_from_sigma(sig, zw.shape) or not well_posed(condition_from_sigma(sig)):
-        raise ComplementSingular(f"z within spectrum of the complementary block (sigma_min={sig[-1]:.3e})")
+    zw = as_cmatrix(z * np.eye(len(w)) - hww)
+    singular_gate(zw, lambda _, s: ComplementSingular(f"z within spectrum of the complementary block "
+                                                      f"(sigma_min={s[-1]:.3e})"), limit=WELL_POSED_LIMIT)
     g_v = z * np.eye(len(v)) - hvv - hvw @ np.linalg.solve(zw, hwv)
     if cross_check:
         rminus = np.zeros((n, len(v)), dtype=np.complex128)

@@ -2,9 +2,10 @@
 
 All matrices are plain ``numpy`` arrays of ``complex128``.  Decompositions are
 delegated to LAPACK through ``numpy.linalg``; this module pins down the
-conventions the rest of the library relies on: the rank tolerance, the
-condition estimate attached to every solve, and the nested node-doubling
-rules used for every contour integral.
+conventions the rest of the library relies on: the rank tolerance, the one
+singularity gate behind every rank and well-posedness decision, the condition
+estimate attached to every solve, and the nested node-doubling rules used for
+every contour integral.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ EPS = float(np.finfo(np.float64).eps)
 #: below 1/(100*eps).
 WELL_POSED_LIMIT = 1.0 / (100.0 * EPS)
 
-#: An explicit inverse decides a condition gate without an SVD while the bound
-#: ||M||_F ||X||_F stays below the gate's limit times this margin; the LU
-#: backward error keeps such a decision the SVD's (README, "Numerical
-#: conventions").
+#: An explicit inverse decides a singularity gate without an SVD while the
+#: bound ||M||_F ||X||_F stays below the gate's condition bound times this
+#: margin; the LU backward error keeps such a decision the SVD's (README,
+#: "Numerical conventions").
 CERTIFIED_MARGIN = 1e-6
 
 #: Hard cap for quadrature node doubling.
@@ -57,11 +58,15 @@ def as_cmatrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarra
 
 
 def singular_values(a) -> np.ndarray:
-    a = as_cmatrix(a)
-    if a.size == 0:
-        return np.zeros(0)
+    return _sigma(as_cmatrix(a))
+
+
+def _sigma(mats: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix or a stack (no SVD for empty matrices)."""
+    if mats.size == 0:
+        return np.zeros(mats.shape[:-2] + (min(mats.shape[-2:]),))
     try:
-        return np.linalg.svd(a, compute_uv=False)
+        return np.linalg.svd(mats, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
         raise ConvergenceFailure(str(exc)) from exc
 
@@ -80,17 +85,48 @@ def condition_from_sigma(sigma: np.ndarray) -> float:
 
 
 def well_posed(cond: float) -> bool:
-    """The well-posedness gate: a finite condition estimate below ``WELL_POSED_LIMIT``."""
+    """A finite condition estimate below ``WELL_POSED_LIMIT``: the condition rule of :func:`is_singular`."""
     return bool(np.isfinite(cond)) and cond < WELL_POSED_LIMIT
 
 
-def certified(mats: np.ndarray, inverses: np.ndarray, limit: float) -> np.ndarray:
-    """Mask of a stack's matrices whose condition number the LU-computed
-    ``inverses`` certify to lie below ``limit``: ||M||_F ||X||_F at most
-    ``limit * CERTIFIED_MARGIN``.  A non-finite bound or an empty matrix
-    certifies nothing; the caller decides those from the singular values."""
-    bound = np.linalg.norm(mats, axis=(-2, -1)) * np.linalg.norm(inverses, axis=(-2, -1))
-    return (bound <= limit * CERTIFIED_MARGIN) & (mats.shape[-1] > 0)
+def is_singular(sigma: np.ndarray, shape: tuple, scale=1.0, limit=None, tol=None) -> bool:
+    """The singularity rule on the singular values of a matrix of ``shape``, or
+    on bounds of them (sigma_max's from above first, sigma_min's from below
+    last): none at all; sigma_min at or below ``tol``, else ``scale`` times the
+    rank tolerance (no rank rule when both are None); or a condition estimate
+    sigma_max/sigma_min not below ``limit`` (none without one)."""
+    if sigma.size == 0:
+        return True
+    if tol is None and scale is not None:
+        tol = scale * tolerance_from_sigma(sigma, shape)
+    if tol is not None and not sigma[-1] > tol:
+        return True
+    return limit is not None and not condition_from_sigma(sigma) < limit
+
+
+def singular_gate(mats: np.ndarray, fault, scale=1.0, limit=None, tol=None, inverses=None) -> np.ndarray:
+    """Singular values of a matrix or a stack from one sigma-only SVD, after
+    ``fault(i, sigma)`` is raised at the first matrix ``i`` that
+    :func:`is_singular` flags under ``scale``, ``limit`` and ``tol``.  With the
+    LU-computed ``inverses`` of a stack (and no ``tol``), a nonempty matrix with
+    ||M||_F ||X||_F at most ``CERTIFIED_MARGIN`` times the rule's condition bound
+    (``limit``; 1/(``scale`` 8 n eps) for the rank rule) needs no SVD: ``i`` stays
+    the stack index, and only the other matrices' singular values are returned."""
+    index = range(len(mats)) if mats.ndim == 3 else [0]
+    if inverses is not None:
+        bound = np.inf if limit is None else limit
+        if scale is not None:
+            bound = min(bound, 1.0 / (scale * tolerance_from_sigma(np.ones(1), mats.shape[-2:])))
+        norms = np.linalg.norm(mats, axis=(-2, -1)) * np.linalg.norm(inverses, axis=(-2, -1))
+        index = np.flatnonzero(~((norms <= bound * CERTIFIED_MARGIN) & (mats.shape[-1] > 0)))
+        if not index.size:
+            return np.zeros((0, mats.shape[-1]))
+        mats = mats[index]
+    sigma = _sigma(mats)
+    for i, s in zip(index, np.atleast_2d(sigma)):
+        if is_singular(s, mats.shape[-2:], scale, limit, tol):
+            raise fault(int(i), s)
+    return sigma
 
 
 def condition_number(a) -> float:
@@ -172,10 +208,12 @@ def solve_linear(a, b, tol_factor: float = 8.0) -> SolveResult:
         raise DimensionMismatch(f"matrix must be square, got {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"rhs has {b.shape[0]} rows, matrix has {a.shape[0]}")
-    s = singular_values(a)
-    tol = tolerance_from_sigma(s, a.shape, tol_factor)
-    if s.size == 0 or s[-1] <= tol:
-        raise SingularMatrix(f"sigma_min={0.0 if s.size == 0 else s[-1]:.3e} <= tol={tol:.3e}")
+    def fault(_, s):
+        tol = tolerance_from_sigma(s, a.shape, tol_factor)
+        return SingularMatrix(f"sigma_min={0.0 if s.size == 0 else s[-1]:.3e} <= tol={tol:.3e}")
+
+    # (f/8) * tol_8 is tol_f bit for bit: the factors 8 are exact
+    s = singular_gate(a, fault, tol_factor / 8.0)
     return SolveResult(refined_solve(a, b), condition_from_sigma(s))
 
 

@@ -22,7 +22,7 @@ from .errors import (
     OnSpectrum,
     ThresholdOnSingularValue,
 )
-from .linops import as_cmatrix, spectral_norm, tolerance_from_sigma
+from .linops import as_cmatrix, is_singular, spectral_norm, tolerance_from_sigma
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,11 @@ def _small_subspaces(shifted: np.ndarray, h: float):
         left, singular, right_h = np.linalg.svd(shifted, full_matrices=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
         raise ConvergenceFailure(str(exc)) from exc
-    close = np.abs(singular - h) < 1e-8
+    window = 1e-8 * h + tolerance_from_sigma(singular, shifted.shape)
+    close = np.abs(singular - h) < window
     if np.any(close):
         raise ThresholdOnSingularValue(
-            f"singular value(s) {singular[close]} within 1e-8 of h={h}"
+            f"singular value(s) {singular[close]} within {window:.3e} of h={h}"
         )
     small = singular <= h
     return singular, right_h, left[:, small], right_h[small, :].conj().T
@@ -100,7 +101,7 @@ def threshold_projectors(a, lam: complex, h: float) -> ProjectorPair:
     """Projectors onto the singular subspaces of ``A - lam`` below threshold ``h``.
 
     Raises :class:`ThresholdOnSingularValue` when a singular value sits within
-    1e-8 of h: the captured dimension would not be well defined.
+    1e-8 h + the rank tolerance of h: the captured dimension would be ill defined.
     """
     _, _, u_small, v_small = _small_subspaces(_shifted(a, lam, h), h)
     return _pair(u_small, v_small, h)
@@ -189,15 +190,14 @@ def estimate_check(a, lam: complex, h: float, trials: int, seed: int = 0) -> Est
     over seeded random data; the worst observed ratio is the reported C.
     """
     shifted = _shifted(a, lam, h)
-    x = _threshold_inverse(shifted, h)
-    n, k = len(shifted), len(x) - len(shifted)
+    inverse = GrushinInverse.from_full(_threshold_inverse(shifted, h), *shifted.shape)
+    n, k = inverse.e_plus.shape
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5E5]))
     ratios = np.zeros(trials)
     for i in range(trials):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v_plus = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        u = x[:n, :n] @ v + x[:n, n:] @ v_plus
-        u_minus = x[n:, :n] @ v + x[n:, n:] @ v_plus
+        u, u_minus = inverse.apply(v, v_plus)
         num = h * np.linalg.norm(u) + np.linalg.norm(u_minus)
         den = np.linalg.norm(v) + h * np.linalg.norm(v_plus)
         ratios[i] = num / den
@@ -220,10 +220,10 @@ def _resolvent_cell(
 ) -> PseudospectrumCell:
     """:func:`resolvent_bound` given a checked ``shifted`` = A - lam and its
     singular values ``sigma``; it reads only E_-+ of the bordered inverse."""
-    if sigma[-1] <= tolerance_from_sigma(sigma, shifted.shape):
+    if is_singular(sigma, shifted.shape):
         raise OnSpectrum(f"sigma_min = {sigma[-1]:.3e} at tolerance")
     n = shifted.shape[0]
-    emp = _threshold_inverse(shifted, h)[n:, n:]
+    emp = GrushinInverse.from_full(_threshold_inverse(shifted, h), n, n).e_minus_plus
     norm_eff_inv = 1.0 / np.linalg.svd(emp, compute_uv=False)[-1] if emp.size else 0.0
     sigma_min = float(sigma[-1])
     c_emp = abs(1.0 / sigma_min - norm_eff_inv) * h

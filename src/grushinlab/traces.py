@@ -31,16 +31,14 @@ from .errors import (
 )
 from .linops import (
     EPS,
+    WELL_POSED_LIMIT,
     Contour,
     as_cmatrix,
-    certified,
-    condition_from_sigma,
     doubling_quadrature,
     integrate_nodes,
     periodic_rule,
+    singular_gate,
     spectral_norm,
-    tolerance_from_sigma,
-    well_posed,
 )
 
 TWO_PI_I = 2j * np.pi
@@ -186,28 +184,18 @@ def _log_derivative_trace(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, faul
 
     One solve of P X = [P' | I] gives P^{-1} P' and P^{-1}.  A node whose
     inverse certifies cond(P) below 1/(8 n eps), where the rank tolerance
-    would flag P (:func:`linops.certified`), needs no SVD.
+    would flag P, needs no SVD (:func:`linops.singular_gate`).
     """
     n = p.shape[-1]
     rhs = np.concatenate([dp, np.broadcast_to(np.eye(n, dtype=dp.dtype), p.shape)], axis=-1)
+    gate_fault = lambda i, _: fault(nodes[i])
     try:
         x = np.linalg.solve(p, rhs)
     except np.linalg.LinAlgError:
-        _rank_gate(p, nodes, fault)
+        singular_gate(p, gate_fault)
         raise
-    limit = 1.0 / tolerance_from_sigma(np.ones(1), p.shape[1:])
-    doubtful = np.flatnonzero(~certified(p, x[..., n:], limit))
-    if doubtful.size:
-        _rank_gate(p[doubtful], nodes[doubtful], fault)
+    singular_gate(p, gate_fault, inverses=x[..., n:])
     return np.trace(x[..., :n], axis1=1, axis2=2)
-
-
-def _rank_gate(p: np.ndarray, nodes: np.ndarray, fault) -> None:
-    """``fault(node)`` at the first node where P, by one sigma-only SVD of the
-    stack, is singular at the rank tolerance."""
-    for node, s in zip(nodes, np.linalg.svd(p, compute_uv=False)):
-        if s[-1] <= tolerance_from_sigma(s, p.shape[1:]):
-            raise fault(node)
 
 
 def _as_integer(raw: complex, tol: float = 1e-6) -> int:
@@ -423,9 +411,10 @@ def loop_trace_identity(
         for t in 2.0 * np.pi * np.arange(certificate_times) / certificate_times
     ]
     mats = np.stack([as_cmatrix(certificate(float(t), float(s))) for t, s in grid])
-    for (t, s), sigma in zip(grid, np.linalg.svd(mats, compute_uv=False)):
-        if not well_posed(condition_from_sigma(sigma)):
-            raise ContractionCertificateFails(f"certificate matrix singular at t={t:.3f}, s={s:.3f}")
+    fault = lambda i, _: ContractionCertificateFails(
+        f"certificate matrix singular at t={grid[i][0]:.3f}, s={grid[i][1]:.3f}"
+    )
+    singular_gate(mats, fault, None, WELL_POSED_LIMIT)
 
     def integrand(ts: np.ndarray) -> np.ndarray:
         systems = [loop.system(t) for t in ts]

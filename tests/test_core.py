@@ -334,6 +334,31 @@ def test_transfer_monodromy_selfadjoint_border_singular():
     assert np.all(np.isfinite(moved.e_minus_plus))
 
 
+def test_transfer_rejects_a_transfer_system_zero_up_to_rounding():
+    # G = P e_plus is 1 x 1, so sigma_max/sigma_min = 1, yet it is -1.39e-17i
+    p = np.array([[0.3 + 0.6j, -0.1 + 0.1j]])
+    ginv = invert_system(assemble(p, [], np.array([[-0.5 + 1.3j, 0.4 + 0.9j]])))
+    with pytest.raises(IllPosed):
+        invert_system(assemble(p, [], p))
+    with pytest.raises(TransferSingular) as info:
+        transfer(ginv, [], p)
+    estimate = info.value.args[1]
+    assert 1e16 < estimate < 1e17
+    assert str(info.value) == f"transfer system condition {estimate:.3e}"
+
+
+def test_apply_solves_the_bordered_system():
+    rng = _rng(31)
+    p, rminus, rplus = (_random_complex(rng, shape) for shape in ((5, 4), (5, 2), (1, 4)))
+    system = assemble(p, rminus, rplus)
+    v, v_plus = _random_complex(rng, (5,)), _random_complex(rng, (1,))
+    u, u_minus = invert_system(system).apply(v, v_plus)
+    assert u.shape == (4,) and u_minus.shape == (2,)
+    solution = np.concatenate([u, u_minus])
+    residual = system.assembled() @ solution - np.concatenate([v, v_plus])
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(system.assembled()) * np.linalg.norm(solution)
+
+
 def test_iterate_identity_recovers_blocks():
     rng = _rng(31)
     n, k = 5, 2

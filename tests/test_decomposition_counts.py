@@ -6,8 +6,17 @@ import pytest
 
 from grushinlab.bvp1d import Discretization, bvp_grushin, dn_trace_identity, n2d_map, potential_from_name
 from grushinlab.cli import seeded_loop_family
-from grushinlab.core import assemble, invert_system, iterate, transfer
-from grushinlab.linops import Contour
+from grushinlab.core import (
+    Split,
+    assemble,
+    feshbach_effective,
+    invert_system,
+    iterate,
+    recover_resolvent,
+    schur_check,
+    transfer,
+)
+from grushinlab.linops import Contour, solve_linear
 from grushinlab.perturbation import gaussian_matrix, jordan_block
 from grushinlab.pseudospectra import (
     estimate_check,
@@ -85,6 +94,39 @@ def test_dn_trace_identity_inverts_each_node_twice_and_makes_no_svd(monkeypatch)
     # the nested trapezoid rule evaluates contour.nodes * 2^k nodes, k >= 1
     doublings = np.log2(nodes / contour.nodes)
     assert doublings >= 1 and doublings == int(doublings)
+
+
+def _split_system():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    return a, np.linalg.inv(a)
+
+
+@pytest.mark.parametrize("decide, decided", [
+    (lambda a, b: solve_linear(a, np.ones((6, 1))), lambda a: a),
+    (lambda a, b: schur_check(a, b, 2), lambda a: a[2:, 2:]),
+    (lambda a, b: feshbach_effective(a, Split((0, 1)), 0.5, cross_check=False),
+     lambda a: 0.5 * np.eye(4) - a[2:, 2:]),
+], ids=["solve_linear", "schur_check", "feshbach_effective"])
+def test_each_decision_makes_one_sigma_only_svd(monkeypatch, decide, decided):
+    a, b = _split_system()
+    calls = _record_svds(monkeypatch)
+    decide(a, b)
+    decisions = [uv for x, uv in calls if np.array_equal(x, decided(a))]
+    # schur_check then measures its residual with one more sigma-only SVD, of size 2
+    assert decisions == [False] and all(not uv and x.shape == (2, 2) for x, uv in calls[1:])
+
+
+def test_recover_resolvent_decides_with_one_svd_of_the_effective_hamiltonian(monkeypatch):
+    a, _ = _split_system()
+    rng = np.random.default_rng(6)
+    system = assemble(a, rng.standard_normal((6, 2)), rng.standard_normal((2, 6)))
+    inverse = invert_system(system)
+    calls = _record_svds(monkeypatch)
+    recover_resolvent(system, inverse)
+    # the decision, then the residual norm
+    assert [(x.shape, uv) for x, uv in calls] == [((2, 2), False), ((6, 6), False)]
+    assert np.array_equal(calls[0][0], inverse.e_minus_plus)
 
 
 @pytest.mark.parametrize("compose", [

@@ -17,7 +17,10 @@ from grushinlab.core import (
 from grushinlab.errors import GrushinLabError, IllPosed, InnerSingular, RankAmbiguous, TransferSingular
 from grushinlab.linops import (
     EPS,
+    WELL_POSED_LIMIT,
     condition_from_sigma,
+    refined_solve,
+    singular_gate,
     spectral_norm,
     tolerance_from_sigma,
     well_posed,
@@ -246,3 +249,34 @@ def test_log_derivative_trace_decides_as_the_svd(stacks):
         return
     assert first_bad is None
     assert np.array_equal(traces, np.trace(np.linalg.solve(p, dp), axis1=1, axis2=2))
+
+
+_RULES = [(1.0, None), (1e3, None), (None, WELL_POSED_LIMIT), (1.0, WELL_POSED_LIMIT)]
+
+
+@PROPERTY
+@given(graded_stacks(), st.sampled_from(_RULES), st.booleans())
+def test_singular_gate_decides_as_the_plain_rule(stacks, rule, with_inverses):
+    """Each rule in use (the rank tolerance times 1 or 1e3, the well-posed
+    limit, both) picks the same first singular matrix as plain per-matrix
+    SVDs, with or without certifying inverses."""
+    mats, _ = stacks
+    scale, limit = rule
+    sigmas = _sigmas(mats)
+    first_bad = next((i for i, s in enumerate(sigmas) if (
+        scale is not None and s[-1] <= scale * tolerance_from_sigma(s, mats.shape[1:])
+        or limit is not None and not well_posed(condition_from_sigma(s))
+    )), None)
+    inverses = None
+    if with_inverses:
+        try:
+            inverses = refined_solve(mats, np.eye(mats.shape[-1], dtype=complex))
+        except np.linalg.LinAlgError:
+            pass  # an exactly singular stack goes to the SVD whole, as without inverses
+    try:
+        singular_gate(mats, _Fault, scale, limit, inverses=inverses)
+    except _Fault as exc:
+        assert exc.args[0] == first_bad
+        assert np.array_equal(exc.args[1], sigmas[first_bad])
+        return
+    assert first_bad is None

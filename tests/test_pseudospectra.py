@@ -53,6 +53,16 @@ def test_projectors_threshold_collision():
         threshold_projectors(a, 0.0, 1.0)
 
 
+def test_threshold_window_scales_with_h_and_the_rank_tolerance():
+    # the window is 1e-8 h plus the rank tolerance, not an absolute 1e-8
+    pair = threshold_projectors(np.diag([1e-15, 1.0]), 0.0, 1e-12)
+    assert pair.n_captured == 1
+    cell = resolvent_bound(np.diag([1e-9, 1.0]), 0.0, 5e-9)
+    assert (cell.n_captured, cell.sigma_min) == (1, 1e-9)
+    with pytest.raises(ThresholdOnSingularValue):
+        threshold_projectors(np.diag([1e-12 * (1.0 + 1e-9), 1.0]), 0.0, 1e-12)
+
+
 def test_structural_identities_random():
     for seed in range(10):
         a = gaussian_matrix(8, seed) / np.sqrt(8)
