@@ -357,13 +357,9 @@ def seeded_loop_family(n: int, seed: int, winding: bool) -> LoopFamily:
     row = np.linalg.qr(rand((n, 2)))[0].conj().T
     c0 = rand((2, 2), 0.1)
     c1 = rand((2, 2), 0.05)
-    base = np.block([[a0, borders], [row, c0]])
-    osc_plus = np.block([[a1, np.zeros((n, 2))], [np.zeros((2, n)), c1]])
-    osc_minus = np.block(
-        [[a1.conj().T, np.zeros((n, 2))], [np.zeros((2, n)), c1.conj().T]]
-    )
-    margin = np.linalg.svd(base, compute_uv=False)[-1]
-    swing = spectral_norm(osc_plus) + spectral_norm(osc_minus)
+    osc = assemble(a1, np.zeros((n, 2)), np.zeros((2, n)), c1).assembled()
+    margin = np.linalg.svd(assemble(a0, borders, row, c0).assembled(), compute_uv=False)[-1]
+    swing = spectral_norm(osc) + spectral_norm(osc.conj().T)
     scale = min(1.0, 0.4 * margin / swing)
     return LoopFamily.from_blocks(
         p={0: a0, 1: scale * a1, -1: scale * a1.conj().T},

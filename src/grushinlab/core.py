@@ -30,6 +30,7 @@ from .errors import (
     EffectiveSingular,
     IllPosed,
     InnerSingular,
+    SingularMatrix,
     TransferSingular,
 )
 from .linops import (
@@ -56,22 +57,33 @@ class BorderedSystem:
 
     @property
     def n_rows(self) -> int:
-        return self.p.shape[0]
+        return self.p.shape[-2]
 
     @property
     def n_cols(self) -> int:
-        return self.p.shape[1]
+        return self.p.shape[-1]
 
     @property
     def k_minus(self) -> int:
-        return self.rminus.shape[1]
+        return self.rminus.shape[-1]
 
     @property
     def k_plus(self) -> int:
-        return self.rplus.shape[0]
+        return self.rplus.shape[-2]
 
     def assembled(self) -> np.ndarray:
-        return np.block([[self.p, self.rminus], [self.rplus, self.corner]])
+        return _fill(self.p, self.rminus, self.rplus, self.corner)
+
+
+def _fill(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
+    """[[top_left, top_right], [bottom_left, bottom_right]] in one array; a leading
+    node axis on ``top_left`` carries over, and blocks without it repeat along it."""
+    rows, cols = top_left.shape[-2:]
+    shape = top_left.shape[:-2] + (rows + bottom_left.shape[-2], cols + top_right.shape[-1])
+    out = np.empty(shape, np.result_type(top_left, top_right, bottom_left, bottom_right))
+    out[..., :rows, :cols], out[..., :rows, cols:] = top_left, top_right
+    out[..., rows:, :cols], out[..., rows:, cols:] = bottom_left, bottom_right
+    return out
 
 
 @dataclass(frozen=True)
@@ -94,13 +106,14 @@ class GrushinInverse:
         return self.e_minus_plus
 
     def assembled(self) -> np.ndarray:
-        return np.block([[self.e, self.e_plus], [self.e_minus, self.e_minus_plus]])
+        return _fill(self.e, self.e_plus, self.e_minus, self.e_minus_plus)
 
     @staticmethod
     def from_full(full: np.ndarray, n1: int, n2: int, condition: float = np.nan) -> "GrushinInverse":
-        """The blocks of ``full``, the inverse of a bordered system with an n2 x n1 P;
-        ``condition`` is nan where no estimate was made (a certified inverse)."""
-        return GrushinInverse(full[:n1, :n2], full[:n1, n2:], full[n1:, :n2], full[n1:, n2:], condition)
+        """The blocks of ``full`` (over its last two axes), the inverse of a bordered system with
+        an n2 x n1 P; ``condition`` is nan where no estimate was made (a certified inverse)."""
+        top, bottom = full[..., :n1, :], full[..., n1:, :]
+        return GrushinInverse(top[..., :n2], top[..., n2:], bottom[..., :n2], bottom[..., n2:], condition)
 
     def apply(self, v, v_plus) -> tuple[np.ndarray, np.ndarray]:
         v = np.asarray(v, dtype=np.complex128)
@@ -202,6 +215,14 @@ def invert_stack(mats: np.ndarray) -> np.ndarray:
     return inverses
 
 
+def invert_nodes(system: BorderedSystem) -> GrushinInverse:
+    """:func:`invert_stack` of a bordered system, or of a node stack of them (a
+    leading node axis on P), split into blocks; ``condition`` is nan."""
+    mats = system.assembled()
+    full = invert_stack(mats.reshape(-1, *mats.shape[-2:])).reshape(mats.shape)
+    return GrushinInverse.from_full(full, system.n_cols, system.n_rows)
+
+
 def _ill_posed(index: int, sigma: np.ndarray) -> IllPosed:
     cond = condition_from_sigma(sigma)
     return IllPosed(f"condition estimate {cond:.3e} beyond well-posed limit", cond, index)
@@ -239,7 +260,8 @@ def schur_check(a, b, head: int) -> float:
     """Residual ||B11^{-1} - (A11 - A12 A22^{-1} A21)|| for B = A^{-1}.
 
     ``head`` is the size of the leading block.  Raises
-    :class:`CornerSingular` when A22 fails the rank tolerance.
+    :class:`CornerSingular` when A22 fails the rank tolerance, and
+    :class:`SingularMatrix` when B11 is singular there.
     """
     a = as_cmatrix(a)
     b = as_cmatrix(b)
@@ -252,7 +274,12 @@ def schur_check(a, b, head: int) -> float:
     singular_gate(a22, lambda _, s: CornerSingular(f"A22 singular at tolerance (sigma_min={s[-1]:.3e})"))
     complement = a11 - a12 @ np.linalg.solve(a22, a21)
     b11 = b[:head, :head]
-    return float(spectral_norm(refined_solve(b11, np.eye(head, dtype=complex)) - complement))
+    try:
+        b11_inverse = refined_solve(b11, np.eye(head, dtype=complex))
+    except np.linalg.LinAlgError:
+        singular_gate(b11, lambda _, s: SingularMatrix(f"B11 singular at tolerance (sigma_min={s[-1]:.3e})"))
+        raise
+    return float(spectral_norm(b11_inverse - complement))
 
 
 def effective_index(
@@ -302,13 +329,9 @@ def transfer(inverse: GrushinInverse, rminus_new, rplus_new) -> GrushinInverse:
     Frobenius norms ||R+'|| ||e|| ||R-'|| + ||R+'|| ||e_plus|| + ||e_minus|| ||R-'||
     + ||e_minus_plus|| of its blocks times ||G^{-1}|| reach ``WELL_POSED_LIMIT``.
     """
-    rm = as_cmatrix(rminus_new) if np.size(rminus_new) else np.zeros((inverse.e.shape[1], 0), complex)
-    rp = as_cmatrix(rplus_new) if np.size(rplus_new) else np.zeros((0, inverse.e.shape[0]), complex)
-    if rm.shape[0] != inverse.e.shape[1]:
-        raise DimensionMismatch("new rminus rows must match the codomain of P")
-    if rp.shape[1] != inverse.e.shape[0]:
-        raise DimensionMismatch("new rplus columns must match the domain of P")
     e, ep, em, emp = inverse.e, inverse.e_plus, inverse.e_minus, inverse.e_minus_plus
+    borders = assemble(np.zeros(e.shape[::-1]), rminus_new, rplus_new)  # P is n2 x n1, e is n1 x n2
+    rm, rp = borders.rminus, borders.rplus
     if rp.shape[0] + emp.shape[0] != rm.shape[1] + emp.shape[1]:
         raise DimensionMismatch("transfer system is not square; borders incompatible")
     if rp.shape[0] + emp.shape[0] == 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GrushinInverse, assemble, invert_stack, invert_system
+from .core import BorderedSystem, GrushinInverse, assemble, invert_nodes, invert_system
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -145,15 +145,12 @@ def _threshold_borders(shifted: np.ndarray, h: float):
     return u_small, v_small
 
 
-def _threshold_inverse(shifted: np.ndarray, h: float) -> np.ndarray:
-    """Inverse of the bordered matrix [[A - lam, U_small], [V_small^H, 0]] of a
-    checked ``shifted``, filled into one array: :func:`invert_system`'s bits,
-    with the SVD gate only where the inverse does not certify it."""
+def _threshold_inverse(shifted: np.ndarray, h: float) -> GrushinInverse:
+    """Inverse blocks of the bordered problem [[A - lam, U_small], [V_small^H, 0]]
+    of a checked ``shifted``, by :func:`core.invert_nodes`: :func:`invert_system`'s
+    bits, with the SVD gate only where the inverse does not certify it."""
     u_small, v_small = _threshold_borders(shifted, h)
-    n, k = u_small.shape
-    mat = np.zeros((1, n + k, n + k), dtype=np.complex128)
-    mat[0, :n, :n], mat[0, :n, n:], mat[0, n:, :n] = shifted, u_small, v_small.conj().T
-    return invert_stack(mat)[0]
+    return invert_nodes(BorderedSystem(shifted, u_small, v_small.conj().T, np.zeros((u_small.shape[1],) * 2)))
 
 
 def projector_grushin(a, lam: complex, h: float) -> ProjectorGrushin:
@@ -190,7 +187,7 @@ def estimate_check(a, lam: complex, h: float, trials: int, seed: int = 0) -> Est
     over seeded random data; the worst observed ratio is the reported C.
     """
     shifted = _shifted(a, lam, h)
-    inverse = GrushinInverse.from_full(_threshold_inverse(shifted, h), *shifted.shape)
+    inverse = _threshold_inverse(shifted, h)
     n, k = inverse.e_plus.shape
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5E5]))
     ratios = np.zeros(trials)
@@ -222,8 +219,7 @@ def _resolvent_cell(
     singular values ``sigma``; it reads only E_-+ of the bordered inverse."""
     if is_singular(sigma, shifted.shape):
         raise OnSpectrum(f"sigma_min = {sigma[-1]:.3e} at tolerance")
-    n = shifted.shape[0]
-    emp = GrushinInverse.from_full(_threshold_inverse(shifted, h), n, n).e_minus_plus
+    emp = _threshold_inverse(shifted, h).e_minus_plus
     norm_eff_inv = 1.0 / np.linalg.svd(emp, compute_uv=False)[-1] if emp.size else 0.0
     sigma_min = float(sigma[-1])
     c_emp = abs(1.0 / sigma_min - norm_eff_inv) * h

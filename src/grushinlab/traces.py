@@ -11,12 +11,12 @@ and the self-adjoint border obstruction of the circle problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BorderedSystem, assemble, invert_stack
+from .core import BorderedSystem, GrushinInverse, assemble, invert_nodes
 from .errors import (
     ContractionCertificateFails,
     DimensionMismatch,
@@ -122,7 +122,7 @@ def _trace_integrals(
     contour: Contour,
     tol: float,
     weight=None,
-    template: np.ndarray | None = None,
+    template: BorderedSystem | None = None,
     direct: bool = True,
 ) -> list[complex]:
     """(1 / 2 pi i) * closed integrals, in one doubling pass that evaluates P
@@ -130,7 +130,7 @@ def _trace_integrals(
     ``template``, tr( E_-+' E_-+^{-1} ); each times the weight.
 
     The bordered matrix M(z) is ``template`` (:func:`_bordered_template`)
-    with P(z) in its zero block.  The effective integral counts the zeros of
+    with P(z) as its P.  The effective integral counts the zeros of
     det P inside minus those of det M, so the same pass also integrates
     tr( E P' ) = d/dz log det M and raises :class:`IllPosedInside` when det M
     has zeros inside.  A node where P is singular raises
@@ -159,23 +159,19 @@ def _trace_integrals(
     return values
 
 
-def _effective_rows(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, template: np.ndarray):
+def _effective_rows(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, template: BorderedSystem):
     """tr( E_-+' E_-+^{-1} ) and tr( E P' ) over a stack, with E_-+' = -E_- P' E_+."""
-    n2, n1 = p.shape[1:]
-    mats = np.repeat(template[None], len(nodes), axis=0)
-    mats[:, :n2, :n1] = p
     try:
-        full = invert_stack(mats)
+        inverse = invert_nodes(replace(template, p=p))
     except IllPosed as exc:
         node = nodes[exc.index]
         raise IllPosedOnContour(f"bordered problem ill posed at node z={node}", complex(node)) from exc
-    e_minus_plus = full[:, n1:, n2:]
-    if e_minus_plus.size == 0:
+    if inverse.e_minus_plus.size == 0:
         effective = np.zeros(len(nodes), dtype=np.complex128)
     else:
-        num = full[:, n1:, :n2] @ dp @ full[:, :n1, n2:]
-        effective = -np.trace(np.linalg.solve(e_minus_plus, num), axis1=1, axis2=2)
-    return effective, np.einsum("kij,kji->k", full[:, :n1, :n2], dp)
+        num = inverse.e_minus @ dp @ inverse.e_plus
+        effective = -np.trace(np.linalg.solve(inverse.e_minus_plus, num), axis1=1, axis2=2)
+    return effective, np.einsum("kij,kji->k", inverse.e, dp)
 
 
 def _log_derivative_trace(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, fault) -> np.ndarray:
@@ -267,18 +263,14 @@ def count_effective(
     return _as_integer(effective)
 
 
-def _bordered_template(rminus, rplus, shape: tuple[int, int]) -> np.ndarray:
-    """The bordered matrix [[0, R-], [R+, 0]] with a zero block of ``shape``
-    where P goes (just that zero block when both borders are empty);
+def _bordered_template(rminus, rplus, shape: tuple[int, int]) -> BorderedSystem:
+    """The bordered system [[0, R-], [R+, 0]] with a zero P of ``shape``;
     :class:`DimensionMismatch` unless P is square and the borders fit it with
     k- = k+, so that one-sided borders never pass."""
-    n2, n1 = shape
-    rm = as_cmatrix(rminus) if np.size(rminus) else np.zeros((n2, 0), complex)
-    rp = as_cmatrix(rplus) if np.size(rplus) else np.zeros((0, n1), complex)
-    k_plus, k_minus = rp.shape[0], rm.shape[1]
-    if (rm.shape[0], rp.shape[1]) != shape or n2 != n1 or k_plus != k_minus:
+    template = assemble(np.zeros(shape), rminus, rplus)
+    if shape[0] != shape[1] or template.k_plus != template.k_minus:
         raise DimensionMismatch(f"borders {np.shape(rminus)}, {np.shape(rplus)} do not square P {shape}")
-    return BorderedSystem(np.zeros(shape), rm, rp, np.zeros((k_plus, k_minus))).assembled()
+    return template
 
 
 @dataclass(frozen=True)
@@ -336,21 +328,17 @@ class LoopFamily:
 
     @staticmethod
     def from_blocks(p, rminus, rplus, corner=None) -> "LoopFamily":
-        def norm(block, template_builder):
-            if block is None:
-                return {0: template_builder()}
-            out = {}
-            for m, c in block.items():
-                out[int(m)] = np.asarray(c, dtype=np.complex128)
-            return out
+        def norm(block, absent=None):
+            terms = {0: absent}.items() if block is None else block.items()
+            return {int(m): np.asarray(c, dtype=np.complex128) for m, c in terms}
 
-        p = {int(m): np.asarray(c, dtype=np.complex128) for m, c in p.items()}
+        p = norm(p)
         shape = next(iter(p.values())).shape
-        rminus = norm(rminus, lambda: np.zeros((shape[0], 0), complex))
-        rplus = norm(rplus, lambda: np.zeros((0, shape[1]), complex))
+        rminus = norm(rminus, np.zeros((shape[0], 0)))
+        rplus = norm(rplus, np.zeros((0, shape[1])))
         k_plus = next(iter(rplus.values())).shape[0]
         k_minus = next(iter(rminus.values())).shape[1]
-        corner = norm(corner, lambda: np.zeros((k_plus, k_minus), complex))
+        corner = norm(corner, np.zeros((k_plus, k_minus)))
         return LoopFamily(p, rminus, rplus, corner)
 
     def _blocks(self, factor: Callable[[int], complex]) -> list[np.ndarray]:
@@ -360,8 +348,8 @@ class LoopFamily:
     def system(self, t: float) -> BorderedSystem:
         return assemble(*self._blocks(lambda m: np.exp(1j * m * t)))
 
-    def assembled_derivative(self, t: float) -> np.ndarray:
-        return BorderedSystem(*self._blocks(lambda m: np.exp(1j * m * t) * (1j * m))).assembled()
+    def derivative(self, t: float) -> BorderedSystem:
+        return BorderedSystem(*self._blocks(lambda m: np.exp(1j * m * t) * (1j * m)))
 
     def disc_system(self, z: complex) -> np.ndarray:
         # harmonic extension to the closed unit disc: e^{imt} -> z^m (m >= 0),
@@ -370,6 +358,11 @@ class LoopFamily:
 
     def closure_residual(self) -> float:
         return spectral_norm(self.system(0.0).assembled() - self.system(2.0 * np.pi).assembled())
+
+
+def _node_stack(systems: list[BorderedSystem]) -> BorderedSystem:
+    """The systems as one, with a leading node axis on every block."""
+    return BorderedSystem(*(np.stack(b) for b in zip(*((s.p, s.rminus, s.rplus, s.corner) for s in systems))))
 
 
 @dataclass(frozen=True)
@@ -395,8 +388,8 @@ def loop_trace_identity(
     (t, s) -> assembled bordered matrix, s in [0, 1], that stays invertible
     (default: the harmonic extension of the trigonometric blocks to the unit
     disc).  Both traces come from one doubling trapezoidal quadrature in t,
-    which assembles the bordered matrix M(t) and its derivative once per node
-    (P and P' are their top-left blocks) and stops when both traces settle;
+    which evaluates the bordered system M(t) and its derivative once per node
+    (P and P' are their P blocks) and stops when both traces settle;
     each is 2 pi i times a winding integer for these finite-dimensional loops.
     A node where P(t) is singular raises :class:`SingularAtNode` before one
     where M(t) is, within the first failing node stack.
@@ -417,19 +410,18 @@ def loop_trace_identity(
     singular_gate(mats, fault, None, WELL_POSED_LIMIT)
 
     def integrand(ts: np.ndarray) -> np.ndarray:
-        systems = [loop.system(t) for t in ts]
-        mats = np.stack([system.assembled() for system in systems])
-        dm = _stack(loop.assembled_derivative, ts)
-        n1, n2 = systems[0].n_cols, systems[0].n_rows
+        system = _node_stack([loop.system(t) for t in ts])
+        derivative = _node_stack([loop.derivative(t) for t in ts])
         fault = lambda t: SingularAtNode(f"P(t) singular at t={t:.4f}", float(t))
-        trace_p = _log_derivative_trace(mats[:, :n2, :n1], dm[:, :n2, :n1], ts, fault)
+        trace_p = _log_derivative_trace(system.p, derivative.p, ts, fault)
         try:
-            full = invert_stack(mats)
+            inverse = invert_nodes(system)
         except IllPosed as exc:
             t = ts[exc.index]
             raise SingularAtNode(f"bordered matrix singular at t={t:.4f}", float(t)) from exc
-        dotted = -(full @ dm @ full)
-        trace_eff = np.trace(np.linalg.solve(full[:, n1:, n2:], dotted[:, n1:, n2:]), axis1=1, axis2=2)
+        full, n1, n2 = inverse.assembled(), system.n_cols, system.n_rows
+        dotted = GrushinInverse.from_full(-(full @ derivative.assembled() @ full), n1, n2)
+        trace_eff = np.trace(np.linalg.solve(inverse.e_minus_plus, dotted.e_minus_plus), axis1=1, axis2=2)
         return np.array([trace_p, trace_eff])
 
     # periodic trapezoid rule in t from 64 nodes, doubling up to 2^16
@@ -693,15 +685,20 @@ def selfadjoint_obstruction(
     Re(A e^{-i pi z / h}) changes sign -- the problem is never well posed for
     all real shifts once A is nonzero.  The nodes double from 512 until A and
     B settle to ``tol``; :class:`NonConvergent`, carrying the last two (A, B)
-    pairs, once they reach ``node_cap``.
+    pairs, once they reach ``node_cap``.  The grids nest bit for bit, so each
+    doubling calls ``profile`` only at the new odd-index nodes.
     """
     n = 512
     if node_cap <= n:
         raise ValueError(f"node_cap must exceed the {n} starting nodes")
-    last = _obstruction_once(profile, n)
+    xs = np.linspace(0.0, 2.0 * np.pi, n + 1)
+    f = np.asarray([profile(x) for x in xs], dtype=np.complex128)
+    last = _obstruction_sums(xs, f)
     while n < node_cap:
         n *= 2
-        previous, last = last, _obstruction_once(profile, n)
+        xs = np.linspace(0.0, 2.0 * np.pi, n + 1)
+        f = np.insert(f, np.arange(1, f.size), [profile(x) for x in xs[1::2]])
+        previous, last = last, _obstruction_sums(xs, f)
         delta = max(abs(last[0] - previous[0]), abs(last[1] - previous[1]))
         if delta <= tol * max(1.0, abs(last[0])):
             break
@@ -732,8 +729,12 @@ def selfadjoint_obstruction(
 
 
 def _obstruction_once(profile, n: int) -> tuple[complex, complex]:
+    """(A, B) on the n + 1 trapezoid nodes, every node evaluated afresh."""
     xs = np.linspace(0.0, 2.0 * np.pi, n + 1)
-    f = np.asarray([profile(x) for x in xs], dtype=np.complex128)
+    return _obstruction_sums(xs, np.asarray([profile(x) for x in xs], dtype=np.complex128))
+
+
+def _obstruction_sums(xs: np.ndarray, f: np.ndarray) -> tuple[complex, complex]:
     dx = xs[1] - xs[0]
     inner = np.concatenate([[0.0], np.cumsum(0.5 * dx * (f[:-1] + f[1:]))])
     b_val = complex(inner[-1])

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import grushinlab
 from grushinlab.core import (
     Split,
     assemble,
@@ -522,3 +526,28 @@ def test_trace_difference_rate():
     r1, r2 = residual(1e-2), residual(5e-3)
     rate = np.log2(r1 / r2)
     assert rate == pytest.approx(2.0, abs=0.3)
+
+
+def _references(tree: ast.AST):
+    """Every name, attribute and import in ``tree``, attributes of a plain
+    name also as ``name.attr``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+            if isinstance(node.value, ast.Name):
+                yield f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+            yield from (alias.name for alias in node.names)
+
+
+def test_only_core_knows_the_block_layout():
+    # the other modules fill and invert bordered systems through core's
+    # BorderedSystem, GrushinInverse and invert_nodes, never as raw arrays
+    forbidden = {"invert_stack", "np.block", "numpy.block"}
+    for path in sorted(Path(grushinlab.__file__).parent.glob("*.py")):
+        if path.name != "core.py":
+            found = forbidden & set(_references(ast.parse(path.read_text())))
+            assert not found, f"{path.name} references {sorted(found)}"

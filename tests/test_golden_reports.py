@@ -1,5 +1,6 @@
 """Committed reports the CLI must write again: the default json and csv
-reports of every subcommand, and two more ``bvp-trace`` potentials.
+reports of every subcommand, two more ``bvp-trace`` potentials, and
+``obstruction --profile half``.
 
 The ``bvp-trace`` reports hold only integers, a bool and the configuration,
 so they compare byte for byte everywhere.  The others carry floats that the
@@ -81,11 +82,9 @@ def test_report_matches_golden_bytes(report, name, argv):
     assert report(*argv) == (GOLDEN / f"{name}.json").read_bytes()
 
 
-@pytest.mark.parametrize("command", sorted(HANDLERS))
-def test_every_subcommand_matches_its_golden_report(report, command):
-    golden = GOLDEN / f"{command}.json"
-    assert golden.exists(), f"no golden report for {command}"
-    written, expected = report(command), golden.read_bytes()
+def _assert_matches_json(written: bytes, expected: bytes):
+    """Bytes where the environment matches the stamp; elsewhere all but the
+    floats, then a stated skip."""
     stamp = json.loads((GOLDEN / "STAMP.json").read_text())
     if stamp == _environment():
         assert written == expected
@@ -94,6 +93,19 @@ def test_every_subcommand_matches_its_golden_report(report, command):
     assert written["config"] == expected["config"]
     assert _without_floats(written) == _without_floats(expected)
     pytest.skip(f"float bytes not compared: golden reports stamped {stamp}, running {_environment()}")
+
+
+@pytest.mark.parametrize("command", sorted(HANDLERS))
+def test_every_subcommand_matches_its_golden_report(report, command):
+    golden = GOLDEN / f"{command}.json"
+    assert golden.exists(), f"no golden report for {command}"
+    _assert_matches_json(report(command), golden.read_bytes())
+
+
+def test_nested_obstruction_report_matches_golden(report):
+    # seven passes of the nested node doubling, from 512 to 32 768 nodes
+    written = report("obstruction", "--profile", "half")
+    _assert_matches_json(written, (GOLDEN / "obstruction-half.json").read_bytes())
 
 
 @pytest.mark.parametrize("command", sorted(HANDLERS))

@@ -139,6 +139,8 @@ def _schur():
     return schur_check(a, np.eye(3), 1)
 
 
+# B = pinv(A) is not A^{-1}: its leading block B11 = [[0]] is singular
+_B11_SINGULAR = np.array([[0.0, 0.0], [0.0, 1.0]])
 _ZERO_POTENTIAL = Discretization(0.0, np.pi, 20, lambda x: 0.0)
 _ILL = "condition estimate 1.000e+17 beyond well-posed limit"
 
@@ -153,6 +155,8 @@ _ILL = "condition estimate 1.000e+17 beyond well-posed limit"
     (lambda: _recover([1e-3, 1.0], None, tol=1e-2),
      EffectiveSingular, ("effective Hamiltonian singular (sigma_min=1.000e-03)",)),
     (_schur, CornerSingular, ("A22 singular at tolerance (sigma_min=0.000e+00)",)),
+    (lambda: schur_check(_B11_SINGULAR, np.linalg.pinv(_B11_SINGULAR), 1),
+     SingularMatrix, ("B11 singular at tolerance (sigma_min=0.000e+00)",)),
     (lambda: feshbach_effective(np.diag([0.0, 2.0, 3.0]), Split((0,)), 2.0),
      ComplementSingular, ("z within spectrum of the complementary block (sigma_min=0.000e+00)",)),
     (lambda: n2d_map(_ZERO_POTENTIAL, 0.0),
@@ -170,8 +174,8 @@ _ILL = "condition estimate 1.000e+17 beyond well-posed limit"
     (lambda: resolvent_bound(np.diag([1e-17, 1.0]), 0.0, 0.5), OnSpectrum, ("sigma_min = 1.000e-17 at tolerance",)),
 ], ids=[
     "solve_linear", "solve_linear-tol_factor", "recover_resolvent", "recover_resolvent-tol", "schur_check",
-    "feshbach_effective", "neumann", "dn_trace-fallback", "count_direct", "invert_system", "invert_stack",
-    "certificate", "resolvent_bound-zero", "resolvent_bound-tiny",
+    "schur_check-b11", "feshbach_effective", "neumann", "dn_trace-fallback", "count_direct", "invert_system",
+    "invert_stack", "certificate", "resolvent_bound-zero", "resolvent_bound-tiny",
 ])
 def test_every_gate_raises_its_own_error(call, error, args):
     with pytest.raises(error) as info:

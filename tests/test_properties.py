@@ -1,5 +1,7 @@
 """Property tests over random shapes, borders and corners."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from grushinlab.core import (
     assemble,
     effective_index,
+    invert_nodes,
     invert_stack,
     invert_system,
     iterate,
@@ -26,7 +29,7 @@ from grushinlab.linops import (
     well_posed,
 )
 from grushinlab.pseudospectra import _shifted, _threshold_borders, _threshold_inverse
-from grushinlab.traces import _log_derivative_trace
+from grushinlab.traces import _log_derivative_trace, _node_stack
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -59,6 +62,11 @@ def bordered_systems(draw):
 @given(bordered_systems())
 def test_stacked_inversion_equals_invert_system(systems):
     stack = np.stack([s.assembled() for s in systems])
+    nodes = _node_stack(systems)
+    assert np.array_equal(nodes.assembled(), stack)
+    # blocks without the node axis repeat along it
+    shared = np.stack([replace(systems[0], p=s.p).assembled() for s in systems])
+    assert np.array_equal(replace(systems[0], p=nodes.p).assembled(), shared)
     singles = []
     for s in systems:
         try:
@@ -71,10 +79,16 @@ def test_stacked_inversion_equals_invert_system(systems):
     except IllPosed as exc:
         assert exc.args[2] == first_bad
         assert exc.args[1] == singles[first_bad].args[1]
+        with pytest.raises(IllPosed) as info:
+            invert_nodes(nodes)
+        assert info.value.args == exc.args
         return
     assert first_bad is None
-    for ginv, inverse in zip(singles, full):
+    stacked = invert_nodes(nodes)
+    for i, (ginv, inverse) in enumerate(zip(singles, full)):
         assert np.array_equal(ginv.assembled(), inverse)
+        for block in ("e", "e_plus", "e_minus", "e_minus_plus"):
+            assert np.array_equal(getattr(stacked, block)[i], getattr(ginv, block))
 
 
 def _well_posed_pairs(systems):
@@ -192,8 +206,7 @@ def test_cell_inverse_decides_as_invert_system(cell):
             _threshold_inverse(shifted, h)
         assert info.value.args == exc.args
         return
-    n = len(shifted)
-    assert np.array_equal(_threshold_inverse(shifted, h)[n:, n:], reference.e_minus_plus)
+    assert np.array_equal(_threshold_inverse(shifted, h).e_minus_plus, reference.e_minus_plus)
 
 
 @st.composite

@@ -370,6 +370,23 @@ def test_obstruction_raises_at_node_cap():
     assert last == _obstruction_once(profile, 4096)
 
 
+@pytest.mark.parametrize("profile, nodes", [
+    (lambda x: 1.0, 1024),
+    (lambda x: 1.0 if x < np.pi else (0.5 if x == np.pi else 0.0), 32768),
+], ids=["const", "half"])
+def test_obstruction_evaluates_each_node_once(profile, nodes):
+    # the grids nest, so each doubling asks only for its odd-index nodes
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return profile(x)
+
+    report = selfadjoint_obstruction(counted, 0.1, [0.0, 1.0])
+    assert len(calls) == len(set(calls)) == nodes + 1
+    assert (report.ordered_pairing, report.mean_value) == _obstruction_once(profile, nodes)
+
+
 def test_obstruction_cap_at_start_is_a_clear_error():
     with pytest.raises(ValueError, match="node_cap must exceed the 512 starting nodes"):
         selfadjoint_obstruction(lambda x: 1.0, 1.0, [0.0, 1.0], node_cap=512)
