@@ -30,13 +30,13 @@ from .errors import (
     ConsistencyError,
     DimensionMismatch,
     NeumannEigenvalue,
-    NonInteger,
     OnContourSingular,
 )
 from .linops import (
     EPS,
     WELL_POSED_LIMIT,
     Contour,
+    as_integer,
     integrate_nodes,
     is_singular,
     refined_solve,
@@ -271,15 +271,15 @@ def _node_check(a_n: np.ndarray, a_d: np.ndarray) -> Callable[[complex], None]:
     return check
 
 
-def dn_trace_identity(d: Discretization, contour: Contour, tol: float = 1e-8) -> tuple[int, int]:
+def dn_trace_identity(d: Discretization, contour: Contour) -> tuple[int, int]:
     """Count (Neumann eigenvalues inside) - (Dirichlet eigenvalues inside) two ways:
 
       * difference of the two resolvent traces integrated over the contour,
       * minus the winding of the Neumann-to-Dirichlet map N, with the exact
         derivative N' read off the same Neumann inverse.
 
-    Both rows come from one doubling pass that inverts z - A_N and z - A_D
-    once per node; they are returned as integers and must agree.  Every
+    Both rows come from one doubling pass, to 1e-8, that inverts z - A_N and
+    z - A_D once per node; they are returned as integers and must agree.  Every
     evaluated node is checked against both discrete spectra
     (:class:`OnContourSingular`).
     """
@@ -299,12 +299,7 @@ def dn_trace_identity(d: Discretization, contour: Contour, tol: float = 1e-8) ->
             rows[:, k] = np.trace(x_n) - np.trace(x_d), -np.trace(np.linalg.solve(n_val, n_dot))
         return rows
 
-    lhs_raw, rhs_raw = (complex(v) / (2j * np.pi) for v in integrate_nodes(integrand, contour, tol))
-    lhs_count = int(round(lhs_raw.real))
-    rhs_count = int(round(rhs_raw.real))
-    if abs(lhs_raw - lhs_count) >= 1e-6 or abs(rhs_raw - rhs_count) >= 1e-6:
-        raise NonInteger(f"trace integrals {lhs_raw}, {rhs_raw} not at integers")
-    return lhs_count, rhs_count
+    return tuple(as_integer(complex(v) / (2j * np.pi)) for v in integrate_nodes(integrand, contour, 1e-8))
 
 
 # --- potentials --------------------------------------------------------------

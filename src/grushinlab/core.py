@@ -77,9 +77,15 @@ class BorderedSystem:
 
 def _fill(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
     """[[top_left, top_right], [bottom_left, bottom_right]] in one array; a leading
-    node axis on ``top_left`` carries over, and blocks without it repeat along it."""
+    node axis on ``top_left`` carries over, and blocks without it repeat along it.
+    :class:`DimensionMismatch` when the last two axes of a block miss its slot."""
     rows, cols = top_left.shape[-2:]
-    shape = top_left.shape[:-2] + (rows + bottom_left.shape[-2], cols + top_right.shape[-1])
+    more_rows, more_cols = bottom_left.shape[-2], top_right.shape[-1]
+    slots = ((rows, more_cols), (more_rows, cols), (more_rows, more_cols))
+    for block, slot in zip((top_right, bottom_left, bottom_right), slots):
+        if block.shape[-2:] != slot:
+            raise DimensionMismatch(f"block of shape {block.shape[-2:]} in a slot of shape {slot}")
+    shape = top_left.shape[:-2] + (rows + more_rows, cols + more_cols)
     out = np.empty(shape, np.result_type(top_left, top_right, bottom_left, bottom_right))
     out[..., :rows, :cols], out[..., :rows, cols:] = top_left, top_right
     out[..., rows:, :cols], out[..., rows:, cols:] = bottom_left, bottom_right

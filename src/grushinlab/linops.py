@@ -19,6 +19,7 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     NonConvergent,
+    NonInteger,
     RankAmbiguous,
     SingularMatrix,
 )
@@ -145,22 +146,22 @@ def tolerance_from_sigma(sigma: np.ndarray, shape: tuple, factor: float = 8.0) -
     return max(shape) * float(sigma[0]) * EPS * factor
 
 
-def rank_tolerance(a, factor: float = 8.0) -> float:
-    """Default numerical-rank tolerance: max(rows, cols) * sigma_max * eps * factor."""
+def rank_tolerance(a) -> float:
+    """Default numerical-rank tolerance: max(rows, cols) * sigma_max * eps * 8."""
     a = as_cmatrix(a)
-    return tolerance_from_sigma(singular_values(a), a.shape, factor)
+    return tolerance_from_sigma(singular_values(a), a.shape)
 
 
-def numerical_rank(sigma: np.ndarray, tol: float, band: float = 10.0) -> int:
+def numerical_rank(sigma: np.ndarray, tol: float) -> int:
     """Count singular values above ``tol``.
 
     Raises :class:`RankAmbiguous` when any nonzero singular value sits inside
-    the band ``[tol/band, tol*band]`` -- integer-valued conclusions (kernel
+    the band ``[tol/10, tol*10]`` -- integer-valued conclusions (kernel
     dimensions, indices) must not be guessed there.
     """
     sigma = np.asarray(sigma, dtype=float)
     if tol > 0.0:
-        ambiguous = (sigma >= tol / band) & (sigma <= tol * band)
+        ambiguous = (sigma >= tol / 10.0) & (sigma <= tol * 10.0)
         if np.any(ambiguous):
             raise RankAmbiguous(
                 f"singular value(s) {sigma[ambiguous]} within 10x of tolerance {tol:.3e}"
@@ -268,8 +269,8 @@ class Contour:
         return Contour("circle", center=complex(center), radius=float(radius), nodes=nodes)
 
     @staticmethod
-    def polyline(points: Sequence[complex], nodes: int = 64) -> "Contour":
-        return Contour("polyline", points=tuple(complex(p) for p in points), nodes=nodes)
+    def polyline(points: Sequence[complex]) -> "Contour":
+        return Contour("polyline", points=tuple(complex(p) for p in points))
 
     def quadrature(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Nodes ``z_k`` and weights ``w_k`` so that ``sum f(z_k) w_k ~ closed integral``.
@@ -388,6 +389,14 @@ def doubling_quadrature(
         if np.all(np.abs(estimates[1] - estimates[0]) <= tol * (1.0 + np.abs(estimates[1]))):
             return estimates[1]
     raise NonConvergent(f"no convergence at {nodes.size} nodes", *estimates)
+
+
+def as_integer(raw: complex) -> int:
+    """The integer within 1e-6 of a counting integral (:class:`NonInteger` if none)."""
+    nearest = int(round(raw.real))
+    if abs(raw - nearest) >= 1e-6:
+        raise NonInteger(f"counting integral {raw} is {abs(raw - nearest):.2e} from an integer")
+    return nearest
 
 
 def _evaluate(f, nodes: np.ndarray) -> np.ndarray:

@@ -25,12 +25,10 @@ from .errors import (
 from .linops import as_cmatrix, condition_number, eigenvalues, spectral_norm
 
 
-def jordan_block(n: int, shift: complex = 0.0) -> np.ndarray:
-    """Upper-triangular nilpotent Jordan block plus ``shift`` on the diagonal."""
+def jordan_block(n: int) -> np.ndarray:
+    """Upper-triangular nilpotent Jordan block."""
     j = np.zeros((n, n), dtype=np.complex128)
     j[np.arange(n - 1), np.arange(1, n)] = 1.0
-    if shift:
-        j += shift * np.eye(n)
     return j
 
 
@@ -246,7 +244,7 @@ def grammian_reduce(
     t=None,
     delta: float | None = None,
 ) -> GrammianReduction:
-    """Regularize a near-dependent spanning family through its Grammian.
+    """Regularize the near-dependent columns of ``vectors`` through their Grammian.
 
     Diagonalizes the pairwise inner-product matrix, keeps eigendirections with
     eigenvalue above (eps_cut/c_const)^2, and rescales them to unit length.
@@ -254,8 +252,7 @@ def grammian_reduce(
     its residual ``delta``) is supplied, the resulting contraction bound
     ``delta + eps_cut * ||T||`` along with the measured value.
     """
-    v = np.column_stack([np.asarray(col, dtype=np.complex128).ravel() for col in vectors]) \
-        if not isinstance(vectors, np.ndarray) else as_cmatrix(vectors)
+    v = as_cmatrix(vectors)
     if eps_cut <= 0.0 or c_const <= 0.0:
         raise ValueError("eps_cut and c_const must be positive")
     gram = v.conj().T @ v
@@ -317,18 +314,18 @@ class BlockJordanSpec:
         return self.q[np.ix_(rows, cols)]
 
 
-def lidskii_predict(spec: BlockJordanSpec, tol: float = 1e-8) -> np.ndarray:
+def lidskii_predict(spec: BlockJordanSpec) -> np.ndarray:
     """Leading-order predictions for the 2n largest-modulus eigenvalues:
 
         eps^(1/n) |q_j|^(1/n) exp(i (2 pi l + arg q_j) / n),  l = 1..n, j = 1, 2,
 
     where q_1, q_2 are the eigenvalues of the corner coupling matrix (they
-    must be distinct).
+    must be distinct: more than 1e-8 apart relative to max(|q_1|, |q_2|, 1)).
     """
     q_eigs = eigenvalues(spec.leading_matrix())
     q1, q2 = q_eigs[0], q_eigs[1]
     scale = max(abs(q1), abs(q2), 1.0)
-    if abs(q1 - q2) <= tol * scale:
+    if abs(q1 - q2) <= 1e-8 * scale:
         raise DegenerateLeadingMatrix(f"leading eigenvalues coincide: {q1} ~ {q2}")
     preds = []
     for qj in (q1, q2):

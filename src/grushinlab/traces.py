@@ -24,7 +24,6 @@ from .errors import (
     IllPosedInside,
     IllPosedOnContour,
     NonConvergent,
-    NonInteger,
     OnContourSingular,
     SingularAtNode,
     SupportViolation,
@@ -34,6 +33,7 @@ from .linops import (
     WELL_POSED_LIMIT,
     Contour,
     as_cmatrix,
+    as_integer,
     doubling_quadrature,
     integrate_nodes,
     periodic_rule,
@@ -70,18 +70,16 @@ class HolomorphicFamily:
 
         return HolomorphicFamily(value, derivative)
 
-    def check_consistency(
-        self, probes: Sequence[complex], rtol: float = 1e-6, scale: float = 1.0
-    ) -> tuple[int, ...] | None:
-        """Central-difference check of the derivative at the probe points;
-        returns the shape of P there (None without probes)."""
+    def check_consistency(self, probes: Sequence[complex], scale: float = 1.0) -> tuple[int, ...] | None:
+        """Central-difference check of the derivative at the probe points, to a
+        relative 1e-6; returns the shape of P there (None without probes)."""
         step = EPS ** (1.0 / 3.0) * scale
         shape = None
         for z in probes:
             fd = (self.value(z + step) - self.value(z - step)) / (2.0 * step)
             dv = self.derivative(z)
             ref = max(spectral_norm(dv), 1.0)
-            if spectral_norm(fd - dv) > rtol * ref:
+            if spectral_norm(fd - dv) > 1e-6 * ref:
                 raise ValueError(f"derivative inconsistent with finite differences at z={z}")
             shape = fd.shape
         return shape
@@ -103,7 +101,7 @@ def count_direct(family: HolomorphicFamily, contour: Contour, tol: float = 1e-10
     """
     family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
     (direct,) = _trace_integrals(family, contour, tol)
-    return _as_integer(direct)
+    return as_integer(direct)
 
 
 def _stack(fn: Callable[[complex], np.ndarray], nodes: np.ndarray) -> np.ndarray:
@@ -170,7 +168,12 @@ def _effective_rows(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, template: 
         effective = np.zeros(len(nodes), dtype=np.complex128)
     else:
         num = inverse.e_minus @ dp @ inverse.e_plus
-        effective = -np.trace(np.linalg.solve(inverse.e_minus_plus, num), axis1=1, axis2=2)
+        try:
+            effective = -np.trace(np.linalg.solve(inverse.e_minus_plus, num), axis1=1, axis2=2)
+        except np.linalg.LinAlgError:
+            singular_gate(inverse.e_minus_plus, lambda i, _: OnContourSingular(
+                f"E_-+(z) singular at node z={nodes[i]}", complex(nodes[i])))
+            raise
     return effective, np.einsum("kij,kji->k", inverse.e, dp)
 
 
@@ -192,13 +195,6 @@ def _log_derivative_trace(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, faul
         raise
     singular_gate(p, gate_fault, inverses=x[..., n:])
     return np.trace(x[..., :n], axis1=1, axis2=2)
-
-
-def _as_integer(raw: complex, tol: float = 1e-6) -> int:
-    nearest = int(round(raw.real))
-    if abs(raw - nearest) >= tol:
-        raise NonInteger(f"counting integral {raw} is {abs(raw - nearest):.2e} from an integer")
-    return nearest
 
 
 def borders_from_base_point(
@@ -253,14 +249,14 @@ def count_effective(
         (1 / 2 pi i) * closed integral of tr( E_-+'(z) E_-+(z)^{-1} ) dz ,
 
     with constant borders, where E_-+' = -e_minus P' e_plus.  The bordered
-    problem must be well posed at the contour's node set
-    (:class:`IllPosedOnContour` otherwise) and inside it
-    (:class:`IllPosedInside`, see :func:`_trace_integrals`).
+    problem must be well posed at the contour's node set (:class:`IllPosedOnContour`
+    otherwise) and inside it (:class:`IllPosedInside`, see :func:`_trace_integrals`),
+    and E_-+ invertible at the nodes (:class:`OnContourSingular` otherwise).
     """
     shape = family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
     template = _bordered_template(rminus, rplus, shape)
     (effective,) = _trace_integrals(family, contour, tol, None, template, direct=False)
-    return _as_integer(effective)
+    return as_integer(effective)
 
 
 def _bordered_template(rminus, rplus, shape: tuple[int, int]) -> BorderedSystem:
@@ -318,13 +314,25 @@ class LoopFamily:
 
     Each block is given by its Fourier coefficients {m: C_m}, meaning
     sum_m C_m e^{i m t}; the loop closes up exactly.  The corner block may be
-    nonzero along the loop.
+    nonzero along the loop.  Construction checks every coefficient once: finite,
+    of one shape within its block, and blocks that fit together.
     """
 
     p_coeffs: dict
     rminus_coeffs: dict
     rplus_coeffs: dict
     corner_coeffs: dict
+
+    def __post_init__(self):
+        leading = []
+        for name in ("p_coeffs", "rminus_coeffs", "rplus_coeffs", "corner_coeffs"):
+            coeffs = {m: as_cmatrix(c) for m, c in getattr(self, name).items()}
+            shapes = sorted({c.shape for c in coeffs.values()})
+            if len(shapes) != 1:
+                raise DimensionMismatch(f"{name} mix shapes {shapes}")
+            object.__setattr__(self, name, coeffs)
+            leading.append(next(iter(coeffs.values())))
+        BorderedSystem(*leading).assembled()
 
     @staticmethod
     def from_blocks(p, rminus, rplus, corner=None) -> "LoopFamily":
@@ -346,7 +354,7 @@ class LoopFamily:
         return [_fourier_sum(c, factor) for c in coeffs]
 
     def system(self, t: float) -> BorderedSystem:
-        return assemble(*self._blocks(lambda m: np.exp(1j * m * t)))
+        return BorderedSystem(*self._blocks(lambda m: np.exp(1j * m * t)))
 
     def derivative(self, t: float) -> BorderedSystem:
         return BorderedSystem(*self._blocks(lambda m: np.exp(1j * m * t) * (1j * m)))
@@ -376,21 +384,17 @@ class LoopTraceResult:
 
 
 def loop_trace_identity(
-    loop: LoopFamily,
-    certificate: Callable[[float, float], np.ndarray] | None = None,
-    tol: float = 1e-9,
-    certificate_times: int = 17,
-    certificate_radii: int = 9,
+    loop: LoopFamily, certificate: Callable[[float, float], np.ndarray] | None = None
 ) -> LoopTraceResult:
     """Check tr of the loop integrals of P^{-1} dP and E_-+^{-1} dE_-+.
 
-    The loop must come with a contraction certificate: a sampled homotopy
-    (t, s) -> assembled bordered matrix, s in [0, 1], that stays invertible
+    The loop must come with a contraction certificate: a homotopy (t, s) ->
+    assembled bordered matrix, s in [0, 1], invertible at 17 angles t by 9 radii s
     (default: the harmonic extension of the trigonometric blocks to the unit
-    disc).  Both traces come from one doubling trapezoidal quadrature in t,
-    which evaluates the bordered system M(t) and its derivative once per node
-    (P and P' are their P blocks) and stops when both traces settle;
-    each is 2 pi i times a winding integer for these finite-dimensional loops.
+    disc).  Both traces come from one doubling trapezoidal quadrature in t, which
+    evaluates M(t) and its derivative once per node (P and P' are their P blocks)
+    and stops when both settle to 1e-9; each is 2 pi i times a winding integer
+    for these finite-dimensional loops.
     A node where P(t) is singular raises :class:`SingularAtNode` before one
     where M(t) is, within the first failing node stack.
     """
@@ -398,11 +402,7 @@ def loop_trace_identity(
         certificate = lambda t, s: loop.disc_system(s * np.exp(1j * t))
     if loop.closure_residual() > 1e-12:
         raise ValueError("loop does not close up")
-    grid = [
-        (t, s)
-        for s in np.linspace(0.0, 1.0, certificate_radii)
-        for t in 2.0 * np.pi * np.arange(certificate_times) / certificate_times
-    ]
+    grid = [(t, s) for s in np.linspace(0.0, 1.0, 9) for t in 2.0 * np.pi * np.arange(17) / 17]
     mats = np.stack([as_cmatrix(certificate(float(t), float(s))) for t, s in grid])
     fault = lambda i, _: ContractionCertificateFails(
         f"certificate matrix singular at t={grid[i][0]:.3f}, s={grid[i][1]:.3f}"
@@ -425,7 +425,7 @@ def loop_trace_identity(
         return np.array([trace_p, trace_eff])
 
     # periodic trapezoid rule in t from 64 nodes, doubling up to 2^16
-    trace_p, trace_eff = doubling_quadrature(integrand, periodic_rule, 64, tol, 2**16)
+    trace_p, trace_eff = doubling_quadrature(integrand, periodic_rule, 64, 1e-9, 2**16)
     return LoopTraceResult(complex(trace_p), complex(trace_eff))
 
 
@@ -542,24 +542,16 @@ class PoissonResult:
         return out
 
 
-def _truncation_from(cert: DecayCertificate, target: float, cap: int = 200_000) -> int:
+def _truncation_from(cert: DecayCertificate, target: float) -> int:
     t = 1
     while cert.tail_sum(t) > target:
         t = t + max(1, t // 2)
-        if t > cap:
-            raise ValueError(
-                f"certificate cannot reach tail bound {target:.1e} below truncation {cap}"
-            )
+        if t > 200_000:
+            raise ValueError(f"certificate cannot reach tail bound {target:.1e} below truncation 200000")
     return t
 
 
-def poisson_verify(
-    tf: TestFunction,
-    n_terms: int,
-    truncation: int | None = None,
-    tol: float = 1e-10,
-    strict_support: bool = False,
-) -> PoissonResult:
+def poisson_verify(tf: TestFunction, n_terms: int, strict_support: bool = False) -> PoissonResult:
     """Compare three computations of the lattice sum of ``tf``:
 
       1. direct:      sum_n f(n)
@@ -567,15 +559,15 @@ def poisson_verify(
       3. monodromy:   (1/2 pi i) sum_{|k| <= N} integral f(z) M(z)^k M'(z) dz
                       with M(z) = exp(2 pi i z), by real-line quadrature.
 
-    The third route needs the transform supported inside (-2 pi N, 2 pi N);
-    when the support check fails it is skipped (or raises
-    :class:`SupportViolation` with ``strict_support=True``).
+    All three work to the tolerance 1e-10: the two sums stop where their
+    certified tails fall below a hundredth of it.  The third route needs the
+    transform supported inside (-2 pi N, 2 pi N); when the support check fails
+    it is skipped (or raises :class:`SupportViolation` with ``strict_support=True``).
     """
     if n_terms < 1:
         raise ValueError("need at least one monodromy term")
-    t_f = truncation if truncation is not None else _truncation_from(tf.lattice_decay, 0.01 * tol)
-    if tf.lattice_decay.tail_sum(t_f) > tol:
-        raise ValueError("lattice tail bound above tolerance at that truncation")
+    tol = 1e-10
+    t_f = _truncation_from(tf.lattice_decay, 0.01 * tol)
     ns = np.arange(-t_f, t_f + 1)
     lattice_sum = complex(np.sum(tf.value(ns)))
 

@@ -6,6 +6,7 @@ import pytest
 
 import grushinlab
 from grushinlab.core import (
+    BorderedSystem,
     Split,
     assemble,
     circulant_effective,
@@ -551,3 +552,14 @@ def test_only_core_knows_the_block_layout():
         if path.name != "core.py":
             found = forbidden & set(_references(ast.parse(path.read_text())))
             assert not found, f"{path.name} references {sorted(found)}"
+
+
+@pytest.mark.parametrize("rminus, rplus, corner", [
+    (np.eye(2), np.eye(2), np.array([[3.0]])),
+    (np.ones((2, 2)), np.ones((2, 2)), np.zeros((1, 1))),
+], ids=["identity-borders", "zero-corner"])
+def test_a_block_that_misses_its_slot_is_not_broadcast(rminus, rplus, corner):
+    # built directly, not through assemble, which checks every shape itself
+    with pytest.raises(DimensionMismatch) as info:
+        invert_system(BorderedSystem(np.eye(2), rminus, rplus, corner))
+    assert str(info.value) == "block of shape (1, 1) in a slot of shape (2, 2)"

@@ -134,6 +134,13 @@ def _certificate_loop():
     return loop_trace_identity(loop, lambda t, s: np.diag([1.0, s - 0.25]))
 
 
+def _effective_at_eigenvalue():
+    # node z = 1 of this circle is an eigenvalue of A, where the bordered
+    # problem stays well posed and E_-+ is exactly singular
+    rm = np.array([[1.0], [0.0]])
+    return count_effective(HolomorphicFamily.pencil(np.diag([1.0, 3.0])), rm, rm.T, Contour.circle(0.5, 0.5))
+
+
 def _schur():
     a = np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 2.0], [0.0, 0.5, 1.0]])
     return schur_check(a, np.eye(3), 1)
@@ -165,6 +172,7 @@ _ILL = "condition estimate 1.000e+17 beyond well-posed limit"
      OnContourSingular, ("contour node z=0j on a discrete spectrum", 0j)),
     (lambda: count_direct(HolomorphicFamily.pencil(np.diag([1.0, -3.0])), Contour.circle(0.0, 1.0)),
      OnContourSingular, ("P(z) singular at node z=(1+0j)", 1.0)),
+    (_effective_at_eigenvalue, OnContourSingular, ("E_-+(z) singular at node z=(1+0j)", 1.0)),
     (lambda: invert_system(assemble(np.diag([1.0, 1e-17]), [], [])), IllPosed, (_ILL, 1e17, 0)),
     (lambda: invert_stack(np.stack([np.eye(2), np.diag([1.0, 1e-17]), np.zeros((2, 2))]).astype(complex)),
      IllPosed, (_ILL, 1e17, 1)),
@@ -174,8 +182,8 @@ _ILL = "condition estimate 1.000e+17 beyond well-posed limit"
     (lambda: resolvent_bound(np.diag([1e-17, 1.0]), 0.0, 0.5), OnSpectrum, ("sigma_min = 1.000e-17 at tolerance",)),
 ], ids=[
     "solve_linear", "solve_linear-tol_factor", "recover_resolvent", "recover_resolvent-tol", "schur_check",
-    "schur_check-b11", "feshbach_effective", "neumann", "dn_trace-fallback", "count_direct", "invert_system",
-    "invert_stack", "certificate", "resolvent_bound-zero", "resolvent_bound-tiny",
+    "schur_check-b11", "feshbach_effective", "neumann", "dn_trace-fallback", "count_direct", "count_effective",
+    "invert_system", "invert_stack", "certificate", "resolvent_bound-zero", "resolvent_bound-tiny",
 ])
 def test_every_gate_raises_its_own_error(call, error, args):
     with pytest.raises(error) as info:

@@ -401,3 +401,15 @@ def test_loop_quadrature_cap_reports_last_two_estimates():
     assert previous == _periodic_once(f, 64)
     assert last == _periodic_once(f, 128)
     assert previous != last
+
+
+@pytest.mark.parametrize("p, error", [
+    ({0: np.ones((1, 1)), 1: np.ones((2, 2))}, DimensionMismatch),
+    ({0: np.ones((1, 1)), 1: [[np.nan]]}, ValueError),
+    ({0: np.ones((2, 2))}, DimensionMismatch),
+], ids=["mixed-shapes", "not-finite", "misfit-borders"])
+def test_loop_coefficients_are_checked_at_construction(p, error):
+    # the borders fit a 1 x 1 P; each P here is caught before any loop node
+    one = np.ones((1, 1))
+    with pytest.raises(error):
+        LoopFamily.from_blocks(p, {0: one}, {0: one})
