@@ -88,22 +88,8 @@ def _jsonable(value):
     return value
 
 
-def _from_jsonable(value):
-    if isinstance(value, dict):
-        if set(value.keys()) == {"re", "im"}:
-            return complex(value["re"], value["im"])
-        return {k: _from_jsonable(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_from_jsonable(v) for v in value]
-    return value
-
-
 def render_json(report: dict) -> str:
     return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
-
-
-def parse_report(text: str) -> dict:
-    return _from_jsonable(json.loads(text))
 
 
 def _csv_cell(value) -> list[str]:

@@ -107,10 +107,6 @@ class GrushinInverse:
     e_minus_plus: np.ndarray
     condition: float
 
-    @property
-    def effective_hamiltonian(self) -> np.ndarray:
-        return self.e_minus_plus
-
     def assembled(self) -> np.ndarray:
         return _fill(self.e, self.e_plus, self.e_minus, self.e_minus_plus)
 

@@ -85,11 +85,6 @@ def condition_from_sigma(sigma: np.ndarray) -> float:
     return float(sigma[0] / sigma[-1])
 
 
-def well_posed(cond: float) -> bool:
-    """A finite condition estimate below ``WELL_POSED_LIMIT``: the condition rule of :func:`is_singular`."""
-    return bool(np.isfinite(cond)) and cond < WELL_POSED_LIMIT
-
-
 def is_singular(sigma: np.ndarray, shape: tuple, scale=1.0, limit=None, tol=None) -> bool:
     """The singularity rule on the singular values of a matrix of ``shape``, or
     on bounds of them (sigma_max's from above first, sigma_min's from below

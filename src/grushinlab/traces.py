@@ -58,18 +58,6 @@ class HolomorphicFamily:
         ident = np.eye(a.shape[0], dtype=np.complex128)
         return HolomorphicFamily(lambda z: z * ident - a, lambda z: ident.copy())
 
-    @staticmethod
-    def from_value(value: Callable[[complex], np.ndarray], scale: float = 1.0) -> "HolomorphicFamily":
-        """Attach a central-difference derivative with Richardson step control."""
-        step = EPS ** (1.0 / 3.0) * scale
-
-        def derivative(z: complex) -> np.ndarray:
-            coarse = (value(z + step) - value(z - step)) / (2.0 * step)
-            fine = (value(z + step / 2.0) - value(z - step / 2.0)) / step
-            return (4.0 * fine - coarse) / 3.0
-
-        return HolomorphicFamily(value, derivative)
-
     def check_consistency(self, probes: Sequence[complex], scale: float = 1.0) -> tuple[int, ...] | None:
         """Central-difference check of the derivative at the probe points, to a
         relative 1e-6; returns the shape of P there (None without probes)."""
@@ -329,7 +317,7 @@ class LoopFamily:
             coeffs = {m: as_cmatrix(c) for m, c in getattr(self, name).items()}
             shapes = sorted({c.shape for c in coeffs.values()})
             if len(shapes) != 1:
-                raise DimensionMismatch(f"{name} mix shapes {shapes}")
+                raise DimensionMismatch(f"{name} mix shapes {shapes}" if shapes else f"{name} is empty")
             object.__setattr__(self, name, coeffs)
             leading.append(next(iter(coeffs.values())))
         BorderedSystem(*leading).assembled()
@@ -338,15 +326,13 @@ class LoopFamily:
     def from_blocks(p, rminus, rplus, corner=None) -> "LoopFamily":
         def norm(block, absent=None):
             terms = {0: absent}.items() if block is None else block.items()
-            return {int(m): np.asarray(c, dtype=np.complex128) for m, c in terms}
+            return {int(m): as_cmatrix(c) for m, c in terms}
 
+        size = lambda block, axis: max((c.shape[axis] for c in block.values()), default=0)  # 0 when empty
         p = norm(p)
-        shape = next(iter(p.values())).shape
-        rminus = norm(rminus, np.zeros((shape[0], 0)))
-        rplus = norm(rplus, np.zeros((0, shape[1])))
-        k_plus = next(iter(rplus.values())).shape[0]
-        k_minus = next(iter(rminus.values())).shape[1]
-        corner = norm(corner, np.zeros((k_plus, k_minus)))
+        rminus = norm(rminus, np.zeros((size(p, 0), 0)))
+        rplus = norm(rplus, np.zeros((0, size(p, 1))))
+        corner = norm(corner, np.zeros((size(rplus, 0), size(rminus, 1))))
         return LoopFamily(p, rminus, rplus, corner)
 
     def _blocks(self, factor: Callable[[int], complex]) -> list[np.ndarray]:
@@ -678,7 +664,8 @@ def selfadjoint_obstruction(
     all real shifts once A is nonzero.  The nodes double from 512 until A and
     B settle to ``tol``; :class:`NonConvergent`, carrying the last two (A, B)
     pairs, once they reach ``node_cap``.  The grids nest bit for bit, so each
-    doubling calls ``profile`` only at the new odd-index nodes.
+    doubling calls ``profile`` only at the new odd-index nodes; a value that is
+    not finite raises ``ValueError`` after the pass that met it.
     """
     n = 512
     if node_cap <= n:
@@ -720,13 +707,9 @@ def selfadjoint_obstruction(
     return ObstructionReport(a_val, b_val, float(residual), np.asarray(crossings), float(delta))
 
 
-def _obstruction_once(profile, n: int) -> tuple[complex, complex]:
-    """(A, B) on the n + 1 trapezoid nodes, every node evaluated afresh."""
-    xs = np.linspace(0.0, 2.0 * np.pi, n + 1)
-    return _obstruction_sums(xs, np.asarray([profile(x) for x in xs], dtype=np.complex128))
-
-
 def _obstruction_sums(xs: np.ndarray, f: np.ndarray) -> tuple[complex, complex]:
+    if not np.all(np.isfinite(f)):
+        raise ValueError("integrand is not finite at a quadrature node")
     dx = xs[1] - xs[0]
     inner = np.concatenate([[0.0], np.cumsum(0.5 * dx * (f[:-1] + f[1:]))])
     b_val = complex(inner[-1])

@@ -8,7 +8,6 @@ import pytest
 from grushinlab import linops, traces
 from grushinlab.cli import (
     child_seed,
-    parse_report,
     render_csv,
     render_json,
     run,
@@ -31,6 +30,21 @@ ALL_COMMANDS = [
     ["circulant", "--n", "6"],
     ["obstruction", "--profile", "const", "--h", "0.25"],
 ]
+
+
+def _from_jsonable(value):
+    """The parsed json report with every {"re", "im"} pair read back as a complex."""
+    if isinstance(value, dict):
+        if set(value.keys()) == {"re", "im"}:
+            return complex(value["re"], value["im"])
+        return {k: _from_jsonable(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_from_jsonable(v) for v in value]
+    return value
+
+
+def _parse_report(text: str) -> dict:
+    return _from_jsonable(json.loads(text))
 
 
 def _run(tmp_path, argv, name="out.json", fmt=None, seed=None):
@@ -71,7 +85,7 @@ def test_gate_failure_exits_1(tmp_path):
         "--h", "1e-3", "--out", str(path),
     ])
     assert code == 1
-    report = parse_report(path.read_text())
+    report = _parse_report(path.read_text())
     assert report["summary"]["pass"] is False
     assert any(rec["error"] for rec in report["records"])
 
@@ -97,7 +111,7 @@ def test_env_seed_override(tmp_path, monkeypatch):
 def test_json_roundtrip(tmp_path):
     code, payload = _run(tmp_path, ["circulant", "--n", "5"], name="r.json", seed=7)
     assert code == 0
-    report = parse_report(payload.decode())
+    report = _parse_report(payload.decode())
     assert report["version"]
     assert isinstance(report["records"][0]["effective"], complex)
     # canonical encoding round-trips byte-for-byte
@@ -130,7 +144,7 @@ def test_empty_records_render():
 def test_pass_summary_recomputable_from_records(tmp_path):
     # circulant: the gate is a function of the emitted per-mode errors alone
     code, payload = _run(tmp_path, ["circulant", "--n", "6"], name="c.json", seed=11)
-    report = parse_report(payload.decode())
+    report = _parse_report(payload.decode())
     recomputed = max(rec["abs_error"] for rec in report["records"]) <= 1e-10 * max(
         1.0, max(abs(rec["fft"]) for rec in report["records"])
     )
@@ -138,7 +152,7 @@ def test_pass_summary_recomputable_from_records(tmp_path):
     assert recomputed == report["summary"]["pass"]
     # mp-check: same property for the worst scaled residual
     code, payload = _run(tmp_path, ["mp-check", "--count", "3"], name="m.json", seed=11)
-    report = parse_report(payload.decode())
+    report = _parse_report(payload.decode())
     worst = max(
         max(rec["pinv_diff"], rec["res_pxp"], rec["res_xpx"], rec["res_px_h"], rec["res_xp_h"])
         for rec in report["records"]
@@ -169,6 +183,6 @@ def test_potential_file_flow(tmp_path):
         "--potential-file", str(table), "--out", str(path),
     ])
     assert code == 0
-    report = parse_report(path.read_text())
+    report = _parse_report(path.read_text())
     coth = np.cosh(1.0) / np.sinh(1.0)
     assert abs(report["records"][0]["value"] - coth) <= 1e-2

@@ -5,9 +5,12 @@ reports of every subcommand, two more ``bvp-trace`` potentials, and
 The ``bvp-trace`` reports hold only integers, a bool and the configuration,
 so they compare byte for byte everywhere.  The others carry floats that the
 BLAS may round differently: they compare byte for byte where the running
-Python, numpy and BLAS match ``golden/STAMP.json``, and elsewhere in all but
-their floats (in a csv report, all but its numbers)."""
+Python, numpy, BLAS and BLAS thread count match ``golden/STAMP.json``, and
+elsewhere in all but their floats (in a csv report, all but its numbers).
+Threaded OpenBLAS kernels round differently at different thread counts, so
+the reports are written with OpenBLAS set to the stamp's count where it can be."""
 
+import ctypes
 import functools
 import json
 import platform
@@ -19,13 +22,35 @@ import pytest
 from grushinlab.cli import HANDLERS, run
 
 GOLDEN = Path(__file__).parent / "golden"
+STAMP = json.loads((GOLDEN / "STAMP.json").read_text())
+
+
+def _openblas_threads(action: str):
+    """The ``get`` or ``set`` thread-count function of the OpenBLAS that numpy
+    loaded, looked up as ``perfbench/run.py`` does; None if there is none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(path))
+        for symbol in (f"scipy_openblas_{action}_num_threads64_", f"openblas_{action}_num_threads64_",
+                       f"openblas_{action}_num_threads"):
+            if hasattr(handle, symbol):
+                function = getattr(handle, symbol)
+                function.argtypes, function.restype = ([ctypes.c_int], None) if action == "set" else ([], ctypes.c_int)
+                return function
+    return None
 
 
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
     """The report bytes ``run(argv)`` writes, each argv and format run once per
-    module; the suffix of the output file picks the format."""
+    module; the suffix of the output file picks the format.  OpenBLAS runs at
+    the stamp's thread count while the module's tests run, where it can be set."""
     directory = tmp_path_factory.mktemp("reports")
+    get, set_threads = _openblas_threads("get"), _openblas_threads("set")
+    pinned = get is not None and set_threads is not None
+    if pinned:
+        before = get()
+        set_threads(STAMP["blas_threads"])
 
     @functools.cache
     def write(*argv: str, suffix: str = ".json") -> bytes:
@@ -35,7 +60,9 @@ def report(tmp_path_factory):
             assert run([*argv, "--out", str(out)]) == 0
         return out.read_bytes()
 
-    return write
+    yield write
+    if pinned:
+        set_threads(before)
 
 
 def _environment() -> dict:
@@ -43,7 +70,9 @@ def _environment() -> dict:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     except (TypeError, KeyError):  # numpy before 1.26 only prints its build configuration
         blas = None
-    return {"blas": blas, "numpy": np.__version__, "python": platform.python_version()}
+    get = _openblas_threads("get")
+    return {"blas": blas, "blas_threads": None if get is None else get(), "numpy": np.__version__,
+            "python": platform.python_version()}
 
 
 def _without_floats(value):
@@ -85,14 +114,13 @@ def test_report_matches_golden_bytes(report, name, argv):
 def _assert_matches_json(written: bytes, expected: bytes):
     """Bytes where the environment matches the stamp; elsewhere all but the
     floats, then a stated skip."""
-    stamp = json.loads((GOLDEN / "STAMP.json").read_text())
-    if stamp == _environment():
+    if STAMP == _environment():
         assert written == expected
         return
     written, expected = json.loads(written), json.loads(expected)
     assert written["config"] == expected["config"]
     assert _without_floats(written) == _without_floats(expected)
-    pytest.skip(f"float bytes not compared: golden reports stamped {stamp}, running {_environment()}")
+    pytest.skip(f"float bytes not compared: golden reports stamped {STAMP}, running {_environment()}")
 
 
 @pytest.mark.parametrize("command", sorted(HANDLERS))
@@ -113,9 +141,8 @@ def test_every_subcommand_matches_its_golden_csv_report(report, command):
     golden = GOLDEN / f"{command}.csv"
     assert golden.exists(), f"no golden csv report for {command}"
     written, expected = report(command, suffix=".csv"), golden.read_bytes()
-    stamp = json.loads((GOLDEN / "STAMP.json").read_text())
-    if stamp == _environment():
+    if STAMP == _environment():
         assert written == expected
         return
     assert _csv_without_numbers(written) == _csv_without_numbers(expected)
-    pytest.skip(f"numbers not compared: golden reports stamped {stamp}, running {_environment()}")
+    pytest.skip(f"numbers not compared: golden reports stamped {STAMP}, running {_environment()}")

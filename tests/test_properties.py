@@ -26,7 +26,6 @@ from grushinlab.linops import (
     singular_gate,
     spectral_norm,
     tolerance_from_sigma,
-    well_posed,
 )
 from grushinlab.pseudospectra import _shifted, _threshold_borders, _threshold_inverse
 from grushinlab.traces import _log_derivative_trace, _node_stack
@@ -89,6 +88,11 @@ def test_stacked_inversion_equals_invert_system(systems):
         assert np.array_equal(ginv.assembled(), inverse)
         for block in ("e", "e_plus", "e_minus", "e_minus_plus"):
             assert np.array_equal(getattr(stacked, block)[i], getattr(ginv, block))
+
+
+def _well_posed(cond: float) -> bool:
+    """The condition rule of ``is_singular``: a finite estimate below ``WELL_POSED_LIMIT``."""
+    return bool(np.isfinite(cond)) and cond < WELL_POSED_LIMIT
 
 
 def _well_posed_pairs(systems):
@@ -234,7 +238,7 @@ def _sigmas(mats):
 def test_invert_stack_decides_as_the_svd(stacks):
     mats, _ = stacks
     conds = [condition_from_sigma(s) for s in _sigmas(mats)]
-    first_bad = next((i for i, cond in enumerate(conds) if not well_posed(cond)), None)
+    first_bad = next((i for i, cond in enumerate(conds) if not _well_posed(cond)), None)
     try:
         full = invert_stack(mats)
     except IllPosed as exc:
@@ -278,7 +282,7 @@ def test_singular_gate_decides_as_the_plain_rule(stacks, rule, with_inverses):
     sigmas = _sigmas(mats)
     first_bad = next((i for i, s in enumerate(sigmas) if (
         scale is not None and s[-1] <= scale * tolerance_from_sigma(s, mats.shape[1:])
-        or limit is not None and not well_posed(condition_from_sigma(s))
+        or limit is not None and not _well_posed(condition_from_sigma(s))
     )), None)
     inverses = None
     if with_inverses:
