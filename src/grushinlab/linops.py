@@ -252,6 +252,8 @@ class Contour:
     def __post_init__(self):
         if self.kind not in ("circle", "polyline"):
             raise ValueError(f"unknown contour kind {self.kind!r}")
+        if not isinstance(self.nodes, (int, np.integer)):
+            raise ValueError(f"node count {self.nodes!r} is not an integer")
         if self.nodes < 8:
             raise ValueError("node count must be >= 8")
         if self.kind == "circle" and not self.radius > 0.0:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import assemble, invert_system
 from .errors import DimensionMismatch
-from .linops import as_cmatrix, numerical_rank, rank_tolerance, spectral_norm, svd
+from .linops import as_cmatrix, numerical_rank, spectral_norm, svd, tolerance_from_sigma
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,9 @@ def canonical_borders(p, tol: float | None = None) -> CanonicalBorders:
     silent thresholding.
     """
     p = as_cmatrix(p)
-    if tol is None:
-        tol = rank_tolerance(p)
     dec = svd(p)
+    if tol is None:
+        tol = tolerance_from_sigma(dec.singular, p.shape)
     r = numerical_rank(dec.singular, tol)
     rminus = dec.left[:, r:]
     rplus = dec.right_h[r:, :]

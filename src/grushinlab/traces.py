@@ -87,7 +87,6 @@ def count_direct(family: HolomorphicFamily, contour: Contour, tol: float = 1e-10
     (:class:`OnContourSingular` otherwise); the integral must land on an
     integer within 1e-6.
     """
-    family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
     (direct,) = _trace_integrals(family, contour, tol)
     return as_integer(direct)
 
@@ -108,21 +107,23 @@ def _trace_integrals(
     contour: Contour,
     tol: float,
     weight=None,
-    template: BorderedSystem | None = None,
+    borders: tuple | None = None,
     direct: bool = True,
 ) -> list[complex]:
     """(1 / 2 pi i) * closed integrals, in one doubling pass that evaluates P
-    and P' once per node: tr( P' P^{-1} ) when ``direct``, then, with a
-    ``template``, tr( E_-+' E_-+^{-1} ); each times the weight.
+    and P' once per node: tr( P' P^{-1} ) when ``direct``, then, with
+    ``borders`` (R-, R+), tr( E_-+' E_-+^{-1} ); each times the weight.
 
-    The bordered matrix M(z) is ``template`` (:func:`_bordered_template`)
-    with P(z) as its P.  The effective integral counts the zeros of
-    det P inside minus those of det M, so the same pass also integrates
-    tr( E P' ) = d/dz log det M and raises :class:`IllPosedInside` when det M
-    has zeros inside.  A node where P is singular raises
-    :class:`OnContourSingular`, one where M is ill posed
+    After the probe-point derivative check, M(z) is the borders'
+    :func:`_bordered_template` with P(z) as its P.  The effective integral
+    counts the zeros of det P inside minus those of det M, so the same pass
+    also integrates tr( E P' ) = d/dz log det M and raises
+    :class:`IllPosedInside` when det M has zeros inside.  A node where P is
+    singular raises :class:`OnContourSingular`, one where M is ill posed
     :class:`IllPosedOnContour`; the first failing node stack decides.
     """
+    shape = family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
+    template = None if borders is None else _bordered_template(*borders, shape)
 
     def integrand(nodes: np.ndarray) -> np.ndarray:
         p, dp = _stack(family.value, nodes), _stack(family.derivative, nodes)
@@ -241,9 +242,7 @@ def count_effective(
     otherwise) and inside it (:class:`IllPosedInside`, see :func:`_trace_integrals`),
     and E_-+ invertible at the nodes (:class:`OnContourSingular` otherwise).
     """
-    shape = family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
-    template = _bordered_template(rminus, rplus, shape)
-    (effective,) = _trace_integrals(family, contour, tol, None, template, direct=False)
+    (effective,) = _trace_integrals(family, contour, tol, None, (rminus, rplus), direct=False)
     return as_integer(effective)
 
 
@@ -278,9 +277,7 @@ def weighted_trace(
     """Both weighted counting integrals (they agree for holomorphic weights;
     with weight z the result is the sum of the enclosed spectral points), in
     one pass over the nodes (:func:`_trace_integrals`)."""
-    shape = family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
-    template = _bordered_template(rminus, rplus, shape)
-    return WeightedTrace(*_trace_integrals(family, contour, tol, weight, template))
+    return WeightedTrace(*_trace_integrals(family, contour, tol, weight, (rminus, rplus)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +285,10 @@ def weighted_trace(
 
 
 def _fourier_sum(coeffs: Mapping[int, np.ndarray], factor: Callable[[int], complex]) -> np.ndarray:
-    """sum_m factor(m) * C_m over the Fourier coefficients {m: C_m}, in their order."""
+    """sum_m factor(m) * C_m over {m: C_m} in their order; factor arrays add a leading node axis."""
     total = None
     for m, c in coeffs.items():
-        term = factor(m) * c
+        term = np.multiply.outer(factor(m), c)
         total = term if total is None else total + term
     return total
 
@@ -301,9 +298,10 @@ class LoopFamily:
     """A closed C^1 loop of bordered systems with trigonometric-polynomial blocks.
 
     Each block is given by its Fourier coefficients {m: C_m}, meaning
-    sum_m C_m e^{i m t}; the loop closes up exactly.  The corner block may be
-    nonzero along the loop.  Construction checks every coefficient once: finite,
-    of one shape within its block, and blocks that fit together.
+    sum_m C_m e^{i m t}; the frequencies m are integers, so the loop closes up
+    exactly.  The corner block may be nonzero along the loop.  Construction
+    checks every frequency and coefficient once: integer frequencies, finite
+    coefficients of one shape within their block, and blocks that fit together.
     """
 
     p_coeffs: dict
@@ -314,6 +312,8 @@ class LoopFamily:
     def __post_init__(self):
         leading = []
         for name in ("p_coeffs", "rminus_coeffs", "rplus_coeffs", "corner_coeffs"):
+            if not all(isinstance(m, (int, np.integer)) for m in getattr(self, name)):
+                raise ValueError(f"{name} frequencies {list(getattr(self, name))} are not all integers")
             coeffs = {m: as_cmatrix(c) for m, c in getattr(self, name).items()}
             shapes = sorted({c.shape for c in coeffs.values()})
             if len(shapes) != 1:
@@ -326,7 +326,7 @@ class LoopFamily:
     def from_blocks(p, rminus, rplus, corner=None) -> "LoopFamily":
         def norm(block, absent=None):
             terms = {0: absent}.items() if block is None else block.items()
-            return {int(m): as_cmatrix(c) for m, c in terms}
+            return {m: as_cmatrix(c) for m, c in terms}
 
         size = lambda block, axis: max((c.shape[axis] for c in block.values()), default=0)  # 0 when empty
         p = norm(p)
@@ -339,24 +339,17 @@ class LoopFamily:
         coeffs = (self.p_coeffs, self.rminus_coeffs, self.rplus_coeffs, self.corner_coeffs)
         return [_fourier_sum(c, factor) for c in coeffs]
 
-    def system(self, t: float) -> BorderedSystem:
+    def system(self, t: float | np.ndarray) -> BorderedSystem:
+        """The system at t, or at an array of t as one node stack."""
         return BorderedSystem(*self._blocks(lambda m: np.exp(1j * m * t)))
 
-    def derivative(self, t: float) -> BorderedSystem:
+    def derivative(self, t: float | np.ndarray) -> BorderedSystem:
         return BorderedSystem(*self._blocks(lambda m: np.exp(1j * m * t) * (1j * m)))
 
     def disc_system(self, z: complex) -> np.ndarray:
         # harmonic extension to the closed unit disc: e^{imt} -> z^m (m >= 0),
         # conj(z)^{|m|} (m < 0)
         return BorderedSystem(*self._blocks(lambda m: z**m if m >= 0 else np.conj(z) ** (-m))).assembled()
-
-    def closure_residual(self) -> float:
-        return spectral_norm(self.system(0.0).assembled() - self.system(2.0 * np.pi).assembled())
-
-
-def _node_stack(systems: list[BorderedSystem]) -> BorderedSystem:
-    """The systems as one, with a leading node axis on every block."""
-    return BorderedSystem(*(np.stack(b) for b in zip(*((s.p, s.rminus, s.rplus, s.corner) for s in systems))))
 
 
 @dataclass(frozen=True)
@@ -378,7 +371,7 @@ def loop_trace_identity(
     assembled bordered matrix, s in [0, 1], invertible at 17 angles t by 9 radii s
     (default: the harmonic extension of the trigonometric blocks to the unit
     disc).  Both traces come from one doubling trapezoidal quadrature in t, which
-    evaluates M(t) and its derivative once per node (P and P' are their P blocks)
+    evaluates M(t) and its derivative once per node stack (P and P' are their P blocks)
     and stops when both settle to 1e-9; each is 2 pi i times a winding integer
     for these finite-dimensional loops.
     A node where P(t) is singular raises :class:`SingularAtNode` before one
@@ -386,8 +379,6 @@ def loop_trace_identity(
     """
     if certificate is None:
         certificate = lambda t, s: loop.disc_system(s * np.exp(1j * t))
-    if loop.closure_residual() > 1e-12:
-        raise ValueError("loop does not close up")
     grid = [(t, s) for s in np.linspace(0.0, 1.0, 9) for t in 2.0 * np.pi * np.arange(17) / 17]
     mats = np.stack([as_cmatrix(certificate(float(t), float(s))) for t, s in grid])
     fault = lambda i, _: ContractionCertificateFails(
@@ -396,8 +387,7 @@ def loop_trace_identity(
     singular_gate(mats, fault, None, WELL_POSED_LIMIT)
 
     def integrand(ts: np.ndarray) -> np.ndarray:
-        system = _node_stack([loop.system(t) for t in ts])
-        derivative = _node_stack([loop.derivative(t) for t in ts])
+        system, derivative = loop.system(ts), loop.derivative(ts)
         fault = lambda t: SingularAtNode(f"P(t) singular at t={t:.4f}", float(t))
         trace_p = _log_derivative_trace(system.p, derivative.p, ts, fault)
         try:

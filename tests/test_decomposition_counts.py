@@ -18,6 +18,7 @@ from grushinlab.core import (
 )
 from grushinlab.linops import Contour, solve_linear
 from grushinlab.perturbation import gaussian_matrix, jordan_block
+from grushinlab.pseudoinverse import canonical_borders
 from grushinlab.pseudospectra import (
     estimate_check,
     projector_grushin,
@@ -226,3 +227,12 @@ def test_loop_identity_makes_one_stacked_svd_for_its_certificate(monkeypatch, wi
     loop_trace_identity(loop)
     # the 17 x 9 certificate grid, none at the quadrature nodes
     assert _stacked_svds(calls) == [(17 * 9, size, size)]
+
+
+def test_canonical_borders_decomposes_p_once(monkeypatch):
+    # the default tolerance comes from the singular values of the full SVD
+    rng = np.random.default_rng(5)
+    p = rng.standard_normal((6, 4)) @ rng.standard_normal((4, 8))
+    calls = _record_svds(monkeypatch)
+    assert canonical_borders(p).rank == 4
+    assert [(x.shape, with_vectors) for x, with_vectors in calls] == [((6, 8), True)]

@@ -209,6 +209,19 @@ def test_contour_validation():
         Contour.polyline([0.0, 1.0])
 
 
+def test_contour_node_count_is_an_integer():
+    # 8.5 would give a circle a first rule of 9 nodes weighted 2 pi / 8.5,
+    # and a polyline numpy's TypeError at its first integral
+    for nodes in (8.5, 64.0, "64"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Contour.circle(0.0, 1.0, nodes)
+    with pytest.raises(ValueError, match="is not an integer"):
+        Contour("polyline", points=(0, 1, 1j), nodes=8.5)
+    with pytest.raises(ValueError, match="node count must be >= 8"):
+        Contour.circle(0.0, 1.0, np.int64(7))
+    assert Contour.circle(0.0, 1.0, np.int64(8)).quadrature(8)[0].size == 8
+
+
 def test_solve_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         solve_linear(np.eye(3), np.eye(2))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grushinlab.core import (
+    BorderedSystem,
     assemble,
     effective_index,
     invert_nodes,
@@ -28,7 +29,7 @@ from grushinlab.linops import (
     tolerance_from_sigma,
 )
 from grushinlab.pseudospectra import _shifted, _threshold_borders, _threshold_inverse
-from grushinlab.traces import _log_derivative_trace, _node_stack
+from grushinlab.traces import _log_derivative_trace
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -61,7 +62,9 @@ def bordered_systems(draw):
 @given(bordered_systems())
 def test_stacked_inversion_equals_invert_system(systems):
     stack = np.stack([s.assembled() for s in systems])
-    nodes = _node_stack(systems)
+    # the systems as one, with a leading node axis on every block
+    blocks = ("p", "rminus", "rplus", "corner")
+    nodes = BorderedSystem(*(np.stack([getattr(s, b) for s in systems]) for b in blocks))
     assert np.array_equal(nodes.assembled(), stack)
     # blocks without the node axis repeat along it
     shared = np.stack([replace(systems[0], p=s.p).assembled() for s in systems])

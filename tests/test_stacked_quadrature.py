@@ -84,18 +84,37 @@ def test_loop_integral_asks_each_node_once(monkeypatch):
     # the one pass for both integrals stops at N = 128
     one = np.ones((1, 1), dtype=complex)
     loop = LoopFamily.from_blocks({1: one}, {0: one}, {0: one})
-    calls = {"system": 0}
+    asked = []
     system = LoopFamily.system
 
     def counting_system(self, t):
-        calls["system"] += 1
+        asked.append(np.array(t, ndmin=1))
         return system(self, t)
 
     monkeypatch.setattr(LoopFamily, "system", counting_system)
     result = loop_trace_identity(loop)
     assert result.trace_p == pytest.approx(2j * np.pi, abs=1e-12)
-    # closure_residual evaluates the loop at t = 0 and t = 2 pi
-    assert calls["system"] == 2 + 128
+    # one call per node stack, and no node asked twice
+    nodes = np.concatenate(asked)
+    assert nodes.size == np.unique(nodes).size == 128
+    assert len(asked) == 128 // linops.STACK_NODES
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_loop_node_stack_equals_the_blocks_at_each_node(seed):
+    from grushinlab.cli import seeded_loop_family
+
+    ts = linops.periodic_rule(128)[0][1::16]
+    for loop in (seeded_loop_family(3 + seed, seed, False), seeded_loop_family(3 + seed, seed, True)):
+        for evaluate in (loop.system, loop.derivative):
+            stacked = evaluate(ts)
+            for block in ("p", "rminus", "rplus", "corner"):
+                per_node = np.stack([getattr(evaluate(float(t)), block) for t in ts])
+                got = getattr(stacked, block)
+                assert np.array_equal(got, per_node)
+                for part in ("real", "imag"):
+                    signs = (np.signbit(getattr(x, part)) for x in (got, per_node))
+                    assert np.array_equal(*signs)
 
 
 def test_quadrature_working_set_does_not_grow_with_nodes(monkeypatch):

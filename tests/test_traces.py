@@ -279,12 +279,6 @@ def test_ill_posed_node_is_named_from_the_stack_index():
     assert info.value.__cause__.index == 3
 
 
-def test_loop_closes():
-    from grushinlab.cli import seeded_loop_family
-
-    assert seeded_loop_family(5, 99, False).closure_residual() <= 1e-12
-
-
 def test_poisson_sinc_squared_three_way():
     result = poisson_verify(sinc_squared(), 2)
     assert result.support_ok
@@ -417,17 +411,40 @@ def test_loop_quadrature_cap_reports_last_two_estimates():
     assert previous != last
 
 
-@pytest.mark.parametrize("p, error", [
-    ({0: np.ones((1, 1)), 1: np.ones((2, 2))}, DimensionMismatch),
-    ({0: np.ones((1, 1)), 1: [[np.nan]]}, ValueError),
-    ({0: np.ones((2, 2))}, DimensionMismatch),
-    ({}, DimensionMismatch),
-], ids=["mixed-shapes", "not-finite", "misfit-borders", "empty"])
-def test_loop_coefficients_are_checked_at_construction(p, error):
-    # the borders fit a 1 x 1 P; each P here is caught before any loop node
+def _raw_loop(p, rminus, rplus):
+    return LoopFamily(p, rminus, rplus, {0: np.zeros((1, 1))})
+
+
+@pytest.mark.parametrize("p, error, build", [
+    ({0: np.ones((1, 1)), 1: np.ones((2, 2))}, DimensionMismatch, LoopFamily.from_blocks),
+    ({0: np.ones((1, 1)), 1: [[np.nan]]}, ValueError, LoopFamily.from_blocks),
+    ({0: np.ones((2, 2))}, DimensionMismatch, LoopFamily.from_blocks),
+    ({}, DimensionMismatch, LoopFamily.from_blocks),
+    ({0.5: np.ones((1, 1)), 0: 3.0 * np.ones((1, 1))}, ValueError, LoopFamily.from_blocks),
+    ({1.9: np.ones((1, 1))}, ValueError, LoopFamily.from_blocks),
+    ({"1": np.ones((1, 1))}, ValueError, LoopFamily.from_blocks),
+    ({0.5: np.ones((1, 1))}, ValueError, _raw_loop),
+], ids=["mixed-shapes", "not-finite", "misfit-borders", "empty", "half-frequency", "fractional-frequency",
+        "string-frequency", "raw-half-frequency"])
+def test_loop_coefficients_are_checked_at_construction(p, error, build):
+    # the borders fit a 1 x 1 P; each P here is caught before any loop node,
+    # and a frequency that is not an integer would leave the loop open
     one = np.ones((1, 1))
     with pytest.raises(error):
-        LoopFamily.from_blocks(p, {0: one}, {0: one})
+        build(p, {0: one}, {0: one})
+
+
+def test_loop_identity_is_scale_free():
+    # M(0) - M(2 pi) is only the rounding of e^{2 pi i m}, which grows with
+    # the coefficients: a loop of integer frequencies needs no closure test
+    from grushinlab.cli import seeded_loop_family
+
+    loop = seeded_loop_family(4, 7, True)
+    blocks = ("p_coeffs", "rminus_coeffs", "rplus_coeffs", "corner_coeffs")
+    scaled = LoopFamily(*({m: 1e5 * c for m, c in getattr(loop, b).items()} for b in blocks))
+    result = loop_trace_identity(scaled)
+    windings = np.array([result.trace_p, result.trace_effective]) / (2j * np.pi)
+    assert np.allclose(windings, 4.0, rtol=0.0, atol=1e-8)
 
 
 def test_loop_blocks_read_a_coefficient_as_the_constructor_does():
