@@ -29,6 +29,7 @@ from .core import BorderedSystem, GrushinInverse, assemble, invert_system
 from .errors import (
     ConsistencyError,
     DimensionMismatch,
+    IoFailure,
     NeumannEigenvalue,
     OnContourSingular,
 )
@@ -109,45 +110,30 @@ def neumann_matrix(d: Discretization, z: complex) -> np.ndarray:
     return mat
 
 
-def _require_neumann_invertible(d: Discretization, z: complex) -> np.ndarray:
+def neumann_green_solve(d: Discretization, z: complex, rhs) -> np.ndarray:
+    """Grid solution with zero Neumann data and load ``rhs`` at all nodes, one column
+    per load: the one gated Neumann solve (:class:`NeumannEigenvalue`)."""
+    rhs = np.asarray(rhs, dtype=np.complex128)
+    if rhs.shape[:1] != (d.m + 2,):
+        raise DimensionMismatch(f"load must have {d.m + 2} entries")
     mat = neumann_matrix(d, z)
     singular_gate(mat, lambda _, s: NeumannEigenvalue(f"z = {z} is a discrete Neumann eigenvalue "
                                                       f"(sigma_min={s[-1]:.3e})"), limit=WELL_POSED_LIMIT)
-    return mat
+    return refined_solve(mat, rhs)
 
 
 def neumann_poisson_solve(d: Discretization, z: complex, data: BoundaryData) -> np.ndarray:
     """Grid solution of the homogeneous equation with prescribed outward Neumann data."""
-    mat = _require_neumann_invertible(d, z)
-    rhs = np.zeros(d.m + 2, dtype=np.complex128)
-    rhs[0] = 2.0 * data.left / d.step
-    rhs[-1] = 2.0 * data.right / d.step
-    return refined_solve(mat, rhs)
-
-
-def neumann_green_solve(d: Discretization, z: complex, rhs) -> np.ndarray:
-    """Grid solution with zero Neumann data and interior load ``rhs`` (all nodes)."""
-    mat = _require_neumann_invertible(d, z)
-    rhs = np.asarray(rhs, dtype=np.complex128)
-    if rhs.shape[0] != d.m + 2:
-        raise DimensionMismatch(f"load must have {d.m + 2} entries")
-    return refined_solve(mat, rhs)
-
-
-def _n2d_from_matrix(mat: np.ndarray, step: float) -> np.ndarray:
-    """Boundary map from an already-validated Neumann matrix (both columns at once)."""
-    n = mat.shape[0]
-    rhs = np.zeros((n, 2), dtype=np.complex128)
-    rhs[0, 0] = 2.0 / step
-    rhs[-1, 1] = 2.0 / step
-    sol = refined_solve(mat, rhs)
-    return np.array([[sol[0, 0], sol[0, 1]], [sol[-1, 0], sol[-1, 1]]])
+    load = np.zeros(d.m + 2, dtype=np.complex128)
+    load[[0, -1]] = 2.0 * np.array([data.left, data.right]) / d.step
+    return neumann_green_solve(d, z, load)
 
 
 def n2d_map(d: Discretization, z: complex) -> np.ndarray:
     """The 2x2 map from outward Neumann data to Dirichlet traces."""
-    mat = _require_neumann_invertible(d, z)
-    return _n2d_from_matrix(mat, d.step)
+    load = np.zeros((d.m + 2, 2), dtype=np.complex128)
+    load[0, 0] = load[-1, 1] = 2.0 / d.step
+    return neumann_green_solve(d, z, load)[[0, -1]]
 
 
 # --- ghost-extended bordered problem ---------------------------------------
@@ -225,9 +211,8 @@ def bvp_grushin(
 ) -> GrushinInverse:
     """Invert the boundary bordered problem and confirm that its effective
     Hamiltonian reproduces the Neumann-to-Dirichlet map to 1e-9 scale."""
-    mat = _require_neumann_invertible(d, z)
+    reference = n2d_map(d, z)
     inverse = invert_system(bvp_bordered_system(d, z, support_fraction))
-    reference = _n2d_from_matrix(mat, d.step)
     scale = max(1.0, spectral_norm(reference))
     if spectral_norm(inverse.e_minus_plus - reference) > 1e-9 * scale:
         raise ConsistencyError("effective Hamiltonian disagrees with the boundary map")
@@ -324,9 +309,12 @@ def potential_from_name(name: str, a: float, b: float) -> Callable[[float], floa
 
 
 def load_potential_table(path) -> np.ndarray:
-    """Read one real per line (m + 2 lines: every grid node including boundary)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        values = [float(line.strip()) for line in handle if line.strip()]
+    """One real per line (m + 2 lines, boundary nodes included); IoFailure if unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            values = [float(line.strip()) for line in handle if line.strip()]
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
     return np.asarray(values, dtype=float)
 
 

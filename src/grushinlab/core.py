@@ -416,15 +416,21 @@ def feshbach_effective(h, split: Split, z: complex, cross_check: bool = True) ->
                                                       f"(sigma_min={s[-1]:.3e})"), limit=WELL_POSED_LIMIT)
     g_v = z * np.eye(len(v)) - hvv - hvw @ np.linalg.solve(zw, hwv)
     if cross_check:
-        rminus = np.zeros((n, len(v)), dtype=np.complex128)
-        rminus[v, range(len(v))] = 1.0
-        rplus = np.zeros((len(v), n), dtype=np.complex128)
-        rplus[range(len(v)), v] = 1.0
-        ginv = invert_system(assemble(z * np.eye(n) - h, rminus, rplus))
-        scale = max(1.0, spectral_norm(g_v))
-        if spectral_norm(ginv.e_minus_plus + g_v) > 1e-10 * scale * ginv.condition:
+        residual, bound = _feshbach_residual(h, split, z, g_v)
+        if residual > bound:
             raise ConsistencyError("bordered effective Hamiltonian disagrees with -G_v")
     return g_v
+
+
+def _feshbach_residual(h, split: Split, z: complex, g_v: np.ndarray) -> tuple[float, float]:
+    """||E_-+ + G_v|| for z - H bordered by inclusion and projection on the split,
+    and its bound 1e-10 max(1, ||G_v||) cond, cond being that problem's estimate."""
+    v = list(split.indices)
+    n = len(h)
+    rminus = np.zeros((n, len(v)), dtype=np.complex128)
+    rminus[v, range(len(v))] = 1.0
+    ginv = invert_system(assemble(z * np.eye(n) - h, rminus, rminus.T))
+    return spectral_norm(ginv.e_minus_plus + g_v), 1e-10 * max(1.0, spectral_norm(g_v)) * ginv.condition
 
 
 def dft_matrix(n: int) -> np.ndarray:

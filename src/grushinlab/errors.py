@@ -149,4 +149,4 @@ class ConsistencyError(GrushinLabError):
 
 
 class IoFailure(GrushinLabError):
-    """Report serialization could not be written."""
+    """A report could not be written, or an input file could not be read."""

@@ -114,7 +114,8 @@ def _trace_integrals(
     and P' once per node: tr( P' P^{-1} ) when ``direct``, then, with
     ``borders`` (R-, R+), tr( E_-+' E_-+^{-1} ); each times the weight.
 
-    After the probe-point derivative check, M(z) is the borders'
+    The probe-point derivative check comes first; P must be square and
+    nonempty there (:class:`DimensionMismatch`).  M(z) is the borders'
     :func:`_bordered_template` with P(z) as its P.  The effective integral
     counts the zeros of det P inside minus those of det M, so the same pass
     also integrates tr( E P' ) = d/dz log det M and raises
@@ -123,6 +124,8 @@ def _trace_integrals(
     :class:`IllPosedOnContour`; the first failing node stack decides.
     """
     shape = family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
+    if len(shape) != 2 or not shape[0] == shape[1] > 0:
+        raise DimensionMismatch(f"P(z) has shape {shape} at the probe points, not square and nonempty")
     template = None if borders is None else _bordered_template(*borders, shape)
 
     def integrand(nodes: np.ndarray) -> np.ndarray:
@@ -247,11 +250,11 @@ def count_effective(
 
 
 def _bordered_template(rminus, rplus, shape: tuple[int, int]) -> BorderedSystem:
-    """The bordered system [[0, R-], [R+, 0]] with a zero P of ``shape``;
-    :class:`DimensionMismatch` unless P is square and the borders fit it with
+    """The bordered system [[0, R-], [R+, 0]] with a zero P of the square
+    ``shape``; :class:`DimensionMismatch` unless the borders fit P with
     k- = k+, so that one-sided borders never pass."""
     template = assemble(np.zeros(shape), rminus, rplus)
-    if shape[0] != shape[1] or template.k_plus != template.k_minus:
+    if template.k_plus != template.k_minus:
         raise DimensionMismatch(f"borders {np.shape(rminus)}, {np.shape(rplus)} do not square P {shape}")
     return template
 
@@ -346,10 +349,10 @@ class LoopFamily:
     def derivative(self, t: float | np.ndarray) -> BorderedSystem:
         return BorderedSystem(*self._blocks(lambda m: np.exp(1j * m * t) * (1j * m)))
 
-    def disc_system(self, z: complex) -> np.ndarray:
-        # harmonic extension to the closed unit disc: e^{imt} -> z^m (m >= 0),
-        # conj(z)^{|m|} (m < 0)
-        return BorderedSystem(*self._blocks(lambda m: z**m if m >= 0 else np.conj(z) ** (-m))).assembled()
+    def disc_system(self, t: np.ndarray, s: np.ndarray) -> BorderedSystem:
+        """The harmonic extension to the closed unit disc, e^{imt} -> s^{|m|} e^{imt},
+        at the points s e^{it} of two equal-shape arrays, as one node stack."""
+        return BorderedSystem(*self._blocks(lambda m: s ** abs(m) * np.exp(1j * m * t)))
 
 
 @dataclass(frozen=True)
@@ -362,29 +365,26 @@ class LoopTraceResult:
         return abs(self.trace_p - self.trace_effective)
 
 
-def loop_trace_identity(
-    loop: LoopFamily, certificate: Callable[[float, float], np.ndarray] | None = None
-) -> LoopTraceResult:
+def loop_trace_identity(loop: LoopFamily) -> LoopTraceResult:
     """Check tr of the loop integrals of P^{-1} dP and E_-+^{-1} dE_-+.
 
-    The loop must come with a contraction certificate: a homotopy (t, s) ->
-    assembled bordered matrix, s in [0, 1], invertible at 17 angles t by 9 radii s
-    (default: the harmonic extension of the trigonometric blocks to the unit
-    disc).  Both traces come from one doubling trapezoidal quadrature in t, which
-    evaluates M(t) and its derivative once per node stack (P and P' are their P blocks)
-    and stops when both settle to 1e-9; each is 2 pi i times a winding integer
-    for these finite-dimensional loops.
+    The contraction certificate, the harmonic extension of the loop to the
+    unit disc (:meth:`LoopFamily.disc_system`), is one node stack of 17 angles t
+    by 9 radii s, s outer; its first matrix beyond ``WELL_POSED_LIMIT`` raises
+    :class:`ContractionCertificateFails`.  Both traces come from one
+    doubling trapezoidal quadrature in t, which evaluates M(t) and its
+    derivative once per node stack (P and P' are their P blocks) and stops when
+    both settle to 1e-9; each is 2 pi i times a winding integer for these
+    finite-dimensional loops.
     A node where P(t) is singular raises :class:`SingularAtNode` before one
     where M(t) is, within the first failing node stack.
     """
-    if certificate is None:
-        certificate = lambda t, s: loop.disc_system(s * np.exp(1j * t))
-    grid = [(t, s) for s in np.linspace(0.0, 1.0, 9) for t in 2.0 * np.pi * np.arange(17) / 17]
-    mats = np.stack([as_cmatrix(certificate(float(t), float(s))) for t, s in grid])
+    angles = np.tile(2.0 * np.pi * np.arange(17) / 17, 9)
+    radii = np.repeat(np.linspace(0.0, 1.0, 9), 17)
     fault = lambda i, _: ContractionCertificateFails(
-        f"certificate matrix singular at t={grid[i][0]:.3f}, s={grid[i][1]:.3f}"
+        f"certificate matrix singular at t={angles[i]:.3f}, s={radii[i]:.3f}"
     )
-    singular_gate(mats, fault, None, WELL_POSED_LIMIT)
+    singular_gate(loop.disc_system(angles, radii).assembled(), fault, None, WELL_POSED_LIMIT)
 
     def integrand(ts: np.ndarray) -> np.ndarray:
         system, derivative = loop.system(ts), loop.derivative(ts)
@@ -657,6 +657,8 @@ def selfadjoint_obstruction(
     doubling calls ``profile`` only at the new odd-index nodes; a value that is
     not finite raises ``ValueError`` after the pass that met it.
     """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     n = 512
     if node_cap <= n:
         raise ValueError(f"node_cap must exceed the {n} starting nodes")

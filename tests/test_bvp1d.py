@@ -17,7 +17,7 @@ from grushinlab.bvp1d import (
     potential_from_name,
     tabulated_potential,
 )
-from grushinlab.errors import NeumannEigenvalue, OnContourSingular
+from grushinlab.errors import IoFailure, NeumannEigenvalue, OnContourSingular
 from grushinlab.linops import Contour, eigenvalues, rank_tolerance, spectral_norm
 
 
@@ -246,3 +246,11 @@ def test_tabulated_potential_roundtrip(tmp_path):
     assert v(d.grid()[3]) == pytest.approx(values[3])
     with pytest.raises(ValueError):
         v(0.123456)
+
+
+def test_unreadable_potential_table_is_an_io_failure(tmp_path):
+    for path, cause in ((tmp_path / "missing.txt", FileNotFoundError), (tmp_path, IsADirectoryError)):
+        with pytest.raises(IoFailure) as info:
+            load_potential_table(path)
+        assert type(info.value.__cause__) is cause
+        assert str(info.value) == str(info.value.__cause__)

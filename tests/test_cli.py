@@ -186,3 +186,30 @@ def test_potential_file_flow(tmp_path):
     report = _parse_report(path.read_text())
     coth = np.cosh(1.0) / np.sinh(1.0)
     assert abs(report["records"][0]["value"] - coth) <= 1e-2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["trace-count", "--n", "0"], 2),
+    (["obstruction", "--h", "0"], 2),
+    (["bvp-n2d", "--potential-file", "{tmp}/missing.txt"], 2),
+    (["bvp-n2d", "--potential-file", "{tmp}"], 2),
+    (["jordan-cloud", "--q", "random"], 0),
+], ids=["trace-count-n0", "obstruction-h0", "potential-file-missing", "potential-file-directory",
+        "jordan-cloud-random"])
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, code):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert _run(tmp_path, argv)[0] == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    else:
+        assert err == ""
+
+
+def test_json_writes_numpy_and_complex_values():
+    report = {"a": np.float32(0.5), "b": np.arange(2), "c": np.complex64(1j), "d": np.bool_(True),
+              "e": [np.int64(3), (np.array([1 - 2j]),)], "f": np.float64(0.1)}
+    assert json.loads(render_json(report)) == {
+        "a": 0.5, "b": [0, 1], "c": {"im": 1.0, "re": 0.0}, "d": True,
+        "e": [3, [[{"im": -2.0, "re": 1.0}]]], "f": 0.1,
+    }

@@ -4,7 +4,14 @@ or none where an inverse already computed certifies it."""
 import numpy as np
 import pytest
 
-from grushinlab.bvp1d import Discretization, bvp_grushin, dn_trace_identity, n2d_map, potential_from_name
+from grushinlab.bvp1d import (
+    Discretization,
+    bvp_grushin,
+    dn_trace_identity,
+    n2d_map,
+    neumann_green_solve,
+    potential_from_name,
+)
 from grushinlab.cli import seeded_loop_family
 from grushinlab.core import (
     Split,
@@ -16,6 +23,7 @@ from grushinlab.core import (
     schur_check,
     transfer,
 )
+from grushinlab.errors import DimensionMismatch
 from grushinlab.linops import Contour, solve_linear
 from grushinlab.perturbation import gaussian_matrix, jordan_block
 from grushinlab.pseudoinverse import canonical_borders
@@ -27,6 +35,7 @@ from grushinlab.pseudospectra import (
 )
 from grushinlab.traces import (
     HolomorphicFamily,
+    LoopFamily,
     count_direct,
     count_effective,
     invariant_subspace_borders,
@@ -68,6 +77,15 @@ def test_boundary_map_checks_neumann_matrix_once(monkeypatch):
     calls = _record_svds(monkeypatch)
     n2d_map(d, -1.0 + 0.5j)
     assert len(calls) == 1
+
+
+def test_misshaped_neumann_load_is_rejected_before_any_svd(monkeypatch):
+    d = _grid(20)
+    calls = _record_svds(monkeypatch)
+    for load in (np.ones(d.m + 1), np.ones((d.m + 3, 2)), 1.0):
+        with pytest.raises(DimensionMismatch, match=f"load must have {d.m + 2} entries"):
+            neumann_green_solve(d, -1.0, load)
+    assert calls == []
 
 
 def test_bvp_grushin_builds_reference_from_checked_matrix(monkeypatch):
@@ -224,8 +242,17 @@ def test_loop_identity_makes_one_stacked_svd_for_its_certificate(monkeypatch, wi
     loop = seeded_loop_family(4, 7000, winding)
     size = loop.system(0.0).assembled().shape[0]
     calls = _record_svds(monkeypatch)
+    grids = []
+    disc_system = LoopFamily.disc_system
+
+    def recording(self, t, s):
+        grids.append(t.shape)
+        return disc_system(self, t, s)
+
+    monkeypatch.setattr(LoopFamily, "disc_system", recording)
     loop_trace_identity(loop)
-    # the 17 x 9 certificate grid, none at the quadrature nodes
+    # the 17 x 9 certificate grid in one evaluation, and no SVD at the quadrature nodes
+    assert grids == [(17 * 9,)]
     assert _stacked_svds(calls) == [(17 * 9, size, size)]
 
 

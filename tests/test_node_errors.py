@@ -77,12 +77,16 @@ def test_singular_loop_value_names_its_time():
 
 
 def test_singular_loop_bordered_matrix_names_its_time():
+    # P = 1 with unit borders and corner 2 - e^{i(t - theta)}: det M = 1 - s e^{i(t - theta)}
+    # on the disc, which vanishes only at s = 1, t = theta, off the certificate's
+    # 17 angles and at node 1 of the first 64
     one = np.ones((1, 1), dtype=complex)
-    loop = LoopFamily.from_blocks({0: one}, {0: one}, {0: one}, {0: 2.0 * one, 1: -one})
+    theta = 2.0 * np.pi / 64
+    loop = LoopFamily.from_blocks({0: one}, {0: one}, {0: one}, {0: 2.0 * one, 1: -np.exp(-1j * theta) * one})
     with pytest.raises(SingularAtNode) as info:
-        loop_trace_identity(loop, lambda t, s: np.eye(2))
-    assert info.value.node == info.value.args[1] == 0.0
-    assert str(info.value) == "bordered matrix singular at t=0.0000"
+        loop_trace_identity(loop)
+    assert info.value.node == info.value.args[1] == 2.0 * np.pi / 64
+    assert str(info.value) == "bordered matrix singular at t=0.0982"
 
 
 def test_boundary_trace_names_its_node():
@@ -128,10 +132,10 @@ def _recover(p, corner, tol=None):
 
 
 def _certificate_loop():
-    one = np.ones((1, 1), dtype=complex)
-    loop = LoopFamily.from_blocks({0: one}, {0: one}, {0: one}, {0: 2.0 * one, 1: -one})
-    # singular on the third radius (s = 0.25) of the certificate grid
-    return loop_trace_identity(loop, lambda t, s: np.diag([1.0, s - 0.25]))
+    # P = diag(1, s e^{it} - 1/4) on the disc: singular on the third radius
+    # (s = 0.25) of the certificate grid, at t = 0
+    loop = LoopFamily.from_blocks({0: np.diag([1.0, -0.25]), 1: np.diag([0.0, 1.0])}, None, None)
+    return loop_trace_identity(loop)
 
 
 def _effective_at_eigenvalue():

@@ -117,6 +117,21 @@ def test_loop_node_stack_equals_the_blocks_at_each_node(seed):
                     assert np.array_equal(*signs)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_disc_system_on_the_unit_circle_is_the_loop(seed):
+    # s = 1 turns the harmonic extension back into the loop, bit for bit
+    from grushinlab.cli import seeded_loop_family
+
+    ts = linops.periodic_rule(128)[0]
+    for loop in (seeded_loop_family(3 + seed, seed, False), seeded_loop_family(3 + seed, seed, True)):
+        disc, system = loop.disc_system(ts, np.ones_like(ts)), loop.system(ts)
+        for block in ("p", "rminus", "rplus", "corner"):
+            got, want = getattr(disc, block), getattr(system, block)
+            assert np.array_equal(got, want)
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+
+
 def test_quadrature_working_set_does_not_grow_with_nodes(monkeypatch):
     # 24 x 24 pencil, 6-wide borders: one unchunked stack of 2**14 bordered
     # 30 x 30 matrices would take 236 MB

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,13 +207,16 @@ def test_loop_singular_at_node():
 
 
 def test_loop_bordered_singular_at_node():
-    # P = 1 with unit borders and corner 2 - e^{it}: det M = 1 - e^{it}, so the
-    # bordered matrix, and not P, is singular, at t = 0 only
+    # P = 1 with unit borders and corner 2 - e^{i(t - theta)}: det M = 1 - e^{i(t - theta)},
+    # so the bordered matrix, and not P, is singular, at t = theta only (node 1 of
+    # the first 64); its harmonic extension 1 - s e^{i(t - theta)} vanishes off the
+    # certificate's 17 angles
     one = np.ones((1, 1), dtype=complex)
-    loop = LoopFamily.from_blocks({0: one}, {0: one}, {0: one}, {0: 2.0 * one, 1: -one})
+    corner = {0: 2.0 * one, 1: -np.exp(-2j * np.pi / 64) * one}
+    loop = LoopFamily.from_blocks({0: one}, {0: one}, {0: one}, corner)
     with pytest.raises(SingularAtNode) as info:
-        loop_trace_identity(loop, lambda t, s: np.eye(2))
-    assert str(info.value) == "bordered matrix singular at t=0.0000"
+        loop_trace_identity(loop)
+    assert str(info.value) == "bordered matrix singular at t=0.0982"
 
 
 def test_loop_certificate_failure():
@@ -226,19 +230,16 @@ def test_loop_certificate_failure():
 
 
 def test_loop_certificate_reports_first_failing_point_in_s_then_t():
-    one = np.ones((1, 1), dtype=complex)
-    loop = LoopFamily.from_blocks({1: one}, {0: one}, {0: one})
     times = 2.0 * np.pi * np.arange(17) / 17
     radii = np.linspace(0.0, 1.0, 9)
-    # (t5, s3) comes first with s outer and t inner; (t2, s6) would come first
-    # with t outer
-    bad = {(times[2], radii[6]), (times[11], radii[3]), (times[5], radii[3])}
-
-    def certificate(t, s):
-        return np.zeros((2, 2)) if (t, s) in bad else np.eye(2)
-
+    # P = diag(1, p) with p(z) = (z - z1)(z - z2)(z - z3) on the disc, its roots at
+    # three grid points: (t5, s3) comes first with s outer and t inner; (t2, s6)
+    # would come first with t outer
+    roots = [radii[s] * np.exp(1j * times[t]) for t, s in ((2, 6), (11, 3), (5, 3))]
+    p = np.poly(roots)[::-1]  # coefficient of z^m at index m
+    loop = LoopFamily.from_blocks({m: np.diag([m == 0, c]) for m, c in enumerate(p)}, None, None)
     with pytest.raises(ContractionCertificateFails) as info:
-        loop_trace_identity(loop, certificate)
+        loop_trace_identity(loop)
     assert str(info.value) == f"certificate matrix singular at t={times[5]:.3f}, s={radii[3]:.3f}"
 
 
@@ -263,6 +264,24 @@ def test_one_sided_empty_borders_are_a_dimension_mismatch(rminus, rplus):
     assert len(calls) == 12
     with pytest.raises(DimensionMismatch):
         invert_system(assemble(np.eye(3), rminus, rplus))
+
+
+def _rectangular(z):
+    return np.array([[z, 0.0, 1.0], [0.0, z, 2.0]])
+
+
+@pytest.mark.parametrize("family, shape", [
+    (HolomorphicFamily(_rectangular, lambda z: np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])), (2, 3)),
+    (HolomorphicFamily.pencil(np.zeros((0, 0))), (0, 0)),
+], ids=["2x3", "0x0"])
+def test_counts_need_a_square_nonempty_p(family, shape):
+    contour = Contour.circle(0.0, 0.5)
+    message = "^" + re.escape(f"P(z) has shape {shape} at the probe points, not square and nonempty") + "$"
+    empty = np.zeros((shape[0], 0)), np.zeros((0, shape[1]))
+    for count in (lambda: count_direct(family, contour), lambda: count_effective(family, *empty, contour),
+                  lambda: weighted_trace(family, *empty, contour, lambda z: z)):
+        with pytest.raises(DimensionMismatch, match=message):
+            count()
 
 
 def test_ill_posed_node_is_named_from_the_stack_index():
@@ -393,6 +412,14 @@ def test_obstruction_rejects_a_profile_that_is_not_finite():
     with pytest.raises(ValueError, match="^integrand is not finite at a quadrature node$"):
         selfadjoint_obstruction(nan_profile, 1.0, [0.0, 1.0])
     assert len(calls) == 513
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, np.inf, np.nan])
+def test_obstruction_needs_a_positive_finite_h(h):
+    calls = []
+    with pytest.raises(ValueError, match=f"^h must be positive and finite, got {h}$"):
+        selfadjoint_obstruction(lambda x: calls.append(x) or 1.0, h, [0.0, 1.0])
+    assert calls == []
 
 
 def test_obstruction_cap_at_start_is_a_clear_error():
