@@ -211,12 +211,16 @@ def bvp_grushin(
 ) -> GrushinInverse:
     """Invert the boundary bordered problem and confirm that its effective
     Hamiltonian reproduces the Neumann-to-Dirichlet map to 1e-9 scale."""
-    reference = n2d_map(d, z)
-    inverse = invert_system(bvp_bordered_system(d, z, support_fraction))
-    scale = max(1.0, spectral_norm(reference))
-    if spectral_norm(inverse.e_minus_plus - reference) > 1e-9 * scale:
+    reference, inverse, residual = _n2d_residual(d, z, bvp_bordered_system(d, z, support_fraction))
+    if residual > 1e-9 * max(1.0, spectral_norm(reference)):
         raise ConsistencyError("effective Hamiltonian disagrees with the boundary map")
     return inverse
+
+
+def _n2d_residual(d: Discretization, z: complex, system: BorderedSystem):
+    """The boundary map, the inverse of ``system`` and the norm of their difference in E_-+."""
+    reference, inverse = n2d_map(d, z), invert_system(system)
+    return reference, inverse, spectral_norm(inverse.e_minus_plus - reference)
 
 
 def _boundary_map_and_derivative(x_n: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:

@@ -23,11 +23,11 @@ import numpy as np
 from . import __version__
 from .bvp1d import (
     Discretization,
+    _n2d_residual,
+    bvp_bordered_system,
     dirichlet_matrix,
     dn_trace_identity,
-    bvp_grushin,
     load_potential_table,
-    n2d_map,
     neumann_matrix,
     potential_from_name,
     tabulated_potential,
@@ -395,15 +395,9 @@ def _make_discretization(args) -> Discretization:
 def _cmd_bvp_n2d(args, seed: int):
     d = _make_discretization(args)
     z = complex(args.z_re, args.z_im)
-    n_map = n2d_map(d, z)
-    inverse = bvp_grushin(d, z)
-    residual = spectral_norm(inverse.e_minus_plus - n_map)
-    records = [
-        {"entry": "left_left", "value": complex(n_map[0, 0])},
-        {"entry": "left_right", "value": complex(n_map[0, 1])},
-        {"entry": "right_left", "value": complex(n_map[1, 0])},
-        {"entry": "right_right", "value": complex(n_map[1, 1])},
-    ]
+    n_map, _, residual = _n2d_residual(d, z, bvp_bordered_system(d, z))
+    entries = ("left_left", "left_right", "right_left", "right_right")
+    records = [{"entry": e, "value": complex(v)} for e, v in zip(entries, n_map.ravel())]
     summary = {"consistency_residual": residual, "pass": bool(residual <= 1e-9)}
     return records, summary
 

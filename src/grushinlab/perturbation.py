@@ -372,7 +372,7 @@ def lidskii_compare(spec: BlockJordanSpec, eps_values: Sequence[float]) -> Lidsk
     For each epsilon the 2n largest-modulus eigenvalues of A + eps*Q are
     paired with the predictions by greedy nearest matching; the comparison
     reports per-epsilon relative errors together with the log-log slope of
-    the leading moduli (expected 1/n).
+    the leading moduli (expected 1/n), fitted over at least two nonzero epsilons.
     """
     a = spec.matrix()
     records = []
@@ -393,10 +393,8 @@ def lidskii_compare(spec: BlockJordanSpec, eps_values: Sequence[float]) -> Lidsk
             )
         )
     usable = [r for r in records if np.isfinite(r.mean_log_modulus)]
-    if len(usable) >= 2:
-        xs = np.log([r.epsilon for r in usable])
-        ys = np.array([r.mean_log_modulus for r in usable])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        slope = np.nan
+    if len(usable) < 2:
+        raise ValueError(f"fitting a slope needs at least two nonzero epsilons, got {len(usable)}")
+    xs, ys = np.log([r.epsilon for r in usable]), np.array([r.mean_log_modulus for r in usable])
+    slope = float(np.polyfit(xs, ys, 1)[0])
     return LidskiiComparison(tuple(records), slope, 1.0 / spec.n)

@@ -186,6 +186,8 @@ def estimate_check(a, lam: complex, h: float, trials: int, seed: int = 0) -> Est
 
     over seeded random data; the worst observed ratio is the reported C.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     shifted = _shifted(a, lam, h)
     inverse = _threshold_inverse(shifted, h)
     n, k = inverse.e_plus.shape

@@ -46,36 +46,40 @@ TWO_PI_I = 2j * np.pi
 
 @dataclass(frozen=True)
 class HolomorphicFamily:
-    """A matrix family z -> P(z) together with its derivative evaluator."""
+    """A matrix family z -> P(z) and its derivative, each mapping a 1-D array
+    of k nodes to the (k, n, n) node stack, as :class:`LoopFamily` does."""
 
-    value: Callable[[complex], np.ndarray]
-    derivative: Callable[[complex], np.ndarray]
+    value: Callable[[np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray], np.ndarray]
 
     @staticmethod
     def pencil(a) -> "HolomorphicFamily":
         """The family z*I - A."""
         a = as_cmatrix(a)
         ident = np.eye(a.shape[0], dtype=np.complex128)
-        return HolomorphicFamily(lambda z: z * ident - a, lambda z: ident.copy())
+        stack = lambda z: np.broadcast_to(ident, (len(z),) + a.shape)
+        return HolomorphicFamily(lambda z: z[:, None, None] * ident - a, stack)
 
-    def check_consistency(self, probes: Sequence[complex], scale: float = 1.0) -> tuple[int, ...] | None:
-        """Central-difference check of the derivative at the probe points, to a
-        relative 1e-6; returns the shape of P there (None without probes)."""
+    def check_consistency(self, probes: np.ndarray, scale: float = 1.0) -> tuple[int, ...]:
+        """Central-difference check of the derivative at a 1-D array of probes, to a
+        relative 1e-6; returns the shape of P there (:class:`DimensionMismatch`
+        unless the family returns one matrix per probe)."""
         step = EPS ** (1.0 / 3.0) * scale
-        shape = None
-        for z in probes:
-            fd = (self.value(z + step) - self.value(z - step)) / (2.0 * step)
-            dv = self.derivative(z)
-            ref = max(spectral_norm(dv), 1.0)
-            if spectral_norm(fd - dv) > 1e-6 * ref:
+        upper, lower, dv = self.value(probes + step), self.value(probes - step), self.derivative(probes)
+        shape = np.shape(upper)
+        if len(shape) != 3 or shape[0] != len(probes) or not shape == np.shape(lower) == np.shape(dv):
+            raise DimensionMismatch(f"P and P' have shapes {shape}, {np.shape(dv)} at {len(probes)} "
+                                    "probe points, not one matrix per node")
+        fd = (upper - lower) / (2.0 * step)
+        for z, f, d in zip(probes, fd, dv):
+            if spectral_norm(f - d) > 1e-6 * max(spectral_norm(d), 1.0):
                 raise ValueError(f"derivative inconsistent with finite differences at z={z}")
-            shape = fd.shape
-        return shape
+        return shape[1:]
 
 
-def _probe_points(contour: Contour) -> list[complex]:
+def _probe_points(contour: Contour) -> np.ndarray:
     z, _ = contour.quadrature(8)  # on a polyline, 8 nodes per edge
-    return [z[0], z[3 * z.size // 8], z[5 * z.size // 8]]
+    return z[[0, 3 * z.size // 8, 5 * z.size // 8]]
 
 
 def count_direct(family: HolomorphicFamily, contour: Contour, tol: float = 1e-10) -> int:
@@ -91,15 +95,9 @@ def count_direct(family: HolomorphicFamily, contour: Contour, tol: float = 1e-10
     return as_integer(direct)
 
 
-def _stack(fn: Callable[[complex], np.ndarray], nodes: np.ndarray) -> np.ndarray:
-    return np.stack([fn(z) for z in nodes])
-
-
-def _weighted(values: np.ndarray, nodes: np.ndarray, weight) -> np.ndarray:
-    if weight is None:
-        return values
+def _weighted(values: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
     # scalar products: numpy's vectorized complex multiply may round differently
-    return np.array([v * weight(z) for v, z in zip(values, nodes)])
+    return values if weights is None else np.array([v * w for v, w in zip(values, weights)])
 
 
 def _trace_integrals(
@@ -110,33 +108,35 @@ def _trace_integrals(
     borders: tuple | None = None,
     direct: bool = True,
 ) -> list[complex]:
-    """(1 / 2 pi i) * closed integrals, in one doubling pass that evaluates P
-    and P' once per node: tr( P' P^{-1} ) when ``direct``, then, with
-    ``borders`` (R-, R+), tr( E_-+' E_-+^{-1} ); each times the weight.
+    """(1 / 2 pi i) * closed integrals, in one doubling pass that makes one
+    ``value``, one ``derivative`` and one ``weight`` call per node stack:
+    tr( P' P^{-1} ) when ``direct``, then, with ``borders`` (R-, R+),
+    tr( E_-+' E_-+^{-1} ); each times the weight.
 
-    The probe-point derivative check comes first; P must be square and
-    nonempty there (:class:`DimensionMismatch`).  M(z) is the borders'
-    :func:`_bordered_template` with P(z) as its P.  The effective integral
-    counts the zeros of det P inside minus those of det M, so the same pass
-    also integrates tr( E P' ) = d/dz log det M and raises
+    The probe-point derivative check comes first; the family must return one
+    square, nonempty P per probe there (:class:`DimensionMismatch`).  M(z) is
+    the borders' :func:`_bordered_template` with P(z) as its P.  The effective
+    integral counts the zeros of det P inside minus those of det M, so the
+    same pass also integrates tr( E P' ) = d/dz log det M and raises
     :class:`IllPosedInside` when det M has zeros inside.  A node where P is
     singular raises :class:`OnContourSingular`, one where M is ill posed
     :class:`IllPosedOnContour`; the first failing node stack decides.
     """
     shape = family.check_consistency(_probe_points(contour), scale=max(contour.scale(), 1.0))
-    if len(shape) != 2 or not shape[0] == shape[1] > 0:
+    if not shape[0] == shape[1] > 0:
         raise DimensionMismatch(f"P(z) has shape {shape} at the probe points, not square and nonempty")
     template = None if borders is None else _bordered_template(*borders, shape)
 
     def integrand(nodes: np.ndarray) -> np.ndarray:
-        p, dp = _stack(family.value, nodes), _stack(family.derivative, nodes)
+        p, dp = family.value(nodes), family.derivative(nodes)
+        weights = None if weight is None else weight(nodes)
         rows = []
         if direct:
             fault = lambda z: OnContourSingular(f"P(z) singular at node z={z}", complex(z))
-            rows.append(_weighted(_log_derivative_trace(p, dp, nodes, fault), nodes, weight))
+            rows.append(_weighted(_log_derivative_trace(p, dp, nodes, fault), weights))
         if template is not None:
             effective, log_det = _effective_rows(p, dp, nodes, template)
-            rows += [_weighted(effective, nodes, weight), log_det]
+            rows += [_weighted(effective, weights), log_det]
         return np.array(rows)
 
     values = [complex(v) / TWO_PI_I for v in integrate_nodes(integrand, contour, tol)]
@@ -200,7 +200,7 @@ def borders_from_base_point(
     """
     from .pseudoinverse import canonical_borders
 
-    cb = canonical_borders(family.value(z_base), tol)
+    cb = canonical_borders(family.value(np.array([z_base], dtype=np.complex128))[0], tol)
     return cb.rminus, cb.rplus
 
 
@@ -274,12 +274,13 @@ def weighted_trace(
     rminus,
     rplus,
     contour: Contour,
-    weight: Callable[[complex], complex],
+    weight: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-10,
 ) -> WeightedTrace:
     """Both weighted counting integrals (they agree for holomorphic weights;
     with weight z the result is the sum of the enclosed spectral points), in
-    one pass over the nodes (:func:`_trace_integrals`)."""
+    one pass over the nodes (:func:`_trace_integrals`).  ``weight`` maps a node
+    array to one value per node."""
     return WeightedTrace(*_trace_integrals(family, contour, tol, weight, (rminus, rplus)))
 
 

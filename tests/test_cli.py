@@ -188,20 +188,37 @@ def test_potential_file_flow(tmp_path):
     assert abs(report["records"][0]["value"] - coth) <= 1e-2
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["trace-count", "--n", "0"], 2),
-    (["obstruction", "--h", "0"], 2),
-    (["bvp-n2d", "--potential-file", "{tmp}/missing.txt"], 2),
-    (["bvp-n2d", "--potential-file", "{tmp}"], 2),
-    (["jordan-cloud", "--q", "random"], 0),
+def test_bvp_n2d_failed_check_exits_1_with_its_report(tmp_path, monkeypatch):
+    # a corner of 1e-6 moves E_-+ by about 1e-6, far beyond the 1e-9 gate
+    from dataclasses import replace
+
+    from grushinlab import bvp1d
+
+    invert = bvp1d.invert_system
+    monkeypatch.setattr(bvp1d, "invert_system", lambda system: invert(replace(system, corner=system.corner + 1e-6)))
+    code, payload = _run(tmp_path, ["bvp-n2d"])
+    assert code == 1
+    summary = _parse_report(payload.decode())["summary"]
+    assert summary["pass"] is False and summary["consistency_residual"] > 1e-7
+
+
+@pytest.mark.parametrize("argv, code, says", [
+    (["trace-count", "--n", "0"], 2, "P(z) has shape (0, 0)"),
+    (["obstruction", "--h", "0"], 2, "h must be positive"),
+    (["bvp-n2d", "--potential-file", "{tmp}/missing.txt"], 2, "No such file"),
+    (["bvp-n2d", "--potential-file", "{tmp}"], 2, "Is a directory"),
+    (["jordan-cloud", "--q", "random"], 0, None),
+    (["estimate-check", "--trials", "0"], 2, "trials must be at least 1, got 0"),
+    (["lidskii", "--count", "1"], 2, "at least two nonzero epsilons, got 1"),
 ], ids=["trace-count-n0", "obstruction-h0", "potential-file-missing", "potential-file-directory",
-        "jordan-cloud-random"])
-def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, code):
+        "jordan-cloud-random", "estimate-check-trials0", "lidskii-count1"])
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, code, says):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert _run(tmp_path, argv)[0] == code
     err = capsys.readouterr().err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert says in err
     else:
         assert err == ""
 

@@ -25,9 +25,6 @@ from grushinlab.traces import HolomorphicFamily, count_direct
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
-# check_consistency evaluates P at two points beside each of three probes
-PROBE_VALUES = 6
-
 
 def closed_form(mu: np.ndarray, n: int) -> complex:
     inside, outside = mu[np.abs(mu) < 1.0], mu[np.abs(mu) > 1.0]
@@ -87,18 +84,13 @@ def stopping_nodes(mu: np.ndarray, tol: float = 1e-10) -> int:
     ([0.9, 0.95, 1.1], 1024),
     ([0.97, 0.4, 2.0, 1.05, 0.7], 2048),
 ])
-def test_closed_form_predicts_where_the_driver_stops(sizes, stops):
+def test_closed_form_predicts_where_the_driver_stops(node_record, sizes, stops):
     rng = np.random.default_rng(len(sizes))
     mu = np.array(sizes) * np.exp(2j * np.pi * rng.random(len(sizes)))
     center, radius = 0.3 - 0.2j, 0.7
     assert stopping_nodes(mu) == stops
-    pencil = HolomorphicFamily.pencil(diagonalizable(rng, mu, center, radius))
-    asked = []
-
-    def value(z):
-        asked.append(z)
-        return pencil.value(z)
-
-    count = count_direct(HolomorphicFamily(value, pencil.derivative), Contour.circle(center, radius))
+    record = node_record(HolomorphicFamily.pencil(diagonalizable(rng, mu, center, radius)))
+    count = count_direct(record.family, Contour.circle(center, radius))
     assert count == np.count_nonzero(np.abs(mu) < 1.0)
-    assert len(asked) == PROBE_VALUES + stops
+    stacks = record.stacks()
+    assert sum(map(len, stacks)) == stops and len(stacks) == stops // linops.STACK_NODES

@@ -97,6 +97,17 @@ def test_bvp_grushin_builds_reference_from_checked_matrix(monkeypatch):
     assert sum(min(a.shape) >= m + 2 for a, _ in calls) == 2
 
 
+def test_bvp_n2d_solves_the_boundary_problem_once(monkeypatch, tmp_path):
+    # at m = 120: one Neumann gate and refined solve (m + 2), one bordered
+    # gate and refined inverse (m + 4), and the 2 x 2 residual norm
+    from grushinlab.cli import run
+
+    svds, solves = _record_shapes(monkeypatch, "svd"), _record_shapes(monkeypatch, "solve")
+    assert run(["bvp-n2d", "--out", str(tmp_path / "n2d.json")]) == 0
+    assert svds == [(122, 122), (124, 124), (2, 2)]
+    assert solves == [(122, 122), (122, 122), (124, 124), (124, 124)]
+
+
 def test_dn_trace_identity_inverts_each_node_twice_and_makes_no_svd(monkeypatch):
     m = 20
     d = _grid(m)
@@ -208,6 +219,14 @@ def test_estimate_check_makes_no_bordered_svd(monkeypatch, a, k):
     estimate_check(a, 0.5 + 0.1j, 1e-2, 4)
     # the full SVD of A - lam and the three norm hypotheses, nothing of size n + k
     assert [(x.shape, uv) for x, uv in calls] == _cell_svds(a.shape[0], k)[1:5]
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_estimate_check_rejects_trials_below_one_before_any_svd(monkeypatch, trials):
+    calls = _record_svds(monkeypatch)
+    with pytest.raises(ValueError, match=f"^trials must be at least 1, got {trials}$"):
+        estimate_check(jordan_block(10), 0.5 + 0.1j, 1e-2, trials)
+    assert calls == []
 
 
 def test_grid_cells_equal_resolvent_bound_cells():

@@ -309,6 +309,14 @@ def test_lidskii_compare_diagonal_leading_exponent():
     assert 0.327 <= comparison.fitted_exponent <= 0.340
 
 
+@pytest.mark.parametrize("eps_values", [[], [1e-6], [0.0, 1e-6, 0.0]])
+def test_lidskii_compare_needs_two_nonzero_epsilons(eps_values):
+    spec = BlockJordanSpec.with_gaussian(3, 1, 1e-5, seed=11)
+    usable = sum(eps != 0.0 for eps in eps_values)
+    with pytest.raises(ValueError, match=f"^fitting a slope needs at least two nonzero epsilons, got {usable}$"):
+        lidskii_compare(spec, eps_values)
+
+
 def test_lidskii_compare_random_q_error_shrinks():
     spec = BlockJordanSpec.with_gaussian(4, 1, 1e-5, seed=11)
     eps_values = [1e-8, 1e-6, 1e-5]

@@ -4,6 +4,7 @@ and convergence at the library's default tolerances."""
 import numpy as np
 import pytest
 
+from grushinlab import linops
 from grushinlab.errors import NonConvergent
 from grushinlab.linops import Contour, contour_integrate, eigenvalues
 from grushinlab.perturbation import gaussian_matrix
@@ -49,23 +50,15 @@ def test_polyline_rule_is_nested(n):
     assert abs(weights.sum()) <= 1e-14
 
 
-def test_polyline_integral_asks_each_node_once():
+def test_polyline_integral_asks_each_node_once(node_record):
     # tr (z - A)^{-1} = 1/z + 1/(z - 3): both poles are at least one edge
     # half-length from the square, so the estimates at 64 and 128 nodes per
     # edge agree and the integral stops at 4 * 128 nodes
-    pencil = HolomorphicFamily.pencil(np.diag([0.0, 3.0]).astype(complex))
-    asked = []
-
-    def value(z):
-        asked.append(z)
-        return pencil.value(z)
-
-    family = HolomorphicFamily(value, pencil.derivative)
-    assert count_direct(family, SQUARE) == 1
-    # check_consistency evaluates P at two points beside each of three probes
-    nodes = asked[6:]
-    assert len(nodes) == 4 * 128
-    assert len(set(nodes)) == len(nodes)
+    record = node_record(HolomorphicFamily.pencil(np.diag([0.0, 3.0]).astype(complex)))
+    assert count_direct(record.family, SQUARE) == 1
+    stacks = record.stacks()
+    nodes = np.concatenate(stacks)
+    assert nodes.size == 4 * 128 and len(stacks) == 4 * 128 // linops.STACK_NODES
     assert set(nodes) == set(SQUARE.quadrature(128)[0])
 
 

@@ -20,46 +20,41 @@ from grushinlab.traces import (
     weighted_trace,
 )
 
-# check_consistency evaluates P at two points beside each of three probes
-PROBE_VALUES = 6
-
-
-def _counting_pencil(a):
-    pencil = HolomorphicFamily.pencil(a)
-    calls = {"value": 0}
-
-    def value(z):
-        calls["value"] += 1
-        return pencil.value(z)
-
-    return HolomorphicFamily(value, pencil.derivative), calls
-
-
-def test_circle_integral_asks_each_node_once():
+def test_circle_integral_asks_each_node_once(node_record):
     # tr (z - A)^{-1} = 1/z + 1/(z - 3): the trapezoid rule is exact for 1/z on
     # this circle and the pole at 3 leaves an error of 3**-64, so the estimates
     # at 64 and 128 nodes agree and the integral stops at N = 128
-    family, calls = _counting_pencil(np.diag([0.0, 3.0]).astype(complex))
+    pencil = HolomorphicFamily.pencil(np.diag([0.0, 3.0]).astype(complex))
     contour = Contour.circle(0.0, 1.0)
-    assert count_direct(family, contour) == 1
-    assert calls["value"] == PROBE_VALUES + 128
-    calls["value"] = 0
     rm = np.array([[1.0], [0.0]], dtype=complex)
-    assert count_effective(family, rm, rm.conj().T, contour) == 1
-    assert calls["value"] == PROBE_VALUES + 128
+    for count in (lambda f: count_direct(f, contour), lambda f: count_effective(f, rm, rm.conj().T, contour)):
+        record = node_record(pencil)
+        assert count(record.family) == 1
+        stacks = record.stacks()
+        assert sum(map(len, stacks)) == 128 and len(stacks) == 128 // linops.STACK_NODES
 
 
-def test_weighted_trace_asks_each_node_once():
+def test_weighted_trace_asks_each_node_once(node_record):
     # the direct and the effective integral share one pass over the nodes, which
-    # stops at N = 128 as in test_circle_integral_asks_each_node_once
+    # stops at N = 128 as in test_circle_integral_asks_each_node_once; the
+    # weight is asked once per node stack too
     a = np.diag([0.2, 0.7, 3.0]).astype(complex)
-    family, calls = _counting_pencil(a)
+    record = node_record(HolomorphicFamily.pencil(a))
     contour = Contour.circle(0.0, 1.0)
     rm, rp = invariant_subspace_borders(a, contour)
-    result = weighted_trace(family, rm, rp, contour, lambda z: z)
+    weighed = []
+
+    def weight(z):
+        weighed.append(z)
+        return z
+
+    result = weighted_trace(record.family, rm, rp, contour, weight)
     assert result.direct == pytest.approx(0.9, abs=1e-10)
     assert result.difference <= 1e-10
-    assert calls["value"] == PROBE_VALUES + 128
+    stacks = record.stacks()
+    assert sum(map(len, stacks)) == 128 and len(stacks) == 128 // linops.STACK_NODES
+    assert len(weighed) == len(stacks)
+    assert all(np.array_equal(w, z) for w, z in zip(weighed, stacks))
 
 
 def test_weighted_trace_nonconvergence_carries_every_row(monkeypatch):
@@ -115,6 +110,27 @@ def test_loop_node_stack_equals_the_blocks_at_each_node(seed):
                 for part in ("real", "imag"):
                     signs = (np.signbit(getattr(x, part)) for x in (got, per_node))
                     assert np.array_equal(*signs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pencil_node_stack_equals_the_matrices_at_each_node(seed):
+    # circle nodes, and polyline nodes with parts that are +0.0 or -0.0
+    rng = np.random.default_rng(seed)
+    n = 3 + seed
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a[0, 1] = -0.0
+    square = Contour.polyline([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
+    nodes = np.concatenate([Contour.circle(0.3 - 0.2j, 0.7).quadrature(64)[0], square.quadrature(8)[0]])
+    ident = np.eye(n, dtype=np.complex128)
+    pencil = HolomorphicFamily.pencil(a)
+    for stacked, per_node in ((pencil.value(nodes), [z * ident - a for z in nodes]),
+                              (pencil.derivative(nodes), [ident] * nodes.size)):
+        per_node = np.stack(per_node)
+        assert stacked.shape == per_node.shape == (nodes.size, n, n)
+        assert np.array_equal(stacked, per_node)
+        for part in ("real", "imag"):
+            signs = (np.signbit(getattr(x, part)) for x in (stacked, per_node))
+            assert np.array_equal(*signs)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -44,22 +44,25 @@ def _unit_borders(n):
     return rm, rp
 
 
+def _one_by_one(f):
+    """The node array z -> the stack of 1 x 1 matrices [[f(z_k)]]."""
+    return lambda z: np.asarray(f(z), dtype=complex).reshape(-1, 1, 1)
+
+
 def test_family_consistency_check():
-    good = HolomorphicFamily(lambda z: np.array([[z**2]]), lambda z: np.array([[2 * z]]))
-    good.check_consistency([0.3, 1j, -0.5])
-    bad = HolomorphicFamily(lambda z: np.array([[z**2]]), lambda z: np.array([[3 * z]]))
-    with pytest.raises(ValueError):
-        bad.check_consistency([0.3, 1j, -0.5])
+    probes = np.array([0.3, 1j, -0.5])
+    good = HolomorphicFamily(_one_by_one(lambda z: z**2), _one_by_one(lambda z: 2 * z))
+    assert good.check_consistency(probes) == (1, 1)
+    bad = HolomorphicFamily(_one_by_one(lambda z: z**2), _one_by_one(lambda z: 3 * z))
+    with pytest.raises(ValueError, match=re.escape("derivative inconsistent with finite differences at z=(0.3+0j)")):
+        bad.check_consistency(probes)
 
 
 def test_count_direct_scalar_cases():
-    one = HolomorphicFamily(lambda z: np.array([[z]]), lambda z: np.array([[1.0]]))
+    one = HolomorphicFamily(_one_by_one(lambda z: z), _one_by_one(lambda z: np.ones_like(z)))
     assert count_direct(one, Contour.circle(0.0, 1.0)) == 1
     a, b = 0.2, -0.4 + 0.1j
-    two = HolomorphicFamily(
-        lambda z: np.array([[(z - a) * (z - b)]]),
-        lambda z: np.array([[2 * z - a - b]]),
-    )
+    two = HolomorphicFamily(_one_by_one(lambda z: (z - a) * (z - b)), _one_by_one(lambda z: 2 * z - a - b))
     assert count_direct(two, Contour.circle(0.0, 1.0)) == 2
 
 
@@ -80,8 +83,7 @@ def test_count_direct_non_integer_for_nonholomorphic_family():
     # a family built from conj(z) is not holomorphic: the integral cannot land
     # on an integer (the derivative check along real steps still passes)
     fam = HolomorphicFamily(
-        lambda z: np.array([[z + 0.2 * np.conj(z) - 0.3]]),
-        lambda z: np.array([[1.2]]),
+        _one_by_one(lambda z: z + 0.2 * np.conj(z) - 0.3), _one_by_one(lambda z: np.full_like(z, 1.2))
     )
     with pytest.raises(NonInteger):
         count_direct(fam, Contour.circle(0.3, 0.5), tol=1e-8)
@@ -139,7 +141,7 @@ def test_weighted_trace_reduces_to_count():
     contour = Contour.circle(0.0, 1.0)
     rm, rp = invariant_subspace_borders(a, contour)
     fam = HolomorphicFamily.pencil(a)
-    wt = weighted_trace(fam, rm, rp, contour, lambda z: 1.0)
+    wt = weighted_trace(fam, rm, rp, contour, np.ones_like)
     assert wt.direct == pytest.approx(2.0, abs=1e-9)
     assert wt.difference <= 1e-9
 
@@ -246,38 +248,46 @@ def test_loop_certificate_reports_first_failing_point_in_s_then_t():
 @pytest.mark.parametrize(
     "rminus, rplus", [(np.zeros((3, 0)), [[1.0, 0.0, 0.0]]), ([[1.0], [0.0], [0.0]], np.zeros((0, 3)))]
 )
-def test_one_sided_empty_borders_are_a_dimension_mismatch(rminus, rplus):
-    pencil = HolomorphicFamily.pencil(np.diag([0.1, 0.5, 0.9]))
-    calls = []
-
-    def value(z):
-        calls.append(z)
-        return pencil.value(z)
-
-    family = HolomorphicFamily(value, pencil.derivative)
+def test_one_sided_empty_borders_are_a_dimension_mismatch(node_record, rminus, rplus):
+    record = node_record(HolomorphicFamily.pencil(np.diag([0.1, 0.5, 0.9])))
     contour = Contour.circle(0.1, 0.2)
     with pytest.raises(DimensionMismatch, match="do not square P"):
-        count_effective(family, rminus, rplus, contour)
+        count_effective(record.family, rminus, rplus, contour)
     with pytest.raises(DimensionMismatch, match="do not square P"):
-        weighted_trace(family, rminus, rplus, contour, lambda z: z)
-    # raised at entry: only the derivative checks' 2 x 3 probe values, per call
-    assert len(calls) == 12
+        weighted_trace(record.family, rminus, rplus, contour, lambda z: z)
+    # raised at entry: per call, only the derivative check's two arrays of 3 probes
+    assert [z.shape for z in record.asked["value"]] == [(3,)] * 4
     with pytest.raises(DimensionMismatch):
         invert_system(assemble(np.eye(3), rminus, rplus))
 
 
 def _rectangular(z):
-    return np.array([[z, 0.0, 1.0], [0.0, z, 2.0]])
+    return z[:, None, None] * np.eye(2, 3) + np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
 
 
 @pytest.mark.parametrize("family, shape", [
-    (HolomorphicFamily(_rectangular, lambda z: np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])), (2, 3)),
+    (HolomorphicFamily(_rectangular, lambda z: np.broadcast_to(np.eye(2, 3), (len(z), 2, 3))), (2, 3)),
     (HolomorphicFamily.pencil(np.zeros((0, 0))), (0, 0)),
 ], ids=["2x3", "0x0"])
 def test_counts_need_a_square_nonempty_p(family, shape):
     contour = Contour.circle(0.0, 0.5)
     message = "^" + re.escape(f"P(z) has shape {shape} at the probe points, not square and nonempty") + "$"
     empty = np.zeros((shape[0], 0)), np.zeros((0, shape[1]))
+    for count in (lambda: count_direct(family, contour), lambda: count_effective(family, *empty, contour),
+                  lambda: weighted_trace(family, *empty, contour, lambda z: z)):
+        with pytest.raises(DimensionMismatch, match=message):
+            count()
+
+
+@pytest.mark.parametrize("family, shapes", [
+    (HolomorphicFamily(lambda z: np.eye(2), lambda z: np.eye(2)), "(2, 2), (2, 2)"),
+    (HolomorphicFamily(lambda z: np.array([[z]]), lambda z: np.array([[1.0]])), "(1, 1, 3), (1, 1)"),
+    (HolomorphicFamily(lambda z: z[:, None, None] * np.eye(2), lambda z: np.eye(2)), "(3, 2, 2), (2, 2)"),
+], ids=["one-matrix", "scalar-lambda", "one-derivative"])
+def test_a_family_without_one_matrix_per_node_fails_at_entry(family, shapes):
+    contour = Contour.circle(0.0, 0.5)
+    message = "^" + re.escape(f"P and P' have shapes {shapes} at 3 probe points, not one matrix per node") + "$"
+    empty = np.zeros((2, 0)), np.zeros((0, 2))
     for count in (lambda: count_direct(family, contour), lambda: count_effective(family, *empty, contour),
                   lambda: weighted_trace(family, *empty, contour, lambda z: z)):
         with pytest.raises(DimensionMismatch, match=message):
