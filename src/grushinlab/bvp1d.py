@@ -211,16 +211,18 @@ def bvp_grushin(
 ) -> GrushinInverse:
     """Invert the boundary bordered problem and confirm that its effective
     Hamiltonian reproduces the Neumann-to-Dirichlet map to 1e-9 scale."""
-    reference, inverse, residual = _n2d_residual(d, z, bvp_bordered_system(d, z, support_fraction))
-    if residual > 1e-9 * max(1.0, spectral_norm(reference)):
+    _, inverse, residual, bound = _n2d_residual(d, z, bvp_bordered_system(d, z, support_fraction))
+    if residual > bound:
         raise ConsistencyError("effective Hamiltonian disagrees with the boundary map")
     return inverse
 
 
 def _n2d_residual(d: Discretization, z: complex, system: BorderedSystem):
-    """The boundary map, the inverse of ``system`` and the norm of their difference in E_-+."""
+    """The boundary map N, the inverse of ``system``, the norm of their difference
+    in E_-+, and its bound 1e-9 max(1, ||N||): the one boundary-map gate."""
     reference, inverse = n2d_map(d, z), invert_system(system)
-    return reference, inverse, spectral_norm(inverse.e_minus_plus - reference)
+    residual = spectral_norm(inverse.e_minus_plus - reference)
+    return reference, inverse, residual, 1e-9 * max(1.0, spectral_norm(reference))
 
 
 def _boundary_map_and_derivative(x_n: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:

@@ -197,32 +197,27 @@ def invert_system(system: BorderedSystem) -> GrushinInverse:
     return GrushinInverse.from_full(full, system.n_cols, system.n_rows, cond)
 
 
-def invert_stack(mats: np.ndarray) -> np.ndarray:
-    """Refined inverses of a stack of well-posed square matrices, shape
-    ``(N, m, m)``: the inverses :func:`invert_system` computes, bit for bit.
-
-    Each inverse is one LU solve plus one refinement step.  The stack faces the
-    well-posedness gate of :func:`invert_system` (:func:`linops.singular_gate`),
-    where an inverse that certifies its matrix spares it the SVD, and a stack
-    the LU solve rejects faces it whole.  :class:`IllPosed` carries the
-    estimate and the stack index of the first matrix beyond the limit.  The
-    caller has checked shapes and finiteness.
-    """
-    try:
-        inverses = refined_solve(mats, np.eye(mats.shape[-1], dtype=complex))
-    except np.linalg.LinAlgError:
-        singular_gate(mats, _ill_posed, None, WELL_POSED_LIMIT)
-        raise
-    singular_gate(mats, _ill_posed, None, WELL_POSED_LIMIT, inverses=inverses)
-    return inverses
-
-
 def invert_nodes(system: BorderedSystem) -> GrushinInverse:
-    """:func:`invert_stack` of a bordered system, or of a node stack of them (a
-    leading node axis on P), split into blocks; ``condition`` is nan."""
+    """Refined inverse of a bordered system, or of a node stack of them (a
+    leading node axis on P), split into blocks; ``condition`` is nan.
+
+    Each inverse is one LU solve plus one refinement step, bit for bit the one
+    :func:`invert_system` computes.  Each matrix faces the well-posedness gate
+    of :func:`invert_system` (:func:`linops.singular_gate`), where an inverse
+    that certifies its matrix spares it the SVD, and a stack the LU solve
+    rejects faces it whole.  :class:`IllPosed` carries the estimate and the
+    stack index of the first matrix beyond the limit.  Shapes and finiteness
+    are the caller's to check.
+    """
     mats = system.assembled()
-    full = invert_stack(mats.reshape(-1, *mats.shape[-2:])).reshape(mats.shape)
-    return GrushinInverse.from_full(full, system.n_cols, system.n_rows)
+    stack = mats.reshape(-1, *mats.shape[-2:])
+    try:
+        full = refined_solve(stack, np.eye(stack.shape[-1], dtype=complex))
+    except np.linalg.LinAlgError:
+        singular_gate(stack, _ill_posed, None, WELL_POSED_LIMIT)
+        raise
+    singular_gate(stack, _ill_posed, None, WELL_POSED_LIMIT, inverses=full)
+    return GrushinInverse.from_full(full.reshape(mats.shape), system.n_cols, system.n_rows)
 
 
 def _ill_posed(index: int, sigma: np.ndarray) -> IllPosed:
@@ -263,7 +258,8 @@ def schur_check(a, b, head: int) -> float:
 
     ``head`` is the size of the leading block.  Raises
     :class:`CornerSingular` when A22 fails the rank tolerance, and
-    :class:`SingularMatrix` when B11 is singular there.
+    :class:`SingularMatrix` when B11 does, also where its LU solve succeeds:
+    the refined inverse of B11 certifies it without an SVD, or it gets one.
     """
     a = as_cmatrix(a)
     b = as_cmatrix(b)
@@ -276,11 +272,13 @@ def schur_check(a, b, head: int) -> float:
     singular_gate(a22, lambda _, s: CornerSingular(f"A22 singular at tolerance (sigma_min={s[-1]:.3e})"))
     complement = a11 - a12 @ np.linalg.solve(a22, a21)
     b11 = b[:head, :head]
+    fault = lambda _, s: SingularMatrix(f"B11 singular at tolerance (sigma_min={s[-1]:.3e})")
     try:
         b11_inverse = refined_solve(b11, np.eye(head, dtype=complex))
     except np.linalg.LinAlgError:
-        singular_gate(b11, lambda _, s: SingularMatrix(f"B11 singular at tolerance (sigma_min={s[-1]:.3e})"))
+        singular_gate(b11, fault)
         raise
+    singular_gate(b11[None], fault, inverses=b11_inverse[None])
     return float(spectral_norm(b11_inverse - complement))
 
 

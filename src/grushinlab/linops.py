@@ -184,7 +184,11 @@ class SolveResult:
 
 
 def svd(a) -> SvdResult:
-    a = as_cmatrix(a)
+    return _svd(as_cmatrix(a))
+
+
+def _svd(a: np.ndarray) -> SvdResult:
+    """Full SVD of a checked matrix (:class:`ConvergenceFailure` where LAPACK fails)."""
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as exc:

@@ -15,14 +15,13 @@ import numpy as np
 
 from .core import BorderedSystem, GrushinInverse, assemble, invert_nodes, invert_system
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     GrushinLabError,
     IllPosed,
     OnSpectrum,
     ThresholdOnSingularValue,
 )
-from .linops import as_cmatrix, is_singular, spectral_norm, tolerance_from_sigma
+from .linops import _sigma, _svd, as_cmatrix, is_singular, spectral_norm, tolerance_from_sigma
 
 
 @dataclass(frozen=True)
@@ -75,20 +74,17 @@ def _shifted(a, lam: complex, h: float) -> np.ndarray:
 
 
 def _small_subspaces(shifted: np.ndarray, h: float):
-    """One full SVD of ``shifted``; the orthonormal bases of its singular
+    """The full SVD of ``shifted`` and the orthonormal bases of its singular
     subspaces with sigma <= h, after the threshold check."""
-    try:
-        left, singular, right_h = np.linalg.svd(shifted, full_matrices=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
-        raise ConvergenceFailure(str(exc)) from exc
-    window = 1e-8 * h + tolerance_from_sigma(singular, shifted.shape)
-    close = np.abs(singular - h) < window
+    full = _svd(shifted)
+    window = 1e-8 * h + tolerance_from_sigma(full.singular, shifted.shape)
+    close = np.abs(full.singular - h) < window
     if np.any(close):
         raise ThresholdOnSingularValue(
-            f"singular value(s) {singular[close]} within {window:.3e} of h={h}"
+            f"singular value(s) {full.singular[close]} within {window:.3e} of h={h}"
         )
-    small = singular <= h
-    return singular, right_h, left[:, small], right_h[small, :].conj().T
+    small = full.singular <= h
+    return full, full.left[:, small], full.right_h[small, :].conj().T
 
 
 def _pair(u_small: np.ndarray, v_small: np.ndarray, h: float) -> ProjectorPair:
@@ -103,7 +99,7 @@ def threshold_projectors(a, lam: complex, h: float) -> ProjectorPair:
     Raises :class:`ThresholdOnSingularValue` when a singular value sits within
     1e-8 h + the rank tolerance of h: the captured dimension would be ill defined.
     """
-    _, _, u_small, v_small = _small_subspaces(_shifted(a, lam, h), h)
+    _, u_small, v_small = _small_subspaces(_shifted(a, lam, h), h)
     return _pair(u_small, v_small, h)
 
 
@@ -127,21 +123,16 @@ def projector_identities(a, lam: complex, pair: ProjectorPair) -> dict:
 def _threshold_borders(shifted: np.ndarray, h: float):
     """Captured bases of a checked ``shifted`` = A - lam after the norm
     hypotheses: one full SVD, one sigma-only SVD per hypothesis."""
-    singular, right_h, u_small, v_small = _small_subspaces(shifted, h)
+    full, u_small, v_small = _small_subspaces(shifted, h)
     slack = 1.0 + 1e-8
-    try:
-        if u_small.shape[1]:
-            if np.linalg.svd(shifted @ v_small, compute_uv=False)[0] > h * slack:
-                raise IllPosed("||P pi_plus|| exceeds h")
-            if np.linalg.svd(shifted.conj().T @ u_small, compute_uv=False)[0] > h * slack:
-                raise IllPosed("||P* pi_minus|| exceeds h")
-        v_large = right_h[singular > h, :].conj().T
-        if v_large.shape[1]:
-            smallest = np.linalg.svd(shifted @ v_large, compute_uv=False)[-1]
-            if smallest < h / slack:
-                raise IllPosed("lower bound off the captured subspace fails")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
-        raise ConvergenceFailure(str(exc)) from exc
+    if u_small.shape[1]:
+        if _sigma(shifted @ v_small)[0] > h * slack:
+            raise IllPosed("||P pi_plus|| exceeds h")
+        if _sigma(shifted.conj().T @ u_small)[0] > h * slack:
+            raise IllPosed("||P* pi_minus|| exceeds h")
+    v_large = full.right_h[full.singular > h, :].conj().T
+    if v_large.shape[1] and _sigma(shifted @ v_large)[-1] < h / slack:
+        raise IllPosed("lower bound off the captured subspace fails")
     return u_small, v_small
 
 
@@ -211,7 +202,7 @@ def resolvent_bound(a, lam: complex, h: float) -> PseudospectrumCell:
     when lam is an eigenvalue at rank tolerance.
     """
     shifted = _shifted(a, lam, h)
-    return _resolvent_cell(shifted, lam, h, np.linalg.svd(shifted, compute_uv=False))
+    return _resolvent_cell(shifted, lam, h, _sigma(shifted))
 
 
 def _resolvent_cell(
@@ -222,7 +213,7 @@ def _resolvent_cell(
     if is_singular(sigma, shifted.shape):
         raise OnSpectrum(f"sigma_min = {sigma[-1]:.3e} at tolerance")
     emp = _threshold_inverse(shifted, h).e_minus_plus
-    norm_eff_inv = 1.0 / np.linalg.svd(emp, compute_uv=False)[-1] if emp.size else 0.0
+    norm_eff_inv = 1.0 / _sigma(emp)[-1] if emp.size else 0.0
     sigma_min = float(sigma[-1])
     c_emp = abs(1.0 / sigma_min - norm_eff_inv) * h
     return PseudospectrumCell(
@@ -283,7 +274,7 @@ def pseudospectrum_grid(a, rectangle, resolution, h_rule) -> PseudospectrumGrid:
         for re in res:
             lam = complex(re, im)
             shifted = a - lam * eye
-            sigma = np.linalg.svd(shifted, compute_uv=False)
+            sigma = _sigma(shifted)
             h = value if kind == "fixed" else value * float(sigma[-1])
             try:
                 if h <= 0.0:

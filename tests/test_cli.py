@@ -189,7 +189,7 @@ def test_potential_file_flow(tmp_path):
 
 
 def test_bvp_n2d_failed_check_exits_1_with_its_report(tmp_path, monkeypatch):
-    # a corner of 1e-6 moves E_-+ by about 1e-6, far beyond the 1e-9 gate
+    # a corner of 1e-6 moves E_-+ by about 1e-6, far beyond the gate 1e-9 max(1, ||N||) = 1.09e-9
     from dataclasses import replace
 
     from grushinlab import bvp1d
@@ -200,6 +200,16 @@ def test_bvp_n2d_failed_check_exits_1_with_its_report(tmp_path, monkeypatch):
     assert code == 1
     summary = _parse_report(payload.decode())["summary"]
     assert summary["pass"] is False and summary["consistency_residual"] > 1e-7
+
+
+def test_bvp_n2d_gates_as_bvp_grushin_near_a_neumann_eigenvalue(tmp_path):
+    # 1e-4 above the second discrete Neumann eigenvalue at m = 120, ||N|| = 1.27e4:
+    # the residual (1.1e-6 to 1.8e-6, by BLAS thread count) is beyond 1e-9 but
+    # within 1e-9 max(1, ||N||), which bvp_grushin passes too
+    code, payload = _run(tmp_path, ["bvp-n2d", "--potential", "zero", "--z-re", "1.000043826"])
+    assert code == 0
+    summary = _parse_report(payload.decode())["summary"]
+    assert summary["pass"] is True and 1e-9 < summary["consistency_residual"] <= 1.27e-5
 
 
 @pytest.mark.parametrize("argv, code, says", [

@@ -14,7 +14,7 @@ from grushinlab.core import (
     dft_matrix,
     effective_index,
     feshbach_effective,
-    invert_stack,
+    invert_nodes,
     invert_system,
     iterate,
     recover_resolvent,
@@ -92,7 +92,7 @@ def test_invert_illposed():
     assert (info.value.condition, info.value.index) == (np.inf, 0) == info.value.args[1:]
     stack = np.stack([np.eye(2), np.diag([1.0, 1e-15]), np.zeros((2, 2))]).astype(complex)
     with pytest.raises(IllPosed) as info:
-        invert_stack(stack)
+        invert_nodes(BorderedSystem(stack, np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((0, 0))))
     assert info.value.index == info.value.args[2] == 1
     assert info.value.condition == info.value.args[1] == pytest.approx(1e15)
     bare = IllPosed("no estimate")
@@ -547,11 +547,35 @@ def _references(tree: ast.AST):
 def test_only_core_knows_the_block_layout():
     # the other modules fill and invert bordered systems through core's
     # BorderedSystem, GrushinInverse and invert_nodes, never as raw arrays
-    forbidden = {"invert_stack", "np.block", "numpy.block"}
+    forbidden = {"np.block", "numpy.block"}
     for path in sorted(Path(grushinlab.__file__).parent.glob("*.py")):
         if path.name != "core.py":
             found = forbidden & set(_references(ast.parse(path.read_text())))
             assert not found, f"{path.name} references {sorted(found)}"
+
+
+def _svd_sites(tree: ast.AST, where: str = "<module>"):
+    """The enclosing function of every ``np.linalg.svd`` reference or import in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _svd_sites(node, node.name)
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "svd" and isinstance(node.value, ast.Attribute):
+            yield where
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            yield from (where for alias in node.names if alias.name == "svd")
+        yield from _svd_sites(node, where)
+
+
+def test_only_linops_calls_lapack_svd():
+    # every decomposition goes through linops, which turns LAPACK's failure into
+    # ConvergenceFailure; the mp-check oracle stays independent of the library
+    sites = {
+        (path.name, where)
+        for path in sorted(Path(grushinlab.__file__).parent.glob("*.py")) if path.name != "linops.py"
+        for where in _svd_sites(ast.parse(path.read_text()))
+    }
+    assert sites == {("cli.py", "_svd_pseudoinverse")}
 
 
 @pytest.mark.parametrize("rminus, rplus, corner", [

@@ -99,12 +99,12 @@ def test_bvp_grushin_builds_reference_from_checked_matrix(monkeypatch):
 
 def test_bvp_n2d_solves_the_boundary_problem_once(monkeypatch, tmp_path):
     # at m = 120: one Neumann gate and refined solve (m + 2), one bordered
-    # gate and refined inverse (m + 4), and the 2 x 2 residual norm
+    # gate and refined inverse (m + 4), the 2 x 2 residual norm and ||N|| for its bound
     from grushinlab.cli import run
 
     svds, solves = _record_shapes(monkeypatch, "svd"), _record_shapes(monkeypatch, "solve")
     assert run(["bvp-n2d", "--out", str(tmp_path / "n2d.json")]) == 0
-    assert svds == [(122, 122), (124, 124), (2, 2)]
+    assert svds == [(122, 122), (124, 124), (2, 2), (2, 2)]
     assert solves == [(122, 122), (122, 122), (124, 124), (124, 124)]
 
 

@@ -7,10 +7,11 @@ import pytest
 
 from grushinlab.bvp1d import Discretization, dn_trace_identity, n2d_map
 from grushinlab.core import (
+    BorderedSystem,
     Split,
     assemble,
     feshbach_effective,
-    invert_stack,
+    invert_nodes,
     invert_system,
     iterate,
     recover_resolvent,
@@ -152,6 +153,15 @@ def _schur():
 
 # B = pinv(A) is not A^{-1}: its leading block B11 = [[0]] is singular
 _B11_SINGULAR = np.array([[0.0, 0.0], [0.0, 1.0]])
+
+
+def _schur_b11_tiny():
+    # B11 = diag(1, 1e-17) passes its LU solve, and A22 is well conditioned
+    b = np.diag([1.0, 1e-17, 1.0, 1.0])
+    b[0, 2] = b[2, 0] = 0.5
+    return schur_check(np.linalg.inv(b), b, 2)
+
+
 _ZERO_POTENTIAL = Discretization(0.0, np.pi, 20, lambda x: 0.0)
 _ILL = "condition estimate 1.000e+17 beyond well-posed limit"
 
@@ -168,6 +178,7 @@ _ILL = "condition estimate 1.000e+17 beyond well-posed limit"
     (_schur, CornerSingular, ("A22 singular at tolerance (sigma_min=0.000e+00)",)),
     (lambda: schur_check(_B11_SINGULAR, np.linalg.pinv(_B11_SINGULAR), 1),
      SingularMatrix, ("B11 singular at tolerance (sigma_min=0.000e+00)",)),
+    (_schur_b11_tiny, SingularMatrix, ("B11 singular at tolerance (sigma_min=1.000e-17)",)),
     (lambda: feshbach_effective(np.diag([0.0, 2.0, 3.0]), Split((0,)), 2.0),
      ComplementSingular, ("z within spectrum of the complementary block (sigma_min=0.000e+00)",)),
     (lambda: n2d_map(_ZERO_POTENTIAL, 0.0),
@@ -178,7 +189,8 @@ _ILL = "condition estimate 1.000e+17 beyond well-posed limit"
      OnContourSingular, ("P(z) singular at node z=(1+0j)", 1.0)),
     (_effective_at_eigenvalue, OnContourSingular, ("E_-+(z) singular at node z=(1+0j)", 1.0)),
     (lambda: invert_system(assemble(np.diag([1.0, 1e-17]), [], [])), IllPosed, (_ILL, 1e17, 0)),
-    (lambda: invert_stack(np.stack([np.eye(2), np.diag([1.0, 1e-17]), np.zeros((2, 2))]).astype(complex)),
+    (lambda: invert_nodes(BorderedSystem(np.stack([np.eye(2), np.diag([1.0, 1e-17]), np.zeros((2, 2))]),
+                                         np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((0, 0)))),
      IllPosed, (_ILL, 1e17, 1)),
     (_certificate_loop,
      ContractionCertificateFails, ("certificate matrix singular at t=0.000, s=0.250",)),
@@ -186,8 +198,8 @@ _ILL = "condition estimate 1.000e+17 beyond well-posed limit"
     (lambda: resolvent_bound(np.diag([1e-17, 1.0]), 0.0, 0.5), OnSpectrum, ("sigma_min = 1.000e-17 at tolerance",)),
 ], ids=[
     "solve_linear", "solve_linear-tol_factor", "recover_resolvent", "recover_resolvent-tol", "schur_check",
-    "schur_check-b11", "feshbach_effective", "neumann", "dn_trace-fallback", "count_direct", "count_effective",
-    "invert_system", "invert_stack", "certificate", "resolvent_bound-zero", "resolvent_bound-tiny",
+    "schur_check-b11", "schur_check-b11-tiny", "feshbach_effective", "neumann", "dn_trace-fallback", "count_direct", "count_effective",
+    "invert_system", "invert_nodes", "certificate", "resolvent_bound-zero", "resolvent_bound-tiny",
 ])
 def test_every_gate_raises_its_own_error(call, error, args):
     with pytest.raises(error) as info:
