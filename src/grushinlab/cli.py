@@ -447,18 +447,15 @@ def _cmd_circulant(args, seed: int):
     return records, summary
 
 
-def _obstruction_profile(name: str) -> Callable[[float], complex]:
-    if name == "const":
-        return lambda x: 1.0
-    if name == "half":
-        return lambda x: 1.0 if x < np.pi else (0.5 if x == np.pi else 0.0)
-    if name == "odd":
-        return lambda x: x - np.pi
-    raise ValueError(f"unknown profile {name!r}")
+OBSTRUCTION_PROFILES: dict[str, Callable[[float], complex]] = {
+    "const": lambda x: 1.0,
+    "half": lambda x: 1.0 if x < np.pi else (0.5 if x == np.pi else 0.0),
+    "odd": lambda x: x - np.pi,
+}
 
 
 def _cmd_obstruction(args, seed: int):
-    profile = _obstruction_profile(args.profile)
+    profile = OBSTRUCTION_PROFILES[args.profile]
     grid = np.linspace(args.z_min, args.z_max, args.z_count)
     report = selfadjoint_obstruction(profile, args.h, grid)
     records = [
@@ -604,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("obstruction")
-    p.add_argument("--profile", choices=("const", "half", "odd"), default="const")
+    p.add_argument("--profile", choices=OBSTRUCTION_PROFILES, default="const")
     p.add_argument("--h", type=float, default=0.1)
     p.add_argument("--z-min", type=float, default=-1.0)
     p.add_argument("--z-max", type=float, default=1.0)
@@ -627,7 +624,7 @@ def run(argv) -> int:
         try:
             seed = int(env_seed)
         except ValueError:
-            print("GRUSHIN_SEED must be an integer", file=sys.stderr)
+            print("error: GRUSHIN_SEED must be an integer", file=sys.stderr)
             return 2
     fmt = args.format
     if fmt is None:

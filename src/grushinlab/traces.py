@@ -410,57 +410,44 @@ def loop_trace_identity(loop: LoopFamily) -> LoopTraceResult:
 # lattice summation through the circle monodromy factor
 
 
-@dataclass(frozen=True)
-class DecayCertificate:
-    """A decay bound used to size truncations and quadrature windows.
-
-    kinds:
-      * ``polynomial``: |f(x)| <= constant / |x|**rate for |x| >= 1
-      * ``gaussian``:   |f(x)| <= constant * exp(-rate * x**2)
-      * ``compact``:    f vanishes for |x| > constant (half-width)
-      * ``null``:       the lattice samples beyond the origin are bounded by
-                        ``constant`` in total (exact-zero sampling patterns)
-    """
-
-    kind: str
-    constant: float
-    rate: float = 0.0
-
-    def tail_sum(self, t: int) -> float:
-        if self.kind == "polynomial":
-            if self.rate <= 1.0:
-                return np.inf
-            return 2.0 * self.constant / ((self.rate - 1.0) * t ** (self.rate - 1.0))
-        if self.kind == "gaussian":
-            return 2.0 * self.constant * math.exp(-self.rate * t * t)
-        if self.kind == "compact":
-            return 0.0 if t >= self.constant else np.inf
-        if self.kind == "null":
-            return self.constant
-        raise ValueError(f"unknown certificate kind {self.kind!r}")
+POISSON_TOL = 1e-10  # the tolerance of the lattice-sum routes; every stated tail is at most a hundredth of it
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A test function with its transform and the certificates that make the
-    lattice sums and the real-line quadrature truncatable.
+    """A test function, its transform, and the truncations that the three
+    lattice-sum routes of :func:`poisson_verify` read.
 
     ``value`` and ``transform`` must accept numpy arrays.  The transform
-    convention is  fhat(xi) = integral f(x) exp(-i x xi) dx.
+    convention is  fhat(xi) = integral f(x) exp(-i x xi) dx.  The lattice sum
+    runs over |n| <= ``lattice_truncation``, and the samples beyond it sum to
+    at most ``lattice_tail``; the transform sum runs over fhat(2 pi m), |m| <=
+    ``transform_truncation``, with ``transform_tail`` likewise.  fhat is
+    negligible beyond 2 pi ``band``.  The monodromy route integrates over
+    [-2 ``window``, 2 ``window``], and with ``extrapolate`` compares that with
+    [-``window``, ``window``] to remove the 1/W term of the truncation.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     transform: Callable[[np.ndarray], np.ndarray]
-    decay: DecayCertificate
-    lattice_decay: DecayCertificate
-    transform_decay: DecayCertificate
+    lattice_truncation: int
+    lattice_tail: float
+    transform_truncation: int
+    transform_tail: float
+    band: int
+    window: int
+    extrapolate: bool
 
 
 def sinc_squared() -> TestFunction:
     """f(x) = (sin(pi x) / (pi x))^2, transform = unit triangle on [-2 pi, 2 pi].
 
-    Lattice samples away from the origin vanish identically (sin(pi n) = 0),
-    so the lattice certificate is the exact-zero one.
+    No truncation needs a search.  The lattice samples beyond the origin
+    vanish (sin(pi n) = 0), which the lattice tail states as 1e-30; fhat
+    vanishes from |xi| = 2 pi on, so the transform tail is 0.  The window
+    follows from |f(x)| <= 1 / (pi x)^2: the extrapolation over integer
+    windows removes its 1/W term and leaves O(1/W^2), so a cube-root window
+    is enough.
     """
 
     def value(x):
@@ -474,17 +461,20 @@ def sinc_squared() -> TestFunction:
         xi = np.asarray(xi, dtype=float)
         return np.maximum(0.0, 1.0 - np.abs(xi) / (2.0 * np.pi))
 
-    return TestFunction(
-        value,
-        transform,
-        decay=DecayCertificate("polynomial", 1.0 / np.pi**2, 2.0),
-        lattice_decay=DecayCertificate("null", 1e-30),
-        transform_decay=DecayCertificate("compact", 2.0 * np.pi),
-    )
+    window = 4 * math.ceil((1.0 / np.pi**2 / POISSON_TOL) ** (1.0 / 3.0))
+    return TestFunction(value, transform, 1, 1e-30, 1, 0.0, band=1, window=window, extrapolate=True)
 
 
 def gaussian_test() -> TestFunction:
-    """f(x) = exp(-pi x^2), transform = exp(-xi^2 / (4 pi))."""
+    """f(x) = exp(-pi x^2), transform = exp(-xi^2 / (4 pi)).
+
+    The samples beyond |n| = t sum to at most 2 exp(-pi t^2), the transform
+    samples beyond |m| = t to at most 2 exp(-t^2 / (4 pi)); each truncation
+    is the smallest t that brings its bound to ``POISSON_TOL`` / 100.  Since
+    fhat(2 pi m) = f(m), the band is the lattice truncation.  f falls below
+    ``POISSON_TOL`` / 100 inside the window, which keeps two units of margin
+    and needs no extrapolation.
+    """
 
     def value(x):
         return np.exp(-np.pi * np.asarray(x, dtype=float) ** 2)
@@ -492,13 +482,15 @@ def gaussian_test() -> TestFunction:
     def transform(xi):
         return np.exp(-np.asarray(xi, dtype=float) ** 2 / (4.0 * np.pi))
 
-    return TestFunction(
-        value,
-        transform,
-        decay=DecayCertificate("gaussian", 1.0, np.pi),
-        lattice_decay=DecayCertificate("gaussian", 1.0, np.pi),
-        transform_decay=DecayCertificate("gaussian", 1.0, 1.0 / (4.0 * np.pi)),
-    )
+    target = 0.01 * POISSON_TOL
+
+    def truncation(rate: float) -> tuple[int, float]:
+        t = math.ceil(math.sqrt(math.log(2.0 / target) / rate))  # smallest t with 2 exp(-rate t^2) <= target
+        return t, 2.0 * math.exp(-rate * t * t)
+
+    (t_f, tail_f), (t_hat, tail_hat) = truncation(np.pi), truncation(1.0 / (4.0 * np.pi))
+    window = math.ceil(math.sqrt(math.log(1.0 / target) / np.pi)) + 2
+    return TestFunction(value, transform, t_f, tail_f, t_hat, tail_hat, band=t_f, window=window, extrapolate=False)
 
 
 @dataclass(frozen=True)
@@ -519,15 +511,6 @@ class PoissonResult:
         return out
 
 
-def _truncation_from(cert: DecayCertificate, target: float) -> int:
-    t = 1
-    while cert.tail_sum(t) > target:
-        t = t + max(1, t // 2)
-        if t > 200_000:
-            raise ValueError(f"certificate cannot reach tail bound {target:.1e} below truncation 200000")
-    return t
-
-
 def poisson_verify(tf: TestFunction, n_terms: int, strict_support: bool = False) -> PoissonResult:
     """Compare three computations of the lattice sum of ``tf``:
 
@@ -536,73 +519,39 @@ def poisson_verify(tf: TestFunction, n_terms: int, strict_support: bool = False)
       3. monodromy:   (1/2 pi i) sum_{|k| <= N} integral f(z) M(z)^k M'(z) dz
                       with M(z) = exp(2 pi i z), by real-line quadrature.
 
-    All three work to the tolerance 1e-10: the two sums stop where their
-    certified tails fall below a hundredth of it.  The third route needs the
-    transform supported inside (-2 pi N, 2 pi N); when the support check fails
-    it is skipped (or raises :class:`SupportViolation` with ``strict_support=True``).
+    The two sums stop at the truncations ``tf`` states, and the result
+    reports them with their tails.  The third route needs the transform
+    supported inside (-2 pi N, 2 pi N): fhat must be at most 1e-12 at
+    +-2 pi N and +-2.25 pi N.  When it is not, the route is skipped (or
+    raises :class:`SupportViolation` with ``strict_support=True``).
     """
     if n_terms < 1:
         raise ValueError("need at least one monodromy term")
-    tol = 1e-10
-    t_f = _truncation_from(tf.lattice_decay, 0.01 * tol)
-    ns = np.arange(-t_f, t_f + 1)
-    lattice_sum = complex(np.sum(tf.value(ns)))
-
-    if tf.transform_decay.kind == "compact":
-        t_hat = int(math.ceil(tf.transform_decay.constant / (2.0 * np.pi)))
-    else:
-        t_hat = _truncation_from(tf.transform_decay, 0.01 * tol)
-    ms = 2.0 * np.pi * np.arange(-t_hat, t_hat + 1)
-    transform_sum = complex(np.sum(tf.transform(ms)))
-
+    ns = np.arange(-tf.lattice_truncation, tf.lattice_truncation + 1)
+    ms = 2.0 * np.pi * np.arange(-tf.transform_truncation, tf.transform_truncation + 1)
     edge = 2.0 * np.pi * n_terms
-    edge_values = np.abs(tf.transform(np.array([-edge, edge, -1.125 * edge, 1.125 * edge])))
-    if tf.transform_decay.kind == "compact":
-        support_ok = tf.transform_decay.constant <= edge and float(edge_values.max()) <= 1e-12
-    else:
-        support_ok = float(edge_values.max()) <= 1e-12
-    tails = {
-        "lattice": float(tf.lattice_decay.tail_sum(t_f)),
-        "transform": float(tf.transform_decay.tail_sum(t_hat)),
-    }
-    if not support_ok:
-        if strict_support:
-            raise SupportViolation(
-                f"transform not negligible at the band edge 2 pi N = {edge:.3f}"
-            )
-        return PoissonResult(lattice_sum, transform_sum, None, False, t_f, t_hat, tails)
-
-    monodromy_sum = _monodromy_route(tf, n_terms, tol)
-    return PoissonResult(lattice_sum, transform_sum, monodromy_sum, True, t_f, t_hat, tails)
+    support_ok = float(np.abs(tf.transform(np.array([-edge, edge, -1.125 * edge, 1.125 * edge]))).max()) <= 1e-12
+    result = PoissonResult(complex(np.sum(tf.value(ns))), complex(np.sum(tf.transform(ms))), None, support_ok,
+                           tf.lattice_truncation, tf.transform_truncation,
+                           {"lattice": tf.lattice_tail, "transform": tf.transform_tail})
+    if support_ok:
+        return replace(result, monodromy_sum=_monodromy_route(tf, n_terms))
+    if strict_support:
+        raise SupportViolation(f"transform not negligible at the band edge 2 pi N = {edge:.3f}")
+    return result
 
 
-def _monodromy_route(tf: TestFunction, n_terms: int, tol: float) -> complex:
-    """Finite monodromy-power sum by composite trapezoid on [-W, W].
+def _monodromy_route(tf: TestFunction, n_terms: int) -> complex:
+    """Finite monodromy-power sum by composite trapezoid on [-2W, 2W], W =
+    ``tf.window``, at the step 1 / (2 ceil(band + N + 1)).
 
-    The window comes from the decay certificate.  For polynomial decay the
-    1/W truncation term is removed by one window-doubling extrapolation on
-    integer windows (the oscillatory remainder there is O(1/W^2)).
+    With ``tf.extrapolate`` the 1/W truncation term is removed by one
+    window-doubling extrapolation on integer windows (the oscillatory
+    remainder there is O(1/W^2)).
     """
-    if tf.transform_decay.kind == "compact":
-        bandwidth = tf.transform_decay.constant / (2.0 * np.pi) + n_terms + 1
-    else:
-        bandwidth = 4.0 + n_terms + 1
-    step = 1.0 / (2.0 * math.ceil(bandwidth))
-    if tf.decay.kind == "polynomial":
-        # integer windows + one window doubling: the 1/W truncation term is
-        # extrapolated away and the oscillatory leftovers are >= 2nd order,
-        # so a cube-root window is enough
-        w = max(64, 4 * int(math.ceil((max(tf.decay.constant, 1e-6) / tol) ** (1.0 / 3.0))))
-        extrapolate = True
-    elif tf.decay.kind == "gaussian":
-        w = int(math.ceil(math.sqrt(math.log(max(tf.decay.constant, 1.0) / (0.01 * tol)) / tf.decay.rate))) + 2
-        extrapolate = False
-    else:
-        w = 64
-        extrapolate = False
-
+    step = 1.0 / (2.0 * math.ceil(tf.band + n_terms + 1))
     per_unit = int(round(1.0 / step))
-    half = w * per_unit
+    half = tf.window * per_unit
     xs = step * np.arange(-2 * half, 2 * half + 1)
     fvals = np.asarray(tf.value(xs), dtype=np.complex128)
     mono = np.exp(TWO_PI_I * xs)          # M(z) on the real line
@@ -622,9 +571,7 @@ def _monodromy_route(tf: TestFunction, n_terms: int, tol: float) -> complex:
         total_w += windowed(integrand, half)
         total_2w += windowed(integrand, 2 * half)
         power = power * mono
-    if extrapolate:
-        return 2.0 * total_2w - total_w
-    return total_2w
+    return 2.0 * total_2w - total_w if tf.extrapolate else total_2w
 
 
 # ---------------------------------------------------------------------------

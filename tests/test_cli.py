@@ -212,17 +212,21 @@ def test_bvp_n2d_gates_as_bvp_grushin_near_a_neumann_eigenvalue(tmp_path):
     assert summary["pass"] is True and 1e-9 < summary["consistency_residual"] <= 1.27e-5
 
 
-@pytest.mark.parametrize("argv, code, says", [
-    (["trace-count", "--n", "0"], 2, "P(z) has shape (0, 0)"),
-    (["obstruction", "--h", "0"], 2, "h must be positive"),
-    (["bvp-n2d", "--potential-file", "{tmp}/missing.txt"], 2, "No such file"),
-    (["bvp-n2d", "--potential-file", "{tmp}"], 2, "Is a directory"),
-    (["jordan-cloud", "--q", "random"], 0, None),
-    (["estimate-check", "--trials", "0"], 2, "trials must be at least 1, got 0"),
-    (["lidskii", "--count", "1"], 2, "at least two nonzero epsilons, got 1"),
+@pytest.mark.parametrize("argv, code, says, env", [
+    (["trace-count", "--n", "0"], 2, "P(z) has shape (0, 0)", {}),
+    (["obstruction", "--h", "0"], 2, "h must be positive", {}),
+    (["bvp-n2d", "--potential-file", "{tmp}/missing.txt"], 2, "No such file", {}),
+    (["bvp-n2d", "--potential-file", "{tmp}"], 2, "Is a directory", {}),
+    (["jordan-cloud", "--q", "random"], 0, None, {}),
+    (["estimate-check", "--trials", "0"], 2, "trials must be at least 1, got 0", {}),
+    (["lidskii", "--count", "1"], 2, "at least two nonzero epsilons, got 1", {}),
+    (["poisson", "--N", "0"], 2, "need at least one monodromy term", {}),
+    (["poisson"], 2, "GRUSHIN_SEED must be an integer", {"GRUSHIN_SEED": "abc"}),
 ], ids=["trace-count-n0", "obstruction-h0", "potential-file-missing", "potential-file-directory",
-        "jordan-cloud-random", "estimate-check-trials0", "lidskii-count1"])
-def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, code, says):
+        "jordan-cloud-random", "estimate-check-trials0", "lidskii-count1", "poisson-n0", "seed-env-not-integer"])
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv, code, says, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert _run(tmp_path, argv)[0] == code
     err = capsys.readouterr().err

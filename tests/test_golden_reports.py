@@ -1,6 +1,7 @@
 """Committed reports the CLI must write again: the default json and csv
-reports of every subcommand, two more ``bvp-trace`` potentials, and
-``obstruction --profile half``.
+reports of every subcommand, two more ``bvp-trace`` potentials,
+``obstruction --profile half``, and each CLI choice value that the defaults
+leave unrun.
 
 The ``bvp-trace`` reports hold only integers, a bool and the configuration,
 so they compare byte for byte everywhere.  The others carry floats that the
@@ -134,6 +135,22 @@ def test_nested_obstruction_report_matches_golden(report):
     # seven passes of the nested node doubling, from 512 to 32 768 nodes
     written = report("obstruction", "--profile", "half")
     _assert_matches_json(written, (GOLDEN / "obstruction-half.json").read_bytes())
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("poisson-gaussian", ["poisson", "--f", "gaussian"]),
+        # the only run of the gaussian's monodromy window, which is not extrapolated
+        ("poisson-gaussian-N3", ["poisson", "--f", "gaussian", "--N", "3"]),
+        ("obstruction-odd", ["obstruction", "--profile", "odd"]),
+        ("jordan-series-rank-one", ["jordan-series", "--q", "rank-one"]),
+        ("jordan-cloud-epsilon0", ["jordan-cloud", "--epsilon", "0"]),
+        ("pseudospectrum-gaussian", ["pseudospectrum", "--matrix", "gaussian"]),
+    ],
+)
+def test_choice_value_matches_its_golden_report(report, name, argv):
+    _assert_matches_json(report(*argv), (GOLDEN / f"{name}.json").read_bytes())
 
 
 @pytest.mark.parametrize("command", sorted(HANDLERS))

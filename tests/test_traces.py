@@ -19,7 +19,7 @@ from grushinlab.errors import (
 from grushinlab.linops import Contour, doubling_quadrature, eigenvalues, periodic_rule, spectral_norm
 from grushinlab.perturbation import gaussian_matrix, jordan_block, rank_one_coupling
 from grushinlab.traces import (
-    DecayCertificate,
+    POISSON_TOL,
     HolomorphicFamily,
     LoopFamily,
     _obstruction_sums,
@@ -332,14 +332,22 @@ def test_poisson_strict_support_raises():
         poisson_verify(gaussian_test(), 2, strict_support=True)
 
 
-def test_poisson_lattice_truncation_guard():
-    tf = sinc_squared()
-    bad = DecayCertificate("polynomial", 1.0, 2.0)
-    from dataclasses import replace
-
-    slow = replace(tf, lattice_decay=bad)
-    with pytest.raises(ValueError):
-        poisson_verify(slow, 2)
+def test_poisson_test_functions_state_their_truncations():
+    sinc, gauss = sinc_squared(), gaussian_test()
+    assert (sinc.lattice_truncation, sinc.transform_truncation) == (1, 1)
+    assert (sinc.lattice_tail, sinc.transform_tail) == (1e-30, 0.0)
+    assert (gauss.lattice_truncation, gauss.transform_truncation) == (4, 19)
+    f_bound = lambda t: 2 * math.exp(-math.pi * t * t)
+    hat_bound = lambda t: 2 * math.exp(-t * t / (4 * math.pi))
+    assert gauss.lattice_tail == pytest.approx(f_bound(4), rel=1e-12)
+    assert gauss.transform_tail == pytest.approx(hat_bound(19), rel=1e-12)
+    target = POISSON_TOL / 100
+    assert max(sinc.lattice_tail, sinc.transform_tail, gauss.lattice_tail, gauss.transform_tail) <= target
+    assert f_bound(3) > target and hat_bound(18) > target
+    far = np.arange(1, 201)
+    for tail, samples, t in [(gauss.lattice_tail, gauss.value(far), 4),
+                             (gauss.transform_tail, gauss.transform(2 * np.pi * far), 19)]:
+        assert 2 * math.fsum(samples[t:]) < tail
 
 
 def test_obstruction_constant_profile():
