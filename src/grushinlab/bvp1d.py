@@ -40,6 +40,7 @@ from .linops import (
     as_integer,
     integrate_nodes,
     is_singular,
+    rank_limit,
     refined_solve,
     singular_gate,
     spectral_norm,
@@ -118,7 +119,8 @@ def neumann_green_solve(d: Discretization, z: complex, rhs) -> np.ndarray:
         raise DimensionMismatch(f"load must have {d.m + 2} entries")
     mat = neumann_matrix(d, z)
     singular_gate(mat, lambda _, s: NeumannEigenvalue(f"z = {z} is a discrete Neumann eigenvalue "
-                                                      f"(sigma_min={s[-1]:.3e})"), limit=WELL_POSED_LIMIT)
+                                                      f"(sigma_min={s[-1]:.3e})"),
+                  min(rank_limit(mat.shape), WELL_POSED_LIMIT))
     return refined_solve(mat, rhs)
 
 
@@ -255,9 +257,10 @@ def _node_check(a_n: np.ndarray, a_d: np.ndarray) -> Callable[[complex], None]:
             dist = np.abs(z - eigs)
             slack = 8.0 * a.shape[0] * EPS * kappa * (abs(z) + np.abs(eigs).max())
             bounds = np.array([kappa * (dist.max() + slack) + slack, (dist.min() - slack) / kappa - slack])
-            if is_singular(bounds, a.shape, 1e3):
+            limit = rank_limit(a.shape, 8e3)
+            if is_singular(bounds, limit):
                 fault = lambda *_: OnContourSingular(f"contour node z={z} on a discrete spectrum", complex(z))
-                singular_gate(z * np.eye(a.shape[0]) - a, fault, 1e3)
+                singular_gate(z * np.eye(a.shape[0]) - a, fault, limit)
 
     return check
 

@@ -271,6 +271,8 @@ def _svd_pseudoinverse(p: np.ndarray) -> np.ndarray:
 
 
 def _cmd_mp_check(args, seed: int):
+    if args.count < 1:
+        raise ValueError(f"count must be at least 1, got {args.count}")
     records = []
     worst = 0.0
     for i in range(args.count):
@@ -348,6 +350,10 @@ def seeded_loop_family(n: int, seed: int, winding: bool) -> LoopFamily:
 
 
 def _cmd_loop_identity(args, seed: int):
+    if args.count < 1:
+        raise ValueError(f"count must be at least 1, got {args.count}")
+    if args.n < 2:
+        raise ValueError(f"n must be at least 2 (the loops border on two columns), got {args.n}")
     records = []
     worst = 0.0
     integer_ok = True

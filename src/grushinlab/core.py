@@ -36,8 +36,12 @@ from .errors import (
 from .linops import (
     WELL_POSED_LIMIT,
     as_cmatrix,
+    certified_solve,
     condition_from_sigma,
+    is_singular,
     numerical_rank,
+    rank_limit,
+    refine,
     refined_solve,
     singular_gate,
     singular_values,
@@ -192,7 +196,7 @@ def invert_system(system: BorderedSystem) -> GrushinInverse:
     mat = system.assembled()
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"assembled system is {mat.shape}, not square")
-    cond = condition_from_sigma(singular_gate(mat, _ill_posed, None, WELL_POSED_LIMIT)) if mat.size else 1.0
+    cond = condition_from_sigma(singular_gate(mat, _ill_posed, WELL_POSED_LIMIT)) if mat.size else 1.0
     full = refined_solve(mat, np.eye(len(mat), dtype=complex))
     return GrushinInverse.from_full(full, system.n_cols, system.n_rows, cond)
 
@@ -203,20 +207,15 @@ def invert_nodes(system: BorderedSystem) -> GrushinInverse:
 
     Each inverse is one LU solve plus one refinement step, bit for bit the one
     :func:`invert_system` computes.  Each matrix faces the well-posedness gate
-    of :func:`invert_system` (:func:`linops.singular_gate`), where an inverse
-    that certifies its matrix spares it the SVD, and a stack the LU solve
-    rejects faces it whole.  :class:`IllPosed` carries the estimate and the
-    stack index of the first matrix beyond the limit.  Shapes and finiteness
-    are the caller's to check.
+    of :func:`invert_system` through :func:`linops.certified_solve`, where the
+    LU inverse, before refinement, spares a matrix it certifies the SVD.
+    :class:`IllPosed` carries the estimate and the stack index of the first
+    matrix beyond the limit.  Shapes and finiteness are the caller's to check.
     """
     mats = system.assembled()
     stack = mats.reshape(-1, *mats.shape[-2:])
-    try:
-        full = refined_solve(stack, np.eye(stack.shape[-1], dtype=complex))
-    except np.linalg.LinAlgError:
-        singular_gate(stack, _ill_posed, None, WELL_POSED_LIMIT)
-        raise
-    singular_gate(stack, _ill_posed, None, WELL_POSED_LIMIT, inverses=full)
+    ident = np.eye(stack.shape[-1], dtype=complex)
+    full = refine(stack, ident, certified_solve(stack, ident, _ill_posed, WELL_POSED_LIMIT))
     return GrushinInverse.from_full(full.reshape(mats.shape), system.n_cols, system.n_rows)
 
 
@@ -236,16 +235,17 @@ def recover_resolvent(
 ) -> RecoveredResolvent:
     """P^{-1} = e - e_plus @ e_minus_plus^{-1} @ e_minus, with its residual.
 
-    ``tol`` overrides the rank tolerance used to decide whether the effective
-    Hamiltonian is invertible (:class:`EffectiveSingular` otherwise -- the
-    probe point sits in the spectrum).
+    ``tol``, an absolute bound on sigma_min, overrides the rank rule that decides
+    whether the effective Hamiltonian is invertible (:class:`EffectiveSingular`
+    otherwise -- the probe point sits in the spectrum).
     """
     emp = inverse.e_minus_plus
     if emp.shape[0] != emp.shape[1]:
         raise DimensionMismatch("effective Hamiltonian must be square to invert")
     if emp.size:
-        fault = lambda _, s: EffectiveSingular(f"effective Hamiltonian singular (sigma_min={s[-1]:.3e})")
-        singular_gate(as_cmatrix(emp), fault, tol=tol)
+        s = singular_values(emp)
+        if (is_singular(s, rank_limit(emp.shape)) if tol is None else not s[-1] > tol):
+            raise EffectiveSingular(f"effective Hamiltonian singular (sigma_min={s[-1]:.3e})")
         pinv = inverse.e - inverse.e_plus @ np.linalg.solve(emp, inverse.e_minus)
     else:
         pinv = inverse.e
@@ -259,7 +259,8 @@ def schur_check(a, b, head: int) -> float:
     ``head`` is the size of the leading block.  Raises
     :class:`CornerSingular` when A22 fails the rank tolerance, and
     :class:`SingularMatrix` when B11 does, also where its LU solve succeeds:
-    the refined inverse of B11 certifies it without an SVD, or it gets one.
+    the LU inverse of B11 certifies it without an SVD, or it gets one
+    (:func:`linops.certified_solve`).
     """
     a = as_cmatrix(a)
     b = as_cmatrix(b)
@@ -269,16 +270,13 @@ def schur_check(a, b, head: int) -> float:
         raise DimensionMismatch(f"invalid split {head} of size {a.shape[0]}")
     a11, a12 = a[:head, :head], a[:head, head:]
     a21, a22 = a[head:, :head], a[head:, head:]
-    singular_gate(a22, lambda _, s: CornerSingular(f"A22 singular at tolerance (sigma_min={s[-1]:.3e})"))
+    singular_gate(a22, lambda _, s: CornerSingular(f"A22 singular at tolerance (sigma_min={s[-1]:.3e})"),
+                  rank_limit(a22.shape))
     complement = a11 - a12 @ np.linalg.solve(a22, a21)
-    b11 = b[:head, :head]
+    b11 = b[None, :head, :head]
     fault = lambda _, s: SingularMatrix(f"B11 singular at tolerance (sigma_min={s[-1]:.3e})")
-    try:
-        b11_inverse = refined_solve(b11, np.eye(head, dtype=complex))
-    except np.linalg.LinAlgError:
-        singular_gate(b11, fault)
-        raise
-    singular_gate(b11[None], fault, inverses=b11_inverse[None])
+    ident = np.eye(head, dtype=complex)
+    b11_inverse = refine(b11, ident, certified_solve(b11, ident, fault, rank_limit(b11.shape[-2:])))[0]
     return float(spectral_norm(b11_inverse - complement))
 
 
@@ -411,7 +409,8 @@ def feshbach_effective(h, split: Split, z: complex, cross_check: bool = True) ->
     hww = h[np.ix_(w, w)]
     zw = as_cmatrix(z * np.eye(len(w)) - hww)
     singular_gate(zw, lambda _, s: ComplementSingular(f"z within spectrum of the complementary block "
-                                                      f"(sigma_min={s[-1]:.3e})"), limit=WELL_POSED_LIMIT)
+                                                      f"(sigma_min={s[-1]:.3e})"),
+                  min(rank_limit(zw.shape), WELL_POSED_LIMIT))
     g_v = z * np.eye(len(v)) - hvv - hvw @ np.linalg.solve(zw, hwv)
     if cross_check:
         residual, bound = _feshbach_residual(h, split, z, g_v)

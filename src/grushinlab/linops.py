@@ -85,52 +85,50 @@ def condition_from_sigma(sigma: np.ndarray) -> float:
     return float(sigma[0] / sigma[-1])
 
 
-def is_singular(sigma: np.ndarray, shape: tuple, scale=1.0, limit=None, tol=None) -> bool:
-    """The singularity rule on the singular values of a matrix of ``shape``, or
-    on bounds of them (sigma_max's from above first, sigma_min's from below
-    last): none at all; sigma_min at or below ``tol``, else ``scale`` times the
-    rank tolerance (no rank rule when both are None); or a condition estimate
-    sigma_max/sigma_min not below ``limit`` (none without one)."""
-    if sigma.size == 0:
-        return True
-    if tol is None and scale is not None:
-        tol = scale * tolerance_from_sigma(sigma, shape)
-    if tol is not None and not sigma[-1] > tol:
-        return True
-    return limit is not None and not condition_from_sigma(sigma) < limit
+def is_singular(sigma: np.ndarray, limit: float) -> bool:
+    """The singularity rule on the singular values of a matrix, or on bounds of
+    them (sigma_max's from above first, sigma_min's from below last): none at
+    all, sigma_min at or below zero, or sigma_max/sigma_min not below ``limit``."""
+    return sigma.size == 0 or not sigma[-1] > 0.0 or not condition_from_sigma(sigma) < limit
 
 
-def singular_gate(mats: np.ndarray, fault, scale=1.0, limit=None, tol=None, inverses=None) -> np.ndarray:
-    """Singular values of a matrix or a stack from one sigma-only SVD, after
-    ``fault(i, sigma)`` is raised at the first matrix ``i`` that
-    :func:`is_singular` flags under ``scale``, ``limit`` and ``tol``.  With the
-    LU-computed ``inverses`` of a stack (and no ``tol``), a nonempty matrix with
-    ||M||_F ||X||_F at most ``CERTIFIED_MARGIN`` times the rule's condition bound
-    (``limit``; 1/(``scale`` 8 n eps) for the rank rule) needs no SVD: ``i`` stays
-    the stack index, and only the other matrices' singular values are returned."""
+def rank_limit(shape: tuple, factor: float = 8.0) -> float:
+    """1/(factor max(rows, cols) eps), the condition at which sigma_min meets the rank tolerance."""
+    return 1.0 / (factor * max(*shape, 1) * EPS)
+
+
+def singular_gate(mats: np.ndarray, fault, limit: float, inverses=None) -> np.ndarray:
+    """Singular values of a matrix or a stack from one sigma-only SVD, after ``fault(i, sigma)``
+    is raised at the first matrix ``i`` that :func:`is_singular` flags under ``limit``.  With
+    the LU-computed ``inverses`` of a stack, a nonempty matrix with ||M||_F ||X||_F at most
+    ``CERTIFIED_MARGIN`` times ``limit`` needs no SVD: ``i`` stays the stack index, and only
+    the other matrices' singular values are returned."""
     index = range(len(mats)) if mats.ndim == 3 else [0]
     if inverses is not None:
-        bound = np.inf if limit is None else limit
-        if scale is not None:
-            bound = min(bound, 1.0 / (scale * tolerance_from_sigma(np.ones(1), mats.shape[-2:])))
         norms = np.linalg.norm(mats, axis=(-2, -1)) * np.linalg.norm(inverses, axis=(-2, -1))
-        index = np.flatnonzero(~((norms <= bound * CERTIFIED_MARGIN) & (mats.shape[-1] > 0)))
+        index = np.flatnonzero(~((norms <= limit * CERTIFIED_MARGIN) & (mats.shape[-1] > 0)))
         if not index.size:
             return np.zeros((0, mats.shape[-1]))
         mats = mats[index]
     sigma = _sigma(mats)
     for i, s in zip(index, np.atleast_2d(sigma)):
-        if is_singular(s, mats.shape[-2:], scale, limit, tol):
+        if is_singular(s, limit):
             raise fault(int(i), s)
     return sigma
 
 
-def condition_number(a) -> float:
-    """sigma_max / sigma_min; ``inf`` for singular input, 1.0 for an empty matrix."""
-    s = singular_values(a)
-    if s.size == 0:
-        return 1.0
-    return condition_from_sigma(s)
+def certified_solve(mats: np.ndarray, rhs: np.ndarray, fault, limit: float) -> np.ndarray:
+    """LU solution X of ``M X = rhs`` for a stack, ``rhs`` ending in the
+    identity: X's last n columns, the LU inverses, certify their matrices in
+    :func:`singular_gate` under ``limit``, the others face its SVD, and a stack
+    the LU solve rejects faces it whole before the error propagates."""
+    try:
+        x = np.linalg.solve(mats, rhs)
+    except np.linalg.LinAlgError:
+        singular_gate(mats, fault, limit)
+        raise
+    singular_gate(mats, fault, limit, inverses=x[..., x.shape[-1] - mats.shape[-1]:])
+    return x
 
 
 def tolerance_from_sigma(sigma: np.ndarray, shape: tuple, factor: float = 8.0) -> float:
@@ -139,12 +137,6 @@ def tolerance_from_sigma(sigma: np.ndarray, shape: tuple, factor: float = 8.0) -
     if sigma.size == 0:
         return 0.0
     return max(shape) * float(sigma[0]) * EPS * factor
-
-
-def rank_tolerance(a) -> float:
-    """Default numerical-rank tolerance: max(rows, cols) * sigma_max * eps * 8."""
-    a = as_cmatrix(a)
-    return tolerance_from_sigma(singular_values(a), a.shape)
 
 
 def numerical_rank(sigma: np.ndarray, tol: float) -> int:
@@ -212,15 +204,17 @@ def solve_linear(a, b, tol_factor: float = 8.0) -> SolveResult:
         tol = tolerance_from_sigma(s, a.shape, tol_factor)
         return SingularMatrix(f"sigma_min={0.0 if s.size == 0 else s[-1]:.3e} <= tol={tol:.3e}")
 
-    # (f/8) * tol_8 is tol_f bit for bit: the factors 8 are exact
-    s = singular_gate(a, fault, tol_factor / 8.0)
+    s = singular_gate(a, fault, rank_limit(a.shape, tol_factor))
     return SolveResult(refined_solve(a, b), condition_from_sigma(s))
 
 
 def refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """LU solve of ``A X = B`` plus one step of iterative refinement; the
-    caller has already decided that ``A`` is invertible (internal helper)."""
-    x = np.linalg.solve(a, b)
+    """LU solve of ``A X = B`` and one :func:`refine` step, for an ``A`` already decided invertible."""
+    return refine(a, b, np.linalg.solve(a, b))
+
+
+def refine(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One step of iterative refinement of an LU solution ``x`` of ``A X = B``."""
     return x + np.linalg.solve(a, b - a @ x)
 
 

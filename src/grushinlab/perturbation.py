@@ -22,7 +22,7 @@ from .errors import (
     DimensionMismatch,
     OutsideConvergenceRegime,
 )
-from .linops import as_cmatrix, condition_number, eigenvalues, spectral_norm
+from .linops import as_cmatrix, condition_from_sigma, eigenvalues, singular_values, spectral_norm
 
 
 def jordan_block(n: int) -> np.ndarray:
@@ -189,8 +189,8 @@ def projected_inverse_blocks(t, basis) -> GrushinInverse:
     e_plus = b
     e_minus = b.conj().T @ (np.eye(n) + t @ one_minus_pi)
     e_minus_plus = b.conj().T @ t @ b - np.eye(b.shape[1])
-    system = assemble(np.eye(n) - pi @ t, b, b.conj().T)
-    cond = condition_number(system.assembled())
+    mat = assemble(np.eye(n) - pi @ t, b, b.conj().T).assembled()
+    cond = condition_from_sigma(singular_values(mat)) if mat.size else 1.0
     return GrushinInverse(e, e_plus, e_minus, e_minus_plus, cond)
 
 

@@ -21,7 +21,7 @@ from .errors import (
     OnSpectrum,
     ThresholdOnSingularValue,
 )
-from .linops import _sigma, _svd, as_cmatrix, is_singular, spectral_norm, tolerance_from_sigma
+from .linops import _sigma, _svd, as_cmatrix, is_singular, rank_limit, spectral_norm, tolerance_from_sigma
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,8 @@ def _square(a) -> np.ndarray:
     a = as_cmatrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch("matrix must be square")
+    if a.size == 0:
+        raise DimensionMismatch("matrix must be nonempty")
     return a
 
 
@@ -210,7 +212,7 @@ def _resolvent_cell(
 ) -> PseudospectrumCell:
     """:func:`resolvent_bound` given a checked ``shifted`` = A - lam and its
     singular values ``sigma``; it reads only E_-+ of the bordered inverse."""
-    if is_singular(sigma, shifted.shape):
+    if is_singular(sigma, rank_limit(shifted.shape)):
         raise OnSpectrum(f"sigma_min = {sigma[-1]:.3e} at tolerance")
     emp = _threshold_inverse(shifted, h).e_minus_plus
     norm_eff_inv = 1.0 / _sigma(emp)[-1] if emp.size else 0.0

@@ -34,9 +34,11 @@ from .linops import (
     Contour,
     as_cmatrix,
     as_integer,
+    certified_solve,
     doubling_quadrature,
     integrate_nodes,
     periodic_rule,
+    rank_limit,
     singular_gate,
     spectral_norm,
 )
@@ -163,8 +165,8 @@ def _effective_rows(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, template: 
         try:
             effective = -np.trace(np.linalg.solve(inverse.e_minus_plus, num), axis1=1, axis2=2)
         except np.linalg.LinAlgError:
-            singular_gate(inverse.e_minus_plus, lambda i, _: OnContourSingular(
-                f"E_-+(z) singular at node z={nodes[i]}", complex(nodes[i])))
+            fault = lambda i, _: OnContourSingular(f"E_-+(z) singular at node z={nodes[i]}", complex(nodes[i]))
+            singular_gate(inverse.e_minus_plus, fault, rank_limit(inverse.e_minus_plus.shape[-2:]))
             raise
     return effective, np.einsum("kij,kji->k", inverse.e, dp)
 
@@ -175,17 +177,11 @@ def _log_derivative_trace(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, faul
 
     One solve of P X = [P' | I] gives P^{-1} P' and P^{-1}.  A node whose
     inverse certifies cond(P) below 1/(8 n eps), where the rank tolerance
-    would flag P, needs no SVD (:func:`linops.singular_gate`).
+    would flag P, needs no SVD (:func:`linops.certified_solve`).
     """
     n = p.shape[-1]
     rhs = np.concatenate([dp, np.broadcast_to(np.eye(n, dtype=dp.dtype), p.shape)], axis=-1)
-    gate_fault = lambda i, _: fault(nodes[i])
-    try:
-        x = np.linalg.solve(p, rhs)
-    except np.linalg.LinAlgError:
-        singular_gate(p, gate_fault)
-        raise
-    singular_gate(p, gate_fault, inverses=x[..., n:])
+    x = certified_solve(p, rhs, lambda i, _: fault(nodes[i]), rank_limit(p.shape[-2:]))
     return np.trace(x[..., :n], axis1=1, axis2=2)
 
 
@@ -385,7 +381,7 @@ def loop_trace_identity(loop: LoopFamily) -> LoopTraceResult:
     fault = lambda i, _: ContractionCertificateFails(
         f"certificate matrix singular at t={angles[i]:.3f}, s={radii[i]:.3f}"
     )
-    singular_gate(loop.disc_system(angles, radii).assembled(), fault, None, WELL_POSED_LIMIT)
+    singular_gate(loop.disc_system(angles, radii).assembled(), fault, WELL_POSED_LIMIT)
 
     def integrand(ts: np.ndarray) -> np.ndarray:
         system, derivative = loop.system(ts), loop.derivative(ts)

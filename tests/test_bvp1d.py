@@ -18,7 +18,7 @@ from grushinlab.bvp1d import (
     tabulated_potential,
 )
 from grushinlab.errors import IoFailure, NeumannEigenvalue, OnContourSingular
-from grushinlab.linops import Contour, eigenvalues, rank_tolerance, spectral_norm
+from grushinlab.linops import Contour, eigenvalues, spectral_norm, tolerance_from_sigma
 
 
 def _zero(x):
@@ -164,11 +164,11 @@ def test_bordered_full_rank_when_neumann_invertible():
         d = Discretization(0.0, 1.0, 25, lambda x, c=coeff: c * np.cos(3 * x))
         mat_n = neumann_matrix(d, z)
         sig_n = np.linalg.svd(mat_n, compute_uv=False)
-        if sig_n[-1] <= 1e4 * rank_tolerance(mat_n):
+        if sig_n[-1] <= 1e4 * tolerance_from_sigma(sig_n, mat_n.shape):
             continue
         bordered = bvp_bordered_system(d, z).assembled()
         sig_b = np.linalg.svd(bordered, compute_uv=False)
-        assert sig_b[-1] > rank_tolerance(bordered)
+        assert sig_b[-1] > tolerance_from_sigma(sig_b, bordered.shape)
 
 
 def test_boundary_data_poisson_solve():

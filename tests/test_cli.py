@@ -222,8 +222,28 @@ def test_bvp_n2d_gates_as_bvp_grushin_near_a_neumann_eigenvalue(tmp_path):
     (["lidskii", "--count", "1"], 2, "at least two nonzero epsilons, got 1", {}),
     (["poisson", "--N", "0"], 2, "need at least one monodromy term", {}),
     (["poisson"], 2, "GRUSHIN_SEED must be an integer", {"GRUSHIN_SEED": "abc"}),
+    (["pseudospectrum", "--n", "0"], 2, "matrix must be nonempty", {}),
+    (["pseudospectrum", "--matrix", "gaussian", "--n", "0"], 2, "matrix must be nonempty", {}),
+    (["estimate-check", "--n", "0"], 2, "matrix must be nonempty", {}),
+    (["mp-check", "--count", "0"], 2, "count must be at least 1, got 0", {}),
+    (["loop-identity", "--count", "0"], 2, "count must be at least 1, got 0", {}),
+    (["loop-identity", "--n", "0"], 2, "n must be at least 2", {}),
+    (["loop-identity", "--n", "1"], 2, "n must be at least 2", {}),
+    (["bvp-n2d", "--m", "2"], 2, "need at least 3 interior nodes", {}),
+    (["circulant", "--n", "1"], 2, "kernel must have length >= 2", {}),
+    (["jordan-series", "--n", "0"], 2, "block size must be >= 1", {}),
+    (["jordan-series", "--order", "-1"], 2, "order must be >= 0", {}),
+    (["jordan-series", "--epsilon", "-1"], 2, "epsilon must be >= 0", {}),
+    (["jordan-series", "--lam-re", "0.95"], 2, "|lambda| = 0.950 > 0.9", {}),
+    (["jordan-cloud", "--n", "1"], 2, "cloud needs n >= 2", {}),
+    (["lidskii", "--k", "0"], 2, "need 1 <= k < n", {}),
+    (["pseudospectrum", "--h", "0"], 2, "threshold h must be positive", {}),
 ], ids=["trace-count-n0", "obstruction-h0", "potential-file-missing", "potential-file-directory",
-        "jordan-cloud-random", "estimate-check-trials0", "lidskii-count1", "poisson-n0", "seed-env-not-integer"])
+        "jordan-cloud-random", "estimate-check-trials0", "lidskii-count1", "poisson-n0", "seed-env-not-integer",
+        "pseudospectrum-n0", "pseudospectrum-gaussian-n0", "estimate-check-n0", "mp-check-count0",
+        "loop-identity-count0", "loop-identity-n0", "loop-identity-n1", "bvp-n2d-m2", "circulant-n1",
+        "jordan-series-n0", "jordan-series-order-1", "jordan-series-epsilon-1", "jordan-series-lam-re0.95",
+        "jordan-cloud-n1", "lidskii-k0", "pseudospectrum-h0"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv, code, says, env):
     for name, value in env.items():
         monkeypatch.setenv(name, value)

@@ -12,8 +12,9 @@ from grushinlab.linops import (
     as_cmatrix,
     contour_integrate,
     eigenvalues,
+    is_singular,
     numerical_rank,
-    rank_tolerance,
+    rank_limit,
     singular_values,
     solve_linear,
     spectral_norm,
@@ -128,11 +129,35 @@ def test_rank_tolerance_and_ambiguity():
     assert numerical_rank(s, 1e-4) == 1
     assert numerical_rank(np.array([1.0, 0.0]), 1e-12) == 1
     a = np.diag([1.0, 1.0])
-    assert rank_tolerance(a) == pytest.approx(2 * np.finfo(float).eps * 8)
+    assert tolerance_from_sigma(singular_values(a), a.shape) == pytest.approx(2 * np.finfo(float).eps * 8)
     rng = _rng(11)
     for shape in [(4, 4), (6, 3), (2, 5), (0, 3)]:
-        m = _random_complex(rng, shape)
-        assert tolerance_from_sigma(singular_values(m), m.shape) == rank_tolerance(m)
+        sigma = singular_values(_random_complex(rng, shape))
+        expected = max(shape) * sigma[0] * np.finfo(float).eps * 8 if sigma.size else 0.0
+        assert tolerance_from_sigma(sigma, shape) == expected
+
+
+@pytest.mark.parametrize("sigma, singular", [
+    ([], True),                # no singular values: an empty matrix
+    ([1.0, 0.0], True),        # sigma_min zero
+    ([1.0, -1e-3], True),      # a lower bound on sigma_min below zero
+    ([0.0, 0.0], True),        # the zero matrix
+    ([1.0, 1e-3], False),      # condition 1e3, below the limit
+    ([1e6, 1.0], True),        # condition 1e6, at the limit
+])
+def test_is_singular_flags_no_sigma_a_vanishing_or_negative_bound_and_the_limit(sigma, singular):
+    assert is_singular(np.array(sigma), 1e6) is singular
+
+
+def test_rank_limit_is_the_condition_at_the_rank_tolerance():
+    eps = np.finfo(float).eps
+    assert rank_limit((3, 5)) == 1.0 / (8.0 * 5 * eps)
+    assert rank_limit((4, 4), 8e3) == 1.0 / (8e3 * 4 * eps)
+    assert rank_limit((0, 0)) == rank_limit((1, 1))
+    sigma = np.array([2.0, 2.0 * 8.0 * 5 * eps])  # sigma_min at the rank tolerance of a 3 x 5 matrix
+    assert sigma[-1] == tolerance_from_sigma(sigma, (3, 5))
+    assert is_singular(sigma, rank_limit((3, 5)))
+    assert not is_singular(sigma * [1.0, 1.01], rank_limit((3, 5)))
 
 
 def test_contour_residue():

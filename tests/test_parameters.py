@@ -39,6 +39,15 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     assert not never, f"defaulted parameters that no call passes: {never}"
 
 
+def test_defaulted_parameters_stay_pinned():
+    # every option is a branch to test and a default to keep; adding one means
+    # raising this pin and saying why in CHANGES.md
+    count = 0
+    for _, fn in _nodes((ast.FunctionDef, ast.AsyncFunctionDef), "src/grushinlab"):
+        count += len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+    assert count == 41
+
+
 def test_every_library_function_has_a_caller():
     # a private name that nothing in the library or its benchmark refers to,
     # or a public one that not even a test refers to, is dead code; a test

@@ -22,6 +22,7 @@ from grushinlab.linops import (
     EPS,
     WELL_POSED_LIMIT,
     condition_from_sigma,
+    rank_limit,
     refined_solve,
     singular_gate,
     spectral_norm,
@@ -283,10 +284,13 @@ _RULES = [(1.0, None), (1e3, None), (None, WELL_POSED_LIMIT), (1.0, WELL_POSED_L
 @given(graded_stacks(), st.sampled_from(_RULES), st.booleans())
 def test_singular_gate_decides_as_the_plain_rule(stacks, rule, with_inverses):
     """Each rule in use (the rank tolerance times 1 or 1e3, the well-posed
-    limit, both) picks the same first singular matrix as plain per-matrix
-    SVDs, with or without certifying inverses."""
+    limit, both), stated to the gate as one condition limit, picks the same
+    first singular matrix as the plain sigma-space rule on per-matrix SVDs,
+    with or without certifying inverses."""
     mats, _ = stacks
     scale, limit = rule
+    gate_limit = min(np.inf if scale is None else rank_limit(mats.shape[1:], 8.0 * scale),
+                     np.inf if limit is None else limit)
     sigmas = _sigmas(mats)
     first_bad = next((i for i, s in enumerate(sigmas) if (
         scale is not None and s[-1] <= scale * tolerance_from_sigma(s, mats.shape[1:])
@@ -299,7 +303,7 @@ def test_singular_gate_decides_as_the_plain_rule(stacks, rule, with_inverses):
         except np.linalg.LinAlgError:
             pass  # an exactly singular stack goes to the SVD whole, as without inverses
     try:
-        singular_gate(mats, _Fault, scale, limit, inverses=inverses)
+        singular_gate(mats, _Fault, gate_limit, inverses=inverses)
     except _Fault as exc:
         assert exc.args[0] == first_bad
         assert np.array_equal(exc.args[1], sigmas[first_bad])

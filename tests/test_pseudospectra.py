@@ -231,6 +231,22 @@ def test_grid_sigma_scaled_rule():
             assert cell.n_captured >= 1
 
 
+def test_grid_sigma_scaled_rule_records_a_vanishing_sigma_min():
+    grid = pseudospectrum_grid(np.diag([0.0, 1.0]), (0.0, 1.0, 0.0, 1.0), 2, ("sigma-scaled", 2.0))
+    assert grid.cells[0].lam == 0.0
+    assert grid.cells[0].error == "OnSpectrum: sigma_min vanished under sigma-scaled rule"
+
+
+def test_empty_matrix_is_a_dimension_mismatch():
+    empty = np.zeros((0, 0))
+    for call in (lambda: resolvent_bound(empty, 0.5, 0.1),
+                 lambda: pseudospectrum_grid(empty, (0.0, 1.0, 0.0, 1.0), 2, ("fixed", 0.1)),
+                 lambda: estimate_check(empty, 0.5, 0.1, 4),
+                 lambda: threshold_projectors(empty, 0.5, 0.1)):
+        with pytest.raises(DimensionMismatch, match="matrix must be nonempty"):
+            call()
+
+
 def test_non_square_matrix_is_a_dimension_mismatch():
     a = np.ones((3, 4), dtype=complex)
     with pytest.raises(DimensionMismatch, match="matrix must be square"):
