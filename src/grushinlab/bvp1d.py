@@ -20,7 +20,7 @@ ghost values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -49,19 +49,21 @@ from .linops import (
 
 @dataclass(frozen=True)
 class Discretization:
-    """Uniform grid on [a, b] with m interior nodes and a potential evaluator."""
+    """Uniform grid on [a, b] with m interior nodes and a potential evaluator, sampled once per node."""
 
     a: float
     b: float
     m: int
     v: Callable[[float], float]
+    _samples: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError("need a < b")
         if self.m < 3:
             raise ValueError("need at least 3 interior nodes")
-        if not np.all(np.isfinite(_stencil(self, 0.0)[2])):
+        object.__setattr__(self, "_samples", np.array([self.v(x) for x in self.grid()], dtype=float))
+        if not np.all(np.isfinite(self._samples)):
             raise ValueError("potential must be finite at every grid node")
 
     @property
@@ -82,11 +84,10 @@ class BoundaryData:
 
 
 def _stencil(d: Discretization, z: complex) -> tuple[np.ndarray, float, np.ndarray]:
-    """Second-order stencil of -d2/dx2 + V - z at grid nodes 0..m+1, one call
-    of the potential per node: the diagonal 2/h^2 + V - z, the off-diagonal
-    -1/h^2, and V - z for :func:`_difference_rows`."""
-    h = d.step
-    v = np.array([d.v(x) for x in d.grid()], dtype=float)
+    """Second-order stencil of -d2/dx2 + V - z at grid nodes 0..m+1, from the
+    potential's samples: the diagonal 2/h^2 + V - z, the off-diagonal -1/h^2,
+    and V - z for :func:`_difference_rows`."""
+    h, v = d.step, d._samples
     return (2.0 / h**2 + v - z).astype(np.complex128), -1.0 / h**2, v - z
 
 
@@ -243,9 +244,9 @@ def _node_check(a_n: np.ndarray, a_d: np.ndarray) -> Callable[[complex], None]:
     S = D A_N D^{-1} with D = diag(1/sqrt 2, 1, ..., 1, 1/sqrt 2).  So the
     singular values of z - A_D are the |z - lambda|, and those of z - A_N lie
     within the factor kappa(D) = sqrt 2 of the |z - lambda(S)|.  Widened by
-    8 n eps kappa (|z| + ||A||) for the error of the eigenvalues and of the
-    SVD they stand in for, these bounds pass most z; any other z gets the
-    sigma-only SVD (README, "Numerical conventions").
+    8 n eps kappa (|z| + ||A||) for the error of the eigenvalues and of the SVD
+    they stand in for (sigma_min's clipped at 0), these bounds pass most z;
+    any other z gets the sigma-only SVD (README, "Numerical conventions").
     """
     w = np.ones(a_n.shape[0])
     w[[0, -1]] = math.sqrt(0.5)
@@ -256,7 +257,8 @@ def _node_check(a_n: np.ndarray, a_d: np.ndarray) -> Callable[[complex], None]:
         for a, eigs, kappa in spectra:
             dist = np.abs(z - eigs)
             slack = 8.0 * a.shape[0] * EPS * kappa * (abs(z) + np.abs(eigs).max())
-            bounds = np.array([kappa * (dist.max() + slack) + slack, (dist.min() - slack) / kappa - slack])
+            lower = max((dist.min() - slack) / kappa - slack, 0.0)
+            bounds = np.array([kappa * (dist.max() + slack) + slack, lower])
             limit = rank_limit(a.shape, 8e3)
             if is_singular(bounds, limit):
                 fault = lambda *_: OnContourSingular(f"contour node z={z} on a discrete spectrum", complex(z))

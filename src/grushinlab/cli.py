@@ -273,6 +273,8 @@ def _svd_pseudoinverse(p: np.ndarray) -> np.ndarray:
 def _cmd_mp_check(args, seed: int):
     if args.count < 1:
         raise ValueError(f"count must be at least 1, got {args.count}")
+    if min(args.rows, args.cols) < 1:
+        raise ValueError(f"rows and cols must be at least 1, got {args.rows} x {args.cols}")
     records = []
     worst = 0.0
     for i in range(args.count):

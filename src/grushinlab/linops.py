@@ -30,10 +30,10 @@ EPS = float(np.finfo(np.float64).eps)
 #: below 1/(100*eps).
 WELL_POSED_LIMIT = 1.0 / (100.0 * EPS)
 
-#: An explicit inverse decides a singularity gate without an SVD while the
-#: bound ||M||_F ||X||_F stays below the gate's condition bound times this
-#: margin; the LU backward error keeps such a decision the SVD's (README,
-#: "Numerical conventions").
+#: An LU inverse X certifies its matrix M in :func:`certified_solve` without an
+#: SVD while the bound ||M||_F ||X||_F stays below the gate's condition limit
+#: times this margin; the LU backward error keeps such a decision the SVD's
+#: (README, "Numerical conventions").
 CERTIFIED_MARGIN = 1e-6
 
 #: Hard cap for quadrature node doubling.
@@ -87,9 +87,10 @@ def condition_from_sigma(sigma: np.ndarray) -> float:
 
 def is_singular(sigma: np.ndarray, limit: float) -> bool:
     """The singularity rule on the singular values of a matrix, or on bounds of
-    them (sigma_max's from above first, sigma_min's from below last): none at
-    all, sigma_min at or below zero, or sigma_max/sigma_min not below ``limit``."""
-    return sigma.size == 0 or not sigma[-1] > 0.0 or not condition_from_sigma(sigma) < limit
+    them (sigma_max's from above first, sigma_min's from below last, never
+    negative): sigma_max/sigma_min not below ``limit``, infinite where there
+    are no singular values or sigma_min is zero."""
+    return not condition_from_sigma(sigma) < limit
 
 
 def rank_limit(shape: tuple, factor: float = 8.0) -> float:
@@ -97,37 +98,31 @@ def rank_limit(shape: tuple, factor: float = 8.0) -> float:
     return 1.0 / (factor * max(*shape, 1) * EPS)
 
 
-def singular_gate(mats: np.ndarray, fault, limit: float, inverses=None) -> np.ndarray:
+def singular_gate(mats: np.ndarray, fault, limit: float) -> np.ndarray:
     """Singular values of a matrix or a stack from one sigma-only SVD, after ``fault(i, sigma)``
-    is raised at the first matrix ``i`` that :func:`is_singular` flags under ``limit``.  With
-    the LU-computed ``inverses`` of a stack, a nonempty matrix with ||M||_F ||X||_F at most
-    ``CERTIFIED_MARGIN`` times ``limit`` needs no SVD: ``i`` stays the stack index, and only
-    the other matrices' singular values are returned."""
-    index = range(len(mats)) if mats.ndim == 3 else [0]
-    if inverses is not None:
-        norms = np.linalg.norm(mats, axis=(-2, -1)) * np.linalg.norm(inverses, axis=(-2, -1))
-        index = np.flatnonzero(~((norms <= limit * CERTIFIED_MARGIN) & (mats.shape[-1] > 0)))
-        if not index.size:
-            return np.zeros((0, mats.shape[-1]))
-        mats = mats[index]
+    is raised at the first matrix ``i`` that :func:`is_singular` flags under ``limit``."""
     sigma = _sigma(mats)
-    for i, s in zip(index, np.atleast_2d(sigma)):
+    for i, s in enumerate(np.atleast_2d(sigma)):
         if is_singular(s, limit):
-            raise fault(int(i), s)
+            raise fault(i, s)
     return sigma
 
 
 def certified_solve(mats: np.ndarray, rhs: np.ndarray, fault, limit: float) -> np.ndarray:
-    """LU solution X of ``M X = rhs`` for a stack, ``rhs`` ending in the
-    identity: X's last n columns, the LU inverses, certify their matrices in
-    :func:`singular_gate` under ``limit``, the others face its SVD, and a stack
-    the LU solve rejects faces it whole before the error propagates."""
+    """LU solution X of ``M X = rhs`` for a stack, ``rhs`` ending in the identity.
+    X's last n columns, the LU inverses, certify a nonempty M where ||M||_F ||X||_F
+    is at most ``CERTIFIED_MARGIN`` times ``limit``; the others face :func:`singular_gate`,
+    ``fault`` naming their stack index; a stack the LU solve rejects faces it whole, then raises."""
     try:
         x = np.linalg.solve(mats, rhs)
     except np.linalg.LinAlgError:
         singular_gate(mats, fault, limit)
         raise
-    singular_gate(mats, fault, limit, inverses=x[..., x.shape[-1] - mats.shape[-1]:])
+    inverses = x[..., x.shape[-1] - mats.shape[-1]:]
+    norms = np.linalg.norm(mats, axis=(-2, -1)) * np.linalg.norm(inverses, axis=(-2, -1))
+    rest = np.flatnonzero(~((norms <= limit * CERTIFIED_MARGIN) & (mats.shape[-1] > 0)))
+    if rest.size:
+        singular_gate(mats[rest], lambda i, s: fault(int(rest[i]), s), limit)
     return x
 
 

@@ -143,7 +143,7 @@ def _trace_integrals(
 
     values = [complex(v) / TWO_PI_I for v in integrate_nodes(integrand, contour, tol)]
     if template is not None:
-        zeros = round(values.pop().real)
+        zeros = as_integer(values.pop())
         if zeros != 0:
             raise IllPosedInside(
                 f"bordered matrix singular inside the contour: det M has {zeros} zero(s) there", zeros

@@ -1,0 +1,107 @@
+"""The input and consistency checks that no other test reaches (see
+``tools/line_ledger.py``): each raises its own error type and message."""
+
+import os
+import tempfile
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from grushinlab.bvp1d import Discretization, tabulated_potential
+from grushinlab.cli import emit, render_json
+from grushinlab.core import (
+    Split,
+    assemble,
+    effective_index,
+    feshbach_effective,
+    invert_system,
+    iterate,
+    recover_resolvent,
+    schur_check,
+    transfer,
+)
+from grushinlab.errors import ConsistencyError, DimensionMismatch, IoFailure
+from grushinlab.linops import Contour, as_cmatrix, contour_integrate, eigenvalues, solve_linear
+from grushinlab.perturbation import (
+    JordanSpec,
+    grammian_reduce,
+    jordan_cloud,
+    jordan_vectors,
+    projected_inverse_blocks,
+)
+from grushinlab.pseudospectra import pseudospectrum_grid, resolvent_bound
+
+# P = 1 bordered once on each side: E_-+ is 1 x 1
+_BORDERED = invert_system(assemble(np.eye(2), [[1.0], [0.0]], [[1.0, 0.0]]))
+
+
+def _recover_one_sided():
+    # P = [1, 0] with one row border only: M = I, E_-+ is 0 x 1
+    system = assemble([[1.0, 0.0]], np.zeros((1, 0)), [[0.0, 1.0]])
+    return recover_resolvent(system, invert_system(system))
+
+
+def _index_below_tol():
+    # tol = 1e-6 reads diag(1, 1e-8) as rank 1; with no borders E_-+ has no kernel
+    system = assemble(np.diag([1.0, 1e-8]), [], [])
+    return effective_index(system, invert_system(system), tol=1e-6)
+
+
+def _emit_when_replace_fails():
+    # the temporary file goes with the failed rename
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("os.replace", side_effect=OSError("rename refused")):
+        try:
+            emit({}, "json", os.path.join(tmp, "report.json"))
+        finally:
+            assert os.listdir(tmp) == []
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Discretization(1.0, 0.0, 5, lambda x: 0.0), ValueError, "need a < b"),
+    (lambda: Discretization(0.0, 1.0, 5, lambda x: np.nan), ValueError, "potential must be finite at every grid node"),
+    (lambda: tabulated_potential(0.0, 1.0, 5, np.zeros(6)), DimensionMismatch, "table needs 7 values, got 6"),
+    (lambda: as_cmatrix(np.zeros((2, 2, 2))), DimensionMismatch, "expected a 2-D array, got ndim=3"),
+    (lambda: JordanSpec(3, 0.5, 0.1, np.zeros((2, 3))), DimensionMismatch, "expected 3 rows, got 2"),
+    (lambda: JordanSpec(3, 0.5, 0.1, np.zeros((3, 2))), DimensionMismatch, "expected 3 columns, got 2"),
+    (lambda: solve_linear(np.zeros((2, 3)), np.ones((2, 1))), DimensionMismatch, "matrix must be square, got (2, 3)"),
+    (lambda: eigenvalues(np.zeros((2, 3))), DimensionMismatch, "matrix must be square, got (2, 3)"),
+    (lambda: Contour("ellipse"), ValueError, "unknown contour kind 'ellipse'"),
+    (lambda: contour_integrate(lambda z: np.inf, Contour.circle(0.0, 1.0)),
+     ValueError, "integrand is not finite at a quadrature node"),
+    (_recover_one_sided, DimensionMismatch, "effective Hamiltonian must be square to invert"),
+    (lambda: schur_check(np.eye(2), np.eye(3), 1), DimensionMismatch, "A and B must be square and of equal shape"),
+    (lambda: schur_check(np.eye(2), np.eye(2), 0), DimensionMismatch, "invalid split 0 of size 2"),
+    (lambda: transfer(_BORDERED, np.ones((2, 2)), np.ones((1, 2))),
+     DimensionMismatch, "transfer system is not square; borders incompatible"),
+    (lambda: iterate(_BORDERED, np.ones((2, 1)), np.ones((1, 1))), DimensionMismatch, "nminus rows must match k_minus"),
+    (lambda: iterate(_BORDERED, np.ones((1, 1)), np.ones((1, 2))),
+     DimensionMismatch, "nplus columns must match k_plus"),
+    (lambda: iterate(_BORDERED, np.ones((1, 1)), np.ones((2, 1))), DimensionMismatch, "inner system is not square"),
+    (lambda: feshbach_effective(np.ones((2, 3)), Split((0,)), 1.0), DimensionMismatch, "H must be square"),
+    (_index_below_tol, ConsistencyError,
+     "kernel/cokernel mismatch: P gives (1, 1), effective Hamiltonian gives (0, 0)"),
+    (lambda: jordan_vectors(0, 0.5), DimensionMismatch, "block size must be >= 1"),
+    (lambda: jordan_cloud(3, 0.1, "uniform"), ValueError, "unknown q kind 'uniform'"),
+    (lambda: projected_inverse_blocks(np.eye(3), np.eye(2)),
+     DimensionMismatch, "T must be square and basis rows must match it"),
+    (lambda: grammian_reduce(np.eye(2), 0.0, 1.0), ValueError, "eps_cut and c_const must be positive"),
+    (lambda: grammian_reduce(np.eye(2), 0.1, 1.0, t=np.eye(2)), ValueError, "supplying T requires its residual delta"),
+    (lambda: resolvent_bound(np.eye(2), 0.0, 0.0), ValueError, "threshold h must be positive"),
+    (lambda: pseudospectrum_grid(np.eye(2), (0.0, 1.0, 0.0, 1.0), 2, ("adaptive", 1.0)),
+     ValueError, "unknown h rule 'adaptive'"),
+    (lambda: render_json({"x": object()}), TypeError, "object is not JSON serializable"),
+    (_emit_when_replace_fails, IoFailure, "rename refused"),
+], ids=[
+    "discretization-interval", "discretization-nan", "tabulated_potential", "as_cmatrix-ndim", "as_cmatrix-rows",
+    "as_cmatrix-cols", "solve_linear", "eigenvalues", "contour-kind", "integrand-inf", "recover_resolvent",
+    "schur_check-shape", "schur_check-split", "transfer", "iterate-nminus", "iterate-nplus", "iterate-square",
+    "feshbach_effective", "effective_index", "jordan_vectors", "jordan_cloud", "projected_inverse_blocks",
+    "grammian_reduce-cut", "grammian_reduce-delta", "resolvent_bound", "pseudospectrum_grid", "render_json",
+    "emit",
+])
+def test_every_input_check_raises_its_own_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import grushinlab
 from grushinlab.errors import (
     DimensionMismatch,
     NonConvergent,
@@ -140,13 +144,36 @@ def test_rank_tolerance_and_ambiguity():
 @pytest.mark.parametrize("sigma, singular", [
     ([], True),                # no singular values: an empty matrix
     ([1.0, 0.0], True),        # sigma_min zero
-    ([1.0, -1e-3], True),      # a lower bound on sigma_min below zero
     ([0.0, 0.0], True),        # the zero matrix
     ([1.0, 1e-3], False),      # condition 1e3, below the limit
     ([1e6, 1.0], True),        # condition 1e6, at the limit
 ])
-def test_is_singular_flags_no_sigma_a_vanishing_or_negative_bound_and_the_limit(sigma, singular):
+def test_is_singular_flags_no_sigma_a_vanishing_sigma_min_and_the_limit(sigma, singular):
     assert is_singular(np.array(sigma), 1e6) is singular
+
+
+def _reads(tree: ast.AST, name: str, where: str = "<module>"):
+    """The enclosing function of every read or import of ``name`` in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _reads(node, name, node.name)
+            continue
+        if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name):
+            yield where
+        yield from _reads(node, name, where)
+
+
+def test_only_certified_solve_reads_the_certified_margin():
+    # the LU certificate lives with the LU inverse; every other gate is the
+    # plain rule on singular values
+    sites = {
+        (path.name, where)
+        for path in sorted(Path(grushinlab.__file__).parent.glob("*.py"))
+        for where in _reads(ast.parse(path.read_text()), "CERTIFIED_MARGIN")
+    }
+    assert sites == {("linops.py", "certified_solve")}
 
 
 def test_rank_limit_is_the_condition_at_the_rank_tolerance():

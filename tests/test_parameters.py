@@ -45,7 +45,7 @@ def test_defaulted_parameters_stay_pinned():
     count = 0
     for _, fn in _nodes((ast.FunctionDef, ast.AsyncFunctionDef), "src/grushinlab"):
         count += len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
-    assert count == 41
+    assert count == 40
 
 
 def test_every_library_function_has_a_caller():

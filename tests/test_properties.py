@@ -21,9 +21,9 @@ from grushinlab.errors import GrushinLabError, IllPosed, InnerSingular, RankAmbi
 from grushinlab.linops import (
     EPS,
     WELL_POSED_LIMIT,
+    certified_solve,
     condition_from_sigma,
     rank_limit,
-    refined_solve,
     singular_gate,
     spectral_norm,
     tolerance_from_sigma,
@@ -282,11 +282,12 @@ _RULES = [(1.0, None), (1e3, None), (None, WELL_POSED_LIMIT), (1.0, WELL_POSED_L
 
 @PROPERTY
 @given(graded_stacks(), st.sampled_from(_RULES), st.booleans())
-def test_singular_gate_decides_as_the_plain_rule(stacks, rule, with_inverses):
+def test_singular_gate_decides_as_the_plain_rule(stacks, rule, certified):
     """Each rule in use (the rank tolerance times 1 or 1e3, the well-posed
-    limit, both), stated to the gate as one condition limit, picks the same
-    first singular matrix as the plain sigma-space rule on per-matrix SVDs,
-    with or without certifying inverses."""
+    limit, both), stated as one condition limit to the gate, or to
+    ``certified_solve``, which certifies from LU inverses and sends the rest to
+    the gate, picks the same first singular matrix as the plain sigma-space
+    rule on per-matrix SVDs."""
     mats, _ = stacks
     scale, limit = rule
     gate_limit = min(np.inf if scale is None else rank_limit(mats.shape[1:], 8.0 * scale),
@@ -296,14 +297,12 @@ def test_singular_gate_decides_as_the_plain_rule(stacks, rule, with_inverses):
         scale is not None and s[-1] <= scale * tolerance_from_sigma(s, mats.shape[1:])
         or limit is not None and not _well_posed(condition_from_sigma(s))
     )), None)
-    inverses = None
-    if with_inverses:
-        try:
-            inverses = refined_solve(mats, np.eye(mats.shape[-1], dtype=complex))
-        except np.linalg.LinAlgError:
-            pass  # an exactly singular stack goes to the SVD whole, as without inverses
+    ident = np.eye(mats.shape[-1], dtype=complex)
     try:
-        singular_gate(mats, _Fault, gate_limit, inverses=inverses)
+        if certified:
+            assert np.array_equal(certified_solve(mats, ident, _Fault, gate_limit), np.linalg.solve(mats, ident))
+        else:
+            assert np.array_equal(singular_gate(mats, _Fault, gate_limit), np.array(sigmas))
     except _Fault as exc:
         assert exc.args[0] == first_bad
         assert np.array_equal(exc.args[1], sigmas[first_bad])

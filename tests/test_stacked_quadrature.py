@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from grushinlab import linops, traces
-from grushinlab.errors import IllPosedInside, IllPosedOnContour, NonConvergent
+from grushinlab.errors import IllPosedInside, IllPosedOnContour, NonConvergent, NonInteger
 from grushinlab.linops import Contour
 from grushinlab.traces import (
     HolomorphicFamily,
@@ -182,3 +182,12 @@ def test_border_pole_inside_is_reported():
     assert info.value.args[1] == 1
     with pytest.raises(IllPosedOnContour):
         weighted_trace(family, rm, rm.T, contour, lambda z: z)
+
+
+def test_a_non_integer_count_of_border_poles_is_refused(monkeypatch):
+    # a log-det integral of 0.4 zeros of det M is no count, not a count of 0
+    family = HolomorphicFamily.pencil(np.diag([0.0, 1.0]).astype(complex))
+    rm = np.array([[1.0], [0.0]], dtype=complex)
+    monkeypatch.setattr(traces, "integrate_nodes", lambda *_: np.array([0j, 0.4 * 2j * np.pi]))
+    with pytest.raises(NonInteger):
+        count_effective(family, rm, rm.T, Contour.circle(2.0, 0.5))
