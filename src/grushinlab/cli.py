@@ -275,6 +275,8 @@ def _cmd_mp_check(args, seed: int):
         raise ValueError(f"count must be at least 1, got {args.count}")
     if min(args.rows, args.cols) < 1:
         raise ValueError(f"rows and cols must be at least 1, got {args.rows} x {args.cols}")
+    if args.rank < 0:
+        raise ValueError(f"rank must be at least 0, got {args.rank}")
     records = []
     worst = 0.0
     for i in range(args.count):

@@ -202,21 +202,22 @@ def invert_system(system: BorderedSystem) -> GrushinInverse:
 
 
 def invert_nodes(system: BorderedSystem) -> GrushinInverse:
-    """Refined inverse of a bordered system, or of a node stack of them (a
-    leading node axis on P), split into blocks; ``condition`` is nan.
-
-    Each inverse is one LU solve plus one refinement step, bit for bit the one
-    :func:`invert_system` computes.  Each matrix faces the well-posedness gate
-    of :func:`invert_system` through :func:`linops.certified_solve`, where the
-    LU inverse, before refinement, spares a matrix it certifies the SVD.
-    :class:`IllPosed` carries the estimate and the stack index of the first
-    matrix beyond the limit.  Shapes and finiteness are the caller's to check.
-    """
+    """:func:`lu_inverse` of a bordered system, or of a node stack of them (a leading
+    node axis on P), plus one refinement step, split into blocks; ``condition`` is nan.
+    Bit for bit :func:`invert_system`'s inverse, for callers that report floats:
+    the loop trace and the pseudospectrum cell."""
     mats = system.assembled()
     stack = mats.reshape(-1, *mats.shape[-2:])
-    ident = np.eye(stack.shape[-1], dtype=complex)
-    full = refine(stack, ident, certified_solve(stack, ident, _ill_posed, WELL_POSED_LIMIT))
+    full = refine(stack, np.eye(stack.shape[-1], dtype=complex), lu_inverse(stack))
     return GrushinInverse.from_full(full.reshape(mats.shape), system.n_cols, system.n_rows)
+
+
+def lu_inverse(stack: np.ndarray) -> np.ndarray:
+    """One unrefined LU inverse of each matrix of a stack, facing :func:`invert_system`'s
+    gate through :func:`linops.certified_solve`: a matrix its inverse certifies needs no
+    SVD.  :class:`IllPosed` carries the estimate and the stack index of the first matrix
+    beyond the limit.  Shapes and finiteness are the caller's to check."""
+    return certified_solve(stack, np.eye(stack.shape[-1], dtype=complex), _ill_posed, WELL_POSED_LIMIT)
 
 
 def _ill_posed(index: int, sigma: np.ndarray) -> IllPosed:

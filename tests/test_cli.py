@@ -228,6 +228,8 @@ def test_bvp_n2d_gates_as_bvp_grushin_near_a_neumann_eigenvalue(tmp_path):
     (["mp-check", "--count", "0"], 2, "count must be at least 1, got 0", {}),
     (["mp-check", "--rows", "0"], 2, "rows and cols must be at least 1, got 0 x 4", {}),
     (["mp-check", "--cols", "0"], 2, "rows and cols must be at least 1, got 7 x 0", {}),
+    (["mp-check", "--rank", "-1"], 2, "rank must be at least 0, got -1", {}),
+    (["mp-check", "--rank", "0"], 0, None, {}),
     (["loop-identity", "--count", "0"], 2, "count must be at least 1, got 0", {}),
     (["loop-identity", "--n", "0"], 2, "n must be at least 2", {}),
     (["loop-identity", "--n", "1"], 2, "n must be at least 2", {}),
@@ -243,7 +245,7 @@ def test_bvp_n2d_gates_as_bvp_grushin_near_a_neumann_eigenvalue(tmp_path):
 ], ids=["trace-count-n0", "obstruction-h0", "potential-file-missing", "potential-file-directory",
         "jordan-cloud-random", "estimate-check-trials0", "lidskii-count1", "poisson-n0", "seed-env-not-integer",
         "pseudospectrum-n0", "pseudospectrum-gaussian-n0", "estimate-check-n0", "mp-check-count0",
-        "mp-check-rows0", "mp-check-cols0",
+        "mp-check-rows0", "mp-check-cols0", "mp-check-rank-1", "mp-check-rank0",
         "loop-identity-count0", "loop-identity-n0", "loop-identity-n1", "bvp-n2d-m2", "circulant-n1",
         "jordan-series-n0", "jordan-series-order-1", "jordan-series-epsilon-1", "jordan-series-lam-re0.95",
         "jordan-cloud-n1", "lidskii-k0", "pseudospectrum-h0"])

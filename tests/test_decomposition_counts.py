@@ -256,6 +256,42 @@ def test_counting_integrals_make_no_stacked_svd(monkeypatch):
     assert _stacked_svds(calls) == []
 
 
+def _per_stack(solves, *shapes):
+    """The solves expected when each node stack of size s makes one solve of
+    each (s,) + shape, in that order; the stack sizes are read off ``solves``."""
+    sizes = [solves[i][0] for i in range(0, len(solves), len(shapes))]
+    return [(s,) + shape for s in sizes for shape in shapes]
+
+
+def test_counting_integrals_make_one_bordered_solve_per_stack(monkeypatch):
+    # one unrefined LU inverse of each bordered M, then the E_-+ solve; the
+    # weighted trace adds the direct half's solve of P against [P' | I]
+    a = gaussian_matrix(12, 5) / np.sqrt(12)
+    contour = Contour.circle(0.1 - 0.05j, 0.6)
+    family = HolomorphicFamily.pencil(a)
+    rm, rp = invariant_subspace_borders(a, contour)
+    n, k = 12, rm.shape[1]
+    solves = _record_shapes(monkeypatch, "solve")
+    assert count_effective(family, rm, rp, contour) == k == 2
+    assert solves and solves == _per_stack(solves, (n + k, n + k), (k, k))
+    solves.clear()
+    weighted_trace(family, rm, rp, contour, lambda z: z)
+    assert solves and solves == _per_stack(solves, (n, n), (n + k, n + k), (k, k))
+
+
+def test_reported_floats_keep_two_solves_of_the_bordered_matrix(monkeypatch):
+    # the loop trace and the pseudospectrum cell keep invert_nodes' refinement step
+    loop = seeded_loop_family(4, 7000, False)
+    system = loop.system(0.0)
+    n, size, k = system.n_rows, system.assembled().shape[0], system.k_plus
+    solves = _record_shapes(monkeypatch, "solve")
+    loop_trace_identity(loop)
+    assert solves and solves == _per_stack(solves, (n, n), (size, size), (size, size), (k, k))
+    solves.clear()
+    cell = resolvent_bound(jordan_block(10), 0.5 + 0.1j, 1e-2)
+    assert solves == [(1, 10 + cell.n_captured, 10 + cell.n_captured)] * 2
+
+
 @pytest.mark.parametrize("winding", [False, True])
 def test_loop_identity_makes_one_stacked_svd_for_its_certificate(monkeypatch, winding):
     loop = seeded_loop_family(4, 7000, winding)

@@ -21,6 +21,7 @@ from grushinlab.errors import GrushinLabError, IllPosed, InnerSingular, RankAmbi
 from grushinlab.linops import (
     EPS,
     WELL_POSED_LIMIT,
+    Contour,
     certified_solve,
     condition_from_sigma,
     rank_limit,
@@ -29,7 +30,14 @@ from grushinlab.linops import (
     tolerance_from_sigma,
 )
 from grushinlab.pseudospectra import _shifted, _threshold_borders, _threshold_inverse
-from grushinlab.traces import _log_derivative_trace
+from grushinlab.traces import (
+    HolomorphicFamily,
+    _log_derivative_trace,
+    count_direct,
+    count_effective,
+    invariant_subspace_borders,
+    weighted_trace,
+)
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -308,3 +316,30 @@ def test_singular_gate_decides_as_the_plain_rule(stacks, rule, certified):
         assert np.array_equal(exc.args[1], sigmas[first_bad])
         return
     assert first_bad is None
+
+
+@st.composite
+def isolating_circles(draw):
+    """A complex Gaussian n x n A, n = 2..12, and a circle about one of its
+    eigenvalues whose radius is 0.1 to 0.8 of that eigenvalue's gap to the rest."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    vals = np.linalg.eigvals(a)
+    i = draw(st.integers(0, n - 1))
+    gap = np.min(np.abs(np.delete(vals, i) - vals[i]))
+    return a, Contour.circle(vals[i], draw(st.floats(0.1, 0.8)) * gap)
+
+
+@PROPERTY
+@given(isolating_circles())
+def test_counting_integrals_agree_with_the_enclosed_eigenvalues(case):
+    a, contour = case
+    enclosed = [v for v in np.linalg.eigvals(a) if contour.contains(v)]
+    family = HolomorphicFamily.pencil(a)
+    rm, rp = invariant_subspace_borders(a, contour)
+    assert count_effective(family, rm, rp, contour) == count_direct(family, contour) == len(enclosed)
+    trace = weighted_trace(family, rm, rp, contour, lambda z: z)
+    total = sum(enclosed)
+    for half in (trace.direct, trace.effective):
+        assert abs(half - total) <= 1e-8 * (1 + abs(total))
