@@ -155,10 +155,13 @@ def _difference_rows(h: float, shifted: np.ndarray, extended: np.ndarray) -> np.
     return (-extended[:-2] + 2.0 * inner - extended[2:]) / h**2 + shifted * inner
 
 
-def extension_profiles(d: Discretization, support_fraction: float = 0.125) -> np.ndarray:
+SUPPORT_FRACTION = 0.125  # the share of the grid each boundary-data extension covers
+
+
+def extension_profiles(d: Discretization) -> np.ndarray:
     """Two extended-grid bump profiles with unit trace and zero centered normal
-    derivative at their endpoint, vanishing beyond ceil(m * support_fraction) nodes."""
-    q = max(1, math.ceil(d.m * support_fraction))
+    derivative at their endpoint, vanishing beyond ceil(m * SUPPORT_FRACTION) nodes."""
+    q = max(1, math.ceil(d.m * SUPPORT_FRACTION))
     q = min(q, (d.m + 1) // 2)
     n_ext = d.m + 4
 
@@ -177,14 +180,13 @@ def extension_profiles(d: Discretization, support_fraction: float = 0.125) -> np
     return np.column_stack([left, right])
 
 
-def bvp_bordered_system(
-    d: Discretization, z: complex, support_fraction: float = 0.125
-) -> BorderedSystem:
+def bvp_bordered_system(d: Discretization, z: complex) -> BorderedSystem:
     """The bordered problem for the Dirichlet realization whose effective
     Hamiltonian is the Neumann-to-Dirichlet map.
 
     Column border: the difference expression applied to the boundary-data
-    extension.  Row border: the centered outward normal derivative.
+    extension (:func:`extension_profiles`).  Row border: the centered outward
+    normal derivative.
     """
     h = d.step
     m = d.m
@@ -202,19 +204,17 @@ def bvp_bordered_system(
     rplus[1, m + 1] = 1.0 / (2.0 * h)
     rplus[1, m] = -1.0 / (2.0 * h)
 
-    profiles = extension_profiles(d, support_fraction)
+    profiles = extension_profiles(d)
     rminus = np.column_stack(
         [_difference_rows(h, shifted, profiles[:, 0]), _difference_rows(h, shifted, profiles[:, 1])]
     )
     return assemble(p, rminus, rplus)
 
 
-def bvp_grushin(
-    d: Discretization, z: complex, support_fraction: float = 0.125
-) -> GrushinInverse:
+def bvp_grushin(d: Discretization, z: complex) -> GrushinInverse:
     """Invert the boundary bordered problem and confirm that its effective
     Hamiltonian reproduces the Neumann-to-Dirichlet map to 1e-9 scale."""
-    _, inverse, residual, bound = _n2d_residual(d, z, bvp_bordered_system(d, z, support_fraction))
+    _, inverse, residual, bound = _n2d_residual(d, z, bvp_bordered_system(d, z))
     if residual > bound:
         raise ConsistencyError("effective Hamiltonian disagrees with the boundary map")
     return inverse

@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 import zlib
+from dataclasses import asdict
 from typing import Callable
 
 import numpy as np
@@ -194,15 +195,7 @@ def _cmd_lidskii(args, seed: int):
                                          child_seed(seed, "lidskii"))
     eps_values = np.geomspace(args.eps_min, args.eps_max, args.count)
     comparison = lidskii_compare(spec, eps_values)
-    records = [
-        {
-            "epsilon": r.epsilon,
-            "max_modulus_rel_error": r.max_modulus_rel_error,
-            "max_position_rel_error": r.max_position_rel_error,
-            "mean_log_modulus": r.mean_log_modulus,
-        }
-        for r in comparison.records
-    ]
+    records = [asdict(r) for r in comparison.records]
     deviation = abs(comparison.fitted_exponent * args.n - 1.0)
     summary = {
         "fitted_exponent": comparison.fitted_exponent,
@@ -227,18 +220,7 @@ def _cmd_pseudospectrum(args, seed: int):
         args.resolution,
         ("fixed", args.h),
     )
-    records = [
-        {
-            "lam": cell.lam,
-            "h": cell.h,
-            "n_captured": cell.n_captured,
-            "norm_eff_inv": cell.norm_eff_inv,
-            "sigma_min": cell.sigma_min,
-            "c_emp": cell.c_emp,
-            "error": cell.error,
-        }
-        for cell in grid.cells
-    ]
+    records = [asdict(cell) for cell in grid.cells]
     clean = [c for c in grid.cells if c.error is None]
     summary = {
         "cells": len(grid.cells),

@@ -136,10 +136,6 @@ class ContractionCertificateFails(GrushinLabError):
     """A sampled homotopy certificate contains a non-invertible system."""
 
 
-class SupportViolation(GrushinLabError):
-    """The transform support check failed at the band edge."""
-
-
 class NeumannEigenvalue(GrushinLabError):
     """The shift coincides with a discrete Neumann eigenvalue."""
 

@@ -230,10 +230,11 @@ def eigenvalues(a) -> np.ndarray:
 class Contour:
     """A closed curve in the complex plane with a starting quadrature resolution.
 
-    Two parametrizations are supported: a circle (center, radius > 0) and a
-    closed polyline through a list of vertices (the closing edge back to the
-    first vertex is implicit).  ``nodes`` is the initial node count for the
-    doubling quadrature, per edge on a polyline; it must be at least 8.
+    Two parametrizations are supported: a circle (finite center, finite
+    radius > 0) and a closed polyline through a list of finite vertices (the
+    closing edge back to the first vertex is implicit).  ``nodes`` is the
+    initial node count for the doubling quadrature, per edge on a polyline; it
+    must be at least 8.
     """
 
     kind: str
@@ -249,6 +250,10 @@ class Contour:
             raise ValueError(f"node count {self.nodes!r} is not an integer")
         if self.nodes < 8:
             raise ValueError("node count must be >= 8")
+        if self.kind == "circle" and not np.all(np.isfinite([self.center, self.radius])):
+            raise ValueError(f"circle center {self.center} and radius {self.radius} must be finite")
+        if self.kind == "polyline" and not np.all(np.isfinite(self.points)):
+            raise ValueError(f"polyline vertices {self.points} must be finite")
         if self.kind == "circle" and not self.radius > 0.0:
             raise ValueError("circle radius must be positive")
         if self.kind == "polyline" and len(self.points) < 3:

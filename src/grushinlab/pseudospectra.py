@@ -9,6 +9,7 @@ additive O(1/h) term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +67,19 @@ def _square(a) -> np.ndarray:
     return a
 
 
+def _positive(what: str, value: float) -> float:
+    """``value`` as a float; ``ValueError`` naming ``what`` unless it is finite and positive."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+    return value
+
+
 def _shifted(a, lam: complex, h: float) -> np.ndarray:
     """``A - lam`` after the entry checks (finite square ``a``, finite ``lam``,
-    ``h > 0``); the kernels below take checked arrays and never validate."""
+    finite ``h > 0``); the kernels below take checked arrays and never validate."""
     a = _square(a)
-    if h <= 0.0:
-        raise ValueError("threshold h must be positive")
+    _positive("threshold h", h)
     return as_cmatrix(a - lam * np.eye(a.shape[0]))
 
 
@@ -237,11 +245,12 @@ def pseudospectrum_grid(a, rectangle, resolution, h_rule) -> PseudospectrumGrid:
     """Evaluate resolvent bounds over a rectangular grid of probe points.
 
     ``rectangle`` is (re_min, re_max, im_min, im_max), finite, with
-    max|A| + max|lam| finite in the real and in the imaginary part; ``resolution``
-    an integer count or (n_re, n_im) pair, each at least 2; ``h_rule`` either
-    ("fixed", h) with h > 0 or ("sigma-scaled", factor) with factor > 0 and
-    h = factor * sigma_min per cell.  Input errors raise before any cell is
-    computed; cell-level failures are recorded in the cell, never raised.
+    max|A| + max|lam| finite in the real and in the imaginary part;
+    ``resolution`` the integer number of probe points along each side, at
+    least 2; ``h_rule`` either ("fixed", h) with h > 0 or ("sigma-scaled",
+    factor) with factor > 0 and h = factor * sigma_min per cell, each finite.
+    Input errors raise before any cell is computed; cell-level failures are
+    recorded in the cell, never raised.
     """
     a = _square(a)
     bounds = [float(x) for x in rectangle]
@@ -255,21 +264,16 @@ def pseudospectrum_grid(a, rectangle, resolution, h_rule) -> PseudospectrumGrid:
     for part, low, high in ((a.real, re_min, re_max), (a.imag, im_min, im_max)):
         if not np.isfinite(float(np.abs(part).max(initial=0.0)) + max(abs(low), abs(high))):
             raise ValueError("A - lam overflows on the rectangle")
-    if isinstance(resolution, (int, np.integer)):
-        n_re = n_im = resolution
-    else:
-        n_re, n_im = resolution
-    if n_re < 2 or n_im < 2:
-        raise DimensionMismatch("resolution must be at least 2x2")
+    if not isinstance(resolution, (int, np.integer)):
+        raise ValueError(f"resolution {resolution!r} is not an integer")
+    if resolution < 2:
+        raise DimensionMismatch(f"resolution must be at least 2, got {resolution}")
     kind, value = h_rule
     if kind not in ("fixed", "sigma-scaled"):
         raise ValueError(f"unknown h rule {kind!r}")
-    value = float(value)
-    if value <= 0.0:
-        what = "threshold h" if kind == "fixed" else "sigma-scaled factor"
-        raise ValueError(f"{what} must be positive")
-    res = np.linspace(re_min, re_max, n_re)
-    ims = np.linspace(im_min, im_max, n_im)
+    value = _positive("threshold h" if kind == "fixed" else "sigma-scaled factor", value)
+    res = np.linspace(re_min, re_max, resolution)
+    ims = np.linspace(im_min, im_max, resolution)
     eye = np.eye(a.shape[0])
     cells = []
     for im in ims:

@@ -372,12 +372,12 @@ def test_criterion_08_trace_counting():
             rm, rp = borders_from_base_point(fam, contour.center, tol=1e-4)
         else:
             rm, rp = invariant_subspace_borders(a, contour)
-        direct = count_direct(fam, contour, tol=1e-9)
-        effective = count_effective(fam, rm, rp, contour, tol=1e-9)
+        direct = count_direct(fam, contour)
+        effective = count_effective(fam, rm, rp, contour)
         if not (direct == effective == tally):
             mismatches += 1
         if idx % 2 == 0:
-            wt = weighted_trace(fam, rm, rp, contour, lambda z: z, tol=1e-9)
+            wt = weighted_trace(fam, rm, rp, contour, lambda z: z)
             target = complex(sum(v for v in vals if contour.contains(v)))
             weighted_worst = max(
                 weighted_worst,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grushinlab import bvp1d
 from grushinlab.bvp1d import (
     BoundaryData,
     Discretization,
@@ -109,10 +110,11 @@ def test_bvp_grushin_matches_boundary_map():
     assert spectral_norm(inverse.e_minus_plus - reference) <= 1e-9
 
 
-def test_bvp_grushin_support_invariance():
+def test_bvp_grushin_support_invariance(monkeypatch):
     d = Discretization(0.0, 1.0, 150, _zero)
-    a = bvp_grushin(d, -1.0, support_fraction=0.125)
-    b = bvp_grushin(d, -1.0, support_fraction=0.25)
+    a = bvp_grushin(d, -1.0)
+    monkeypatch.setattr(bvp1d, "SUPPORT_FRACTION", 0.25)
+    b = bvp_grushin(d, -1.0)
     assert spectral_norm(a.e_minus_plus - b.e_minus_plus) <= 1e-8
 
 

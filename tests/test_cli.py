@@ -242,13 +242,22 @@ def test_bvp_n2d_gates_as_bvp_grushin_near_a_neumann_eigenvalue(tmp_path):
     (["jordan-cloud", "--n", "1"], 2, "cloud needs n >= 2", {}),
     (["lidskii", "--k", "0"], 2, "need 1 <= k < n", {}),
     (["pseudospectrum", "--h", "0"], 2, "threshold h must be positive", {}),
+    (["estimate-check", "--h-list", "0.1,nan"], 2, "threshold h must be positive and finite, got nan", {}),
+    (["pseudospectrum", "--h", "nan"], 2, "threshold h must be positive and finite, got nan", {}),
+    (["pseudospectrum", "--h", "inf"], 2, "threshold h must be positive and finite, got inf", {}),
+    (["trace-count", "--radius", "inf"], 2, "circle center 0j and radius inf must be finite", {}),
+    (["trace-count", "--center-re", "nan"], 2, "circle center (nan+0j) and radius 0.7 must be finite", {}),
+    (["bvp-trace", "--radius", "inf"], 2, "circle center 0j and radius inf must be finite", {}),
+    (["obstruction", "--z-min", "nan"], 2, "z grid must be finite, got nan", {}),
 ], ids=["trace-count-n0", "obstruction-h0", "potential-file-missing", "potential-file-directory",
         "jordan-cloud-random", "estimate-check-trials0", "lidskii-count1", "poisson-n0", "seed-env-not-integer",
         "pseudospectrum-n0", "pseudospectrum-gaussian-n0", "estimate-check-n0", "mp-check-count0",
         "mp-check-rows0", "mp-check-cols0", "mp-check-rank-1", "mp-check-rank0",
         "loop-identity-count0", "loop-identity-n0", "loop-identity-n1", "bvp-n2d-m2", "circulant-n1",
         "jordan-series-n0", "jordan-series-order-1", "jordan-series-epsilon-1", "jordan-series-lam-re0.95",
-        "jordan-cloud-n1", "lidskii-k0", "pseudospectrum-h0"])
+        "jordan-cloud-n1", "lidskii-k0", "pseudospectrum-h0", "estimate-check-h-nan", "pseudospectrum-h-nan",
+        "pseudospectrum-h-inf", "trace-count-radius-inf", "trace-count-center-nan", "bvp-trace-radius-inf",
+        "obstruction-z-min-nan"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv, code, says, env):
     for name, value in env.items():
         monkeypatch.setenv(name, value)

@@ -31,6 +31,7 @@ from grushinlab.perturbation import (
     projected_inverse_blocks,
 )
 from grushinlab.pseudospectra import pseudospectrum_grid, resolvent_bound
+from grushinlab.traces import selfadjoint_obstruction
 
 # P = 1 bordered once on each side: E_-+ is 1 x 1
 _BORDERED = invert_system(assemble(np.eye(2), [[1.0], [0.0]], [[1.0, 0.0]]))
@@ -67,6 +68,11 @@ def _emit_when_replace_fails():
     (lambda: solve_linear(np.zeros((2, 3)), np.ones((2, 1))), DimensionMismatch, "matrix must be square, got (2, 3)"),
     (lambda: eigenvalues(np.zeros((2, 3))), DimensionMismatch, "matrix must be square, got (2, 3)"),
     (lambda: Contour("ellipse"), ValueError, "unknown contour kind 'ellipse'"),
+    (lambda: Contour.circle(0.0, np.inf), ValueError, "circle center 0j and radius inf must be finite"),
+    (lambda: Contour.circle(complex(np.nan, 0.0), 1.0), ValueError,
+     "circle center (nan+0j) and radius 1.0 must be finite"),
+    (lambda: Contour.polyline([0.0, 1.0, complex(0.0, np.inf)]), ValueError,
+     "polyline vertices (0j, (1+0j), infj) must be finite"),
     (lambda: contour_integrate(lambda z: np.inf, Contour.circle(0.0, 1.0)),
      ValueError, "integrand is not finite at a quadrature node"),
     (_recover_one_sided, DimensionMismatch, "effective Hamiltonian must be square to invert"),
@@ -87,17 +93,26 @@ def _emit_when_replace_fails():
      DimensionMismatch, "T must be square and basis rows must match it"),
     (lambda: grammian_reduce(np.eye(2), 0.0, 1.0), ValueError, "eps_cut and c_const must be positive"),
     (lambda: grammian_reduce(np.eye(2), 0.1, 1.0, t=np.eye(2)), ValueError, "supplying T requires its residual delta"),
-    (lambda: resolvent_bound(np.eye(2), 0.0, 0.0), ValueError, "threshold h must be positive"),
+    (lambda: resolvent_bound(np.eye(2), 0.0, 0.0), ValueError, "threshold h must be positive and finite, got 0.0"),
+    (lambda: resolvent_bound(np.eye(2), 0.5, np.nan), ValueError, "threshold h must be positive and finite, got nan"),
     (lambda: pseudospectrum_grid(np.eye(2), (0.0, 1.0, 0.0, 1.0), 2, ("adaptive", 1.0)),
      ValueError, "unknown h rule 'adaptive'"),
+    (lambda: pseudospectrum_grid(np.eye(2), (0.0, 1.0, 0.0, 1.0), (3, 3), ("fixed", 0.1)),
+     ValueError, "resolution (3, 3) is not an integer"),
+    (lambda: pseudospectrum_grid(np.eye(2), (0.0, 1.0, 0.0, 1.0), 3.0, ("fixed", 0.1)),
+     ValueError, "resolution 3.0 is not an integer"),
+    (lambda: selfadjoint_obstruction(lambda x: 1.0, 0.1, [0.0, np.nan]), ValueError, "z grid must be finite, got nan"),
     (lambda: render_json({"x": object()}), TypeError, "object is not JSON serializable"),
     (_emit_when_replace_fails, IoFailure, "rename refused"),
 ], ids=[
     "discretization-interval", "discretization-nan", "tabulated_potential", "as_cmatrix-ndim", "as_cmatrix-rows",
-    "as_cmatrix-cols", "solve_linear", "eigenvalues", "contour-kind", "integrand-inf", "recover_resolvent",
+    "as_cmatrix-cols", "solve_linear", "eigenvalues", "contour-kind", "contour-radius-inf", "contour-center-nan",
+    "contour-vertex-inf", "integrand-inf", "recover_resolvent",
     "schur_check-shape", "schur_check-split", "transfer", "iterate-nminus", "iterate-nplus", "iterate-square",
     "feshbach_effective", "effective_index", "jordan_vectors", "jordan_cloud", "projected_inverse_blocks",
-    "grammian_reduce-cut", "grammian_reduce-delta", "resolvent_bound", "pseudospectrum_grid", "render_json",
+    "grammian_reduce-cut", "grammian_reduce-delta", "resolvent_bound", "resolvent_bound-h-nan",
+    "pseudospectrum_grid", "pseudospectrum_grid-resolution-pair", "pseudospectrum_grid-resolution-float",
+    "selfadjoint_obstruction-z-nan", "render_json",
     "emit",
 ])
 def test_every_input_check_raises_its_own_error(call, error, message):

@@ -2,12 +2,39 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import grushinlab
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _nodes(kind, *dirs):
-    for path in sorted(p for d in dirs for p in (ROOT / d).rglob("*.py")):
+def _nodes(kind, *paths):
+    """The nodes of one kind in the named files and in every module under the named directories."""
+    files = sorted(f for p in paths for f in ([ROOT / p] if p.endswith(".py") else (ROOT / p).rglob("*.py")))
+    for path in files:
         yield from ((path.name, n) for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, kind))
+
+
+def _callee(call):
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def _passed(*paths):
+    """(function name, keyword) and (function name, position) of every argument a call passes."""
+    passed = set()
+    for _, call in _nodes(ast.Call, *paths):
+        name = _callee(call)
+        passed |= {(name, k.arg) for k in call.keywords} | {(name, i) for i in range(len(call.args))}
+    return passed
+
+
+def _unpassed(fn, passed):
+    """The defaulted parameters of ``fn`` that no argument in ``passed`` sets."""
+    args = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    skip = int(bool(args) and args[0] in ("self", "cls"))
+    first = len(args) - len(fn.args.defaults)
+    keys = [(arg, (fn.name, i - skip)) for i, arg in enumerate(args) if i >= first]
+    keys += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return [arg for arg, at in keys if not {(fn.name, arg), at} & passed]
 
 
 def _references(node):
@@ -24,19 +51,29 @@ def _references(node):
 def test_every_defaulted_parameter_is_passed_somewhere():
     # a default that no call in the library, its tests or its benchmark
     # overrides is a constant: it belongs in the body, not in the signature
-    passed = set()
-    for _, call in _nodes(ast.Call, "src", "tests", "perfbench"):
-        name = getattr(call.func, "attr", getattr(call.func, "id", None))
-        passed |= {(name, k.arg) for k in call.keywords} | {(name, i) for i in range(len(call.args))}
-    never = []
-    for module, fn in _nodes((ast.FunctionDef, ast.AsyncFunctionDef), "src/grushinlab"):
-        args = [a.arg for a in fn.args.posonlyargs + fn.args.args]
-        skip = int(bool(args) and args[0] in ("self", "cls"))
-        first = len(args) - len(fn.args.defaults)
-        keys = [(arg, (fn.name, i - skip)) for i, arg in enumerate(args) if i >= first]
-        keys += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
-        never += [f"{module}:{fn.name}({arg})" for arg, at in keys if not {(fn.name, arg), at} & passed]
+    passed = _passed("src", "tests", "perfbench")
+    never = [f"{module}:{fn.name}({arg})"
+             for module, fn in _nodes((ast.FunctionDef, ast.AsyncFunctionDef), "src/grushinlab")
+             for arg in _unpassed(fn, passed)]
     assert not never, f"defaulted parameters that no call passes: {never}"
+
+
+def test_entry_points_pass_every_option_they_reach():
+    # a default of a function that the CLI or the benchmark calls, which only a
+    # test overrides, is an option kept for tests alone: it belongs in a
+    # constant.  The public API (grushinlab.__all__ and its classes' methods) keeps its options.
+    entry = {_callee(call) for _, call in _nodes(ast.Call, "src/grushinlab/cli.py", "perfbench")}
+    passed = _passed("src", "perfbench")
+    unset = []
+    for path in sorted((ROOT / "src/grushinlab").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if getattr(top, "name", None) in grushinlab.__all__:
+                continue
+            fns = top.body if isinstance(top, ast.ClassDef) else [top]
+            unset += [f"{path.name}:{fn.name}({arg})" for fn in fns
+                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name in entry
+                      for arg in _unpassed(fn, passed)]
+    assert not unset, f"options of CLI and benchmark entry points that only tests pass: {unset}"
 
 
 def test_defaulted_parameters_stay_pinned():
@@ -45,7 +82,7 @@ def test_defaulted_parameters_stay_pinned():
     count = 0
     for _, fn in _nodes((ast.FunctionDef, ast.AsyncFunctionDef), "src/grushinlab"):
         count += len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
-    assert count == 40
+    assert count == 31
 
 
 def test_every_library_function_has_a_caller():

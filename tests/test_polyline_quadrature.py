@@ -25,8 +25,8 @@ def test_square_pencil_counts_converge(seed):
     tally = sum(SQUARE.contains(v) for v in eigenvalues(a))
     family = HolomorphicFamily.pencil(a)
     rm, rp = invariant_subspace_borders(a, SQUARE)
-    assert count_direct(family, SQUARE, tol=1e-10) == tally
-    assert count_effective(family, rm, rp, SQUARE, tol=1e-10) == tally
+    assert count_direct(family, SQUARE) == tally
+    assert count_effective(family, rm, rp, SQUARE) == tally
 
 
 def test_square_winding_at_default_tolerance():

@@ -188,7 +188,7 @@ def test_resolvent_bound_nonnormal_grid():
 
 def test_grid_normal_matrix_sigma_pattern():
     a = np.diag([0.0, 1.0]).astype(complex)
-    grid = pseudospectrum_grid(a, (-0.5, 1.5, -0.5, 0.5), (3, 3), ("fixed", 1e-3))
+    grid = pseudospectrum_grid(a, (-0.5, 1.5, -0.5, 0.5), 3, ("fixed", 1e-3))
     for cell in grid.cells:
         if cell.error is not None:
             continue
@@ -198,7 +198,7 @@ def test_grid_normal_matrix_sigma_pattern():
 
 def test_grid_jordan_levels_follow_sigma():
     a = jordan_block(20)
-    grid = pseudospectrum_grid(a, (-0.6, 0.6, -0.6, 0.6), (4, 4), ("fixed", 1e-2))
+    grid = pseudospectrum_grid(a, (-0.6, 0.6, -0.6, 0.6), 4, ("fixed", 1e-2))
     for cell in grid.cells:
         if cell.error is not None or cell.n_captured == 0:
             continue
@@ -207,7 +207,7 @@ def test_grid_jordan_levels_follow_sigma():
 
 def test_grid_row_major_order_and_cell_errors():
     a = np.diag([0.0, 1.0]).astype(complex)
-    grid = pseudospectrum_grid(a, (-1.0, 1.0, -1.0, 1.0), (3, 3), ("fixed", 1e-3))
+    grid = pseudospectrum_grid(a, (-1.0, 1.0, -1.0, 1.0), 3, ("fixed", 1e-3))
     assert grid.cell(0, 0).lam == complex(-1.0, -1.0)
     assert grid.cell(0, 2).lam == complex(1.0, -1.0)
     assert grid.cell(2, 0).lam == complex(-1.0, 1.0)
@@ -218,14 +218,14 @@ def test_grid_row_major_order_and_cell_errors():
 def test_grid_requires_proper_rectangle():
     a = np.eye(2, dtype=complex)
     with pytest.raises(DimensionMismatch):
-        pseudospectrum_grid(a, (1.0, 1.0, 0.0, 1.0), (3, 3), ("fixed", 0.1))
+        pseudospectrum_grid(a, (1.0, 1.0, 0.0, 1.0), 3, ("fixed", 0.1))
     with pytest.raises(DimensionMismatch):
-        pseudospectrum_grid(a, (0.0, 1.0, 0.0, 1.0), (1, 3), ("fixed", 0.1))
+        pseudospectrum_grid(a, (0.0, 1.0, 0.0, 1.0), 1, ("fixed", 0.1))
 
 
 def test_grid_sigma_scaled_rule():
     a = jordan_block(8)
-    grid = pseudospectrum_grid(a, (0.2, 0.6, -0.2, 0.2), (2, 2), ("sigma-scaled", 2.0))
+    grid = pseudospectrum_grid(a, (0.2, 0.6, -0.2, 0.2), 2, ("sigma-scaled", 2.0))
     for cell in grid.cells:
         if cell.error is None:
             assert cell.n_captured >= 1
@@ -272,6 +272,9 @@ def test_grid_rejects_non_positive_h_before_any_cell(monkeypatch):
         (("fixed", -1e-2), "threshold h must be positive"),
         (("sigma-scaled", 0.0), "sigma-scaled factor must be positive"),
         (("sigma-scaled", -3.0), "sigma-scaled factor must be positive"),
+        (("fixed", np.nan), "threshold h must be positive and finite, got nan"),
+        (("fixed", np.inf), "threshold h must be positive and finite, got inf"),
+        (("sigma-scaled", np.nan), "sigma-scaled factor must be positive and finite, got nan"),
     ):
         with pytest.raises(ValueError, match=message):
             pseudospectrum_grid(a, (0.2, 0.6, -0.2, 0.2), 3, rule)

@@ -14,9 +14,9 @@ from grushinlab.errors import (
     NonInteger,
     OnContourSingular,
     SingularAtNode,
-    SupportViolation,
 )
 from grushinlab.linops import Contour, doubling_quadrature, eigenvalues, periodic_rule, spectral_norm
+from grushinlab import traces
 from grushinlab.perturbation import gaussian_matrix, jordan_block, rank_one_coupling
 from grushinlab.traces import (
     POISSON_TOL,
@@ -86,7 +86,7 @@ def test_count_direct_non_integer_for_nonholomorphic_family():
         _one_by_one(lambda z: z + 0.2 * np.conj(z) - 0.3), _one_by_one(lambda z: np.full_like(z, 1.2))
     )
     with pytest.raises(NonInteger):
-        count_direct(fam, Contour.circle(0.3, 0.5), tol=1e-8)
+        count_direct(fam, Contour.circle(0.3, 0.5))
 
 
 def test_count_effective_jordan_multiplicity():
@@ -327,11 +327,6 @@ def test_poisson_gaussian_two_way():
     assert abs(result.lattice_sum - result.transform_sum) <= 1e-10
 
 
-def test_poisson_strict_support_raises():
-    with pytest.raises(SupportViolation):
-        poisson_verify(gaussian_test(), 2, strict_support=True)
-
-
 def test_poisson_test_functions_state_their_truncations():
     sinc, gauss = sinc_squared(), gaussian_test()
     assert (sinc.lattice_truncation, sinc.transform_truncation) == (1, 1)
@@ -368,7 +363,7 @@ def test_obstruction_odd_profile():
 
 def test_obstruction_indicator_profile():
     profile = lambda x: 1.0 if x < np.pi else (0.5 if x == np.pi else 0.0)
-    report = selfadjoint_obstruction(profile, 0.2, np.linspace(-1, 1, 41), tol=1e-9)
+    report = selfadjoint_obstruction(profile, 0.2, np.linspace(-1, 1, 41))
     assert report.ordered_pairing == pytest.approx(np.pi**2 / 2.0, abs=1e-6)
     assert report.mean_value == pytest.approx(np.pi, abs=1e-8)
 
@@ -390,12 +385,14 @@ def _obstruction_once(profile, n: int) -> tuple[complex, complex]:
     return _obstruction_sums(xs, np.asarray([profile(x) for x in xs], dtype=np.complex128))
 
 
-def test_obstruction_raises_at_node_cap():
+def test_obstruction_raises_at_node_cap(monkeypatch):
     # |sin x|^0.5 has square-root cusps at 0, pi and 2 pi, so the trapezoid
-    # error decays like n^-1.5 and tol=1e-14 is out of reach at 2^12 nodes
+    # error decays like n^-1.5 and a tolerance of 1e-14 is out of reach at 2^12 nodes
+    monkeypatch.setattr(traces, "OBSTRUCTION_TOL", 1e-14)
+    monkeypatch.setattr(traces, "OBSTRUCTION_NODE_CAP", 2**12)
     profile = lambda x: abs(np.sin(x)) ** 0.5
     with pytest.raises(NonConvergent) as info:
-        selfadjoint_obstruction(profile, 1.0, [0.0, 1.0], tol=1e-14, node_cap=2**12)
+        selfadjoint_obstruction(profile, 1.0, [0.0, 1.0])
     message, previous, last = info.value.args
     assert message == "no convergence at 4096 nodes"
     assert previous == _obstruction_once(profile, 2048)
@@ -438,11 +435,6 @@ def test_obstruction_needs_a_positive_finite_h(h):
     with pytest.raises(ValueError, match=f"^h must be positive and finite, got {h}$"):
         selfadjoint_obstruction(lambda x: calls.append(x) or 1.0, h, [0.0, 1.0])
     assert calls == []
-
-
-def test_obstruction_cap_at_start_is_a_clear_error():
-    with pytest.raises(ValueError, match="node_cap must exceed the 512 starting nodes"):
-        selfadjoint_obstruction(lambda x: 1.0, 1.0, [0.0, 1.0], node_cap=512)
 
 
 def test_loop_quadrature_cap_reports_last_two_estimates():
