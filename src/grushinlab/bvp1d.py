@@ -49,7 +49,11 @@ from .linops import (
 
 @dataclass(frozen=True)
 class Discretization:
-    """Uniform grid on [a, b] with m interior nodes and a potential evaluator, sampled once per node."""
+    """Uniform grid on [a, b] with m interior nodes and a potential evaluator, sampled once per node.
+
+    The ends must be finite with a < b, and the step h such that h^2 and the
+    stencil's 2/h^2 are finite and nonzero; both are checked before ``v`` is called.
+    """
 
     a: float
     b: float
@@ -58,10 +62,13 @@ class Discretization:
     _samples: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError("need a < b")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ValueError(f"need a < b, both finite, got a = {self.a}, b = {self.b}")
         if self.m < 3:
             raise ValueError("need at least 3 interior nodes")
+        h2 = self.step * self.step
+        if not 0.0 < h2 < math.inf or math.isinf(2.0 / h2):
+            raise ValueError(f"grid step {self.step:.3e} out of range: h^2 and 2/h^2 must be finite and nonzero")
         object.__setattr__(self, "_samples", np.array([self.v(x) for x in self.grid()], dtype=float))
         if not np.all(np.isfinite(self._samples)):
             raise ValueError("potential must be finite at every grid node")
@@ -73,14 +80,6 @@ class Discretization:
     def grid(self) -> np.ndarray:
         """All nodes including the boundary: a = x_0 < ... < x_{m+1} = b."""
         return self.a + self.step * np.arange(self.m + 2)
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """A pair of boundary values (left endpoint first): Dirichlet or Neumann traces."""
-
-    left: complex
-    right: complex
 
 
 def _stencil(d: Discretization, z: complex) -> tuple[np.ndarray, float, np.ndarray]:
@@ -123,13 +122,6 @@ def neumann_green_solve(d: Discretization, z: complex, rhs) -> np.ndarray:
                                                       f"(sigma_min={s[-1]:.3e})"),
                   min(rank_limit(mat.shape), WELL_POSED_LIMIT))
     return refined_solve(mat, rhs)
-
-
-def neumann_poisson_solve(d: Discretization, z: complex, data: BoundaryData) -> np.ndarray:
-    """Grid solution of the homogeneous equation with prescribed outward Neumann data."""
-    load = np.zeros(d.m + 2, dtype=np.complex128)
-    load[[0, -1]] = 2.0 * np.array([data.left, data.right]) / d.step
-    return neumann_green_solve(d, z, load)
 
 
 def n2d_map(d: Discretization, z: complex) -> np.ndarray:

@@ -447,6 +447,8 @@ OBSTRUCTION_PROFILES: dict[str, Callable[[float], complex]] = {
 
 
 def _cmd_obstruction(args, seed: int):
+    if args.z_count < 2:
+        raise ValueError(f"z-count must be at least 2, got {args.z_count}")
     profile = OBSTRUCTION_PROFILES[args.profile]
     grid = np.linspace(args.z_min, args.z_max, args.z_count)
     report = selfadjoint_obstruction(profile, args.h, grid)

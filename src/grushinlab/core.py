@@ -18,7 +18,6 @@ exactly when ``e_minus_plus`` is, and the two inverses determine each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -455,45 +454,3 @@ def circulant_effective(kernel) -> tuple[BorderedSystem, GrushinInverse]:
     f_inv = np.conj(f).T / n
     system = assemble(circulant_matrix(k), -f_inv, f)
     return system, invert_system(system)
-
-
-def circle_monodromy_inverse(z: complex, h: float, nodes: int) -> GrushinInverse:
-    """Discretized inverse blocks of the circle transport problem.
-
-    On a uniform grid over [0, 2*pi) with left-endpoint weights, the blocks
-    are the sampled solution operators of the first-order problem whose
-    effective Hamiltonian is 1 - exp(2*pi*i*z/h); the return-map factor
-    exp(2*pi*i*z/h) plays the role of the monodromy.
-    """
-    x = 2.0 * np.pi * np.arange(nodes) / nodes
-    wq = 2.0 * np.pi / nodes
-    phase = np.exp(1j * z * x / h)
-    mono = np.exp(2j * np.pi * z / h)
-    # e[i, j] = weight * exp(i (x_i - x_j) z / h) for x_j < x_i; the kernel
-    # jumps on the diagonal, so the diagonal carries half weight (this also
-    # makes the discrete pairing identity |B|^2 = A + conj(A) exact).
-    lower = np.tril(np.ones((nodes, nodes)), k=-1) + 0.5 * np.eye(nodes)
-    e = wq * lower * np.outer(phase, 1.0 / phase)
-    e_plus = phase.reshape(-1, 1)
-    e_minus = (-mono * wq / phase).reshape(1, -1)
-    e_minus_plus = np.array([[1.0 - mono]], dtype=np.complex128)
-    return GrushinInverse(e, e_plus, e_minus, e_minus_plus, 1.0)
-
-
-def symmetric_monodromy_borders(
-    profile: Callable[[float], complex], z: complex, h: float, nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Discretized equal borders f(x) exp(i x z / h) for the circle problem.
-
-    Pairing the new row border with a vector uses the same left-endpoint
-    weights as :func:`circle_monodromy_inverse`, so products of the borders
-    with those blocks reproduce the continuum integrals exactly at the grid
-    level.
-    """
-    x = 2.0 * np.pi * np.arange(nodes) / nodes
-    wq = 2.0 * np.pi / nodes
-    fvals = np.array([profile(xk) for xk in x], dtype=np.complex128)
-    phase = np.exp(1j * z * x / h)
-    rminus = (fvals * phase).reshape(-1, 1)
-    rplus = (wq * np.conj(fvals * phase)).reshape(1, -1)
-    return rminus, rplus

@@ -2,9 +2,9 @@
 
 Covers the bordered problem for a perturbed Jordan block and its effective
 Hamiltonian series, eigenvalue-cloud experiments, the projection-based
-approximation scheme with its Neumann series and Grammian regularization, and
-the leading-order eigenvalue asymptotics for a two-large-one-small block
-matrix under generic perturbation.
+approximation scheme with its Neumann series, and the leading-order
+eigenvalue asymptotics for a two-large-one-small block matrix under generic
+perturbation.
 """
 
 from __future__ import annotations
@@ -225,57 +225,6 @@ def neumann_effective(t, basis, order: int) -> NeumannSeriesResult:
         power = power @ contract
     tail = delta ** (order + 1) * spectral_norm(t) / (1.0 - delta)
     return NeumannSeriesResult(value, tail, delta, order)
-
-
-@dataclass(frozen=True)
-class GrammianReduction:
-    kept: np.ndarray            # orthonormal columns spanning the kept directions
-    projector: np.ndarray
-    grammian_eigenvalues: np.ndarray  # descending
-    condition_bound: float
-    contraction_bound: float | None
-    measured_contraction: float | None
-
-
-def grammian_reduce(
-    vectors,
-    eps_cut: float,
-    c_const: float,
-    t=None,
-    delta: float | None = None,
-) -> GrammianReduction:
-    """Regularize the near-dependent columns of ``vectors`` through their Grammian.
-
-    Diagonalizes the pairwise inner-product matrix, keeps eigendirections with
-    eigenvalue above (eps_cut/c_const)^2, and rescales them to unit length.
-    Reports the condition bound c^2 * max_eig / eps_cut^2, and when ``t`` (with
-    its residual ``delta``) is supplied, the resulting contraction bound
-    ``delta + eps_cut * ||T||`` along with the measured value.
-    """
-    v = as_cmatrix(vectors)
-    if eps_cut <= 0.0 or c_const <= 0.0:
-        raise ValueError("eps_cut and c_const must be positive")
-    gram = v.conj().T @ v
-    evals, evecs = np.linalg.eigh(gram)
-    order = np.argsort(evals)[::-1]
-    evals = np.maximum(evals[order].real, 0.0)
-    evecs = evecs[:, order]
-    cut = (eps_cut / c_const) ** 2
-    keep = evals > cut
-    kept = v @ evecs[:, keep]
-    if np.any(keep):
-        kept = kept / np.sqrt(evals[keep])
-    projector = kept @ kept.conj().T
-    cond_bound = (c_const**2) * (float(evals[0]) if evals.size else 0.0) / eps_cut**2
-    contraction_bound = None
-    measured = None
-    if t is not None:
-        if delta is None:
-            raise ValueError("supplying T requires its residual delta")
-        t = as_cmatrix(t)
-        contraction_bound = delta + eps_cut * spectral_norm(t)
-        measured = spectral_norm((np.eye(t.shape[0]) - projector) @ t)
-    return GrammianReduction(kept, projector, evals, cond_bound, contraction_bound, measured)
 
 
 @dataclass(frozen=True)

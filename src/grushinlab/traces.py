@@ -601,14 +601,16 @@ def selfadjoint_obstruction(
     two (A, B) pairs, once they reach ``OBSTRUCTION_NODE_CAP``.  The grids nest
     bit for bit, so each doubling calls ``profile`` only at the new odd-index
     nodes; a value that is not finite raises ``ValueError`` after the pass that
-    met it.  ``h`` must be positive and finite and ``z_grid`` finite
-    (``ValueError`` before ``profile`` is called).
+    met it.  ``h`` must be positive and finite and ``z_grid`` finite, with at
+    least two points (``ValueError`` before ``profile`` is called).
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
     grid = np.asarray(z_grid, dtype=float)
     if not np.all(np.isfinite(grid)):
         raise ValueError(f"z grid must be finite, got {grid[~np.isfinite(grid)][0]}")
+    if grid.size < 2:
+        raise ValueError(f"z grid needs at least 2 points to see a sign change, got {grid.size}")
     n = 512
     xs = np.linspace(0.0, 2.0 * np.pi, n + 1)
     f = np.asarray([profile(x) for x in xs], dtype=np.complex128)

@@ -3,7 +3,6 @@ import pytest
 
 from grushinlab import bvp1d
 from grushinlab.bvp1d import (
-    BoundaryData,
     Discretization,
     bvp_bordered_system,
     bvp_grushin,
@@ -14,7 +13,6 @@ from grushinlab.bvp1d import (
     n2d_map,
     neumann_green_solve,
     neumann_matrix,
-    neumann_poisson_solve,
     potential_from_name,
     tabulated_potential,
 )
@@ -175,7 +173,10 @@ def test_bordered_full_rank_when_neumann_invertible():
 
 def test_boundary_data_poisson_solve():
     d = Discretization(0.0, 1.0, 200, _zero)
-    sol = neumann_poisson_solve(d, -1.0, BoundaryData(1.0, 0.0))
+    # outward Neumann data (1, 0) enters through the left ghost point as the load 2/h
+    load = np.zeros(d.m + 2)
+    load[0] = 2.0 / d.step
+    sol = neumann_green_solve(d, -1.0, load)
     # closed form: u = cosh(1-x)/sinh(1)
     xs = d.grid()
     exact = np.cosh(1.0 - xs) / np.sinh(1.0)

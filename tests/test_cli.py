@@ -249,6 +249,14 @@ def test_bvp_n2d_gates_as_bvp_grushin_near_a_neumann_eigenvalue(tmp_path):
     (["trace-count", "--center-re", "nan"], 2, "circle center (nan+0j) and radius 0.7 must be finite", {}),
     (["bvp-trace", "--radius", "inf"], 2, "circle center 0j and radius inf must be finite", {}),
     (["obstruction", "--z-min", "nan"], 2, "z grid must be finite, got nan", {}),
+    (["bvp-trace", "--x1", "inf"], 2, "need a < b", {}),
+    (["bvp-n2d", "--x1", "inf"], 2, "need a < b", {}),
+    (["bvp-n2d", "--x1", "1e-300"], 2, "grid step 8.264e-303 out of range", {}),
+    (["bvp-trace", "--x1", "1e-300"], 2, "grid step 8.264e-303 out of range", {}),
+    (["bvp-n2d", "--x1", "1e160"], 2, "grid step 8.264e+157 out of range", {}),
+    (["obstruction", "--z-count", "0"], 2, "z-count must be at least 2, got 0", {}),
+    (["obstruction", "--z-count", "1"], 2, "z-count must be at least 2, got 1", {}),
+    (["obstruction", "--z-count", "-1"], 2, "z-count must be at least 2, got -1", {}),
 ], ids=["trace-count-n0", "obstruction-h0", "potential-file-missing", "potential-file-directory",
         "jordan-cloud-random", "estimate-check-trials0", "lidskii-count1", "poisson-n0", "seed-env-not-integer",
         "pseudospectrum-n0", "pseudospectrum-gaussian-n0", "estimate-check-n0", "mp-check-count0",
@@ -257,7 +265,8 @@ def test_bvp_n2d_gates_as_bvp_grushin_near_a_neumann_eigenvalue(tmp_path):
         "jordan-series-n0", "jordan-series-order-1", "jordan-series-epsilon-1", "jordan-series-lam-re0.95",
         "jordan-cloud-n1", "lidskii-k0", "pseudospectrum-h0", "estimate-check-h-nan", "pseudospectrum-h-nan",
         "pseudospectrum-h-inf", "trace-count-radius-inf", "trace-count-center-nan", "bvp-trace-radius-inf",
-        "obstruction-z-min-nan"])
+        "obstruction-z-min-nan", "bvp-trace-x1-inf", "bvp-n2d-x1-inf", "bvp-n2d-x1-tiny", "bvp-trace-x1-tiny",
+        "bvp-n2d-x1-huge", "obstruction-z-count0", "obstruction-z-count1", "obstruction-z-count-1"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv, code, says, env):
     for name, value in env.items():
         monkeypatch.setenv(name, value)

@@ -7,10 +7,10 @@ import pytest
 import grushinlab
 from grushinlab.core import (
     BorderedSystem,
+    GrushinInverse,
     Split,
     assemble,
     circulant_effective,
-    circle_monodromy_inverse,
     dft_matrix,
     effective_index,
     feshbach_effective,
@@ -19,7 +19,6 @@ from grushinlab.core import (
     iterate,
     recover_resolvent,
     schur_check,
-    symmetric_monodromy_borders,
     transfer,
 )
 from grushinlab.errors import (
@@ -316,25 +315,65 @@ def test_transfer_rectangular_p_to_one_sided_borders(n_rows, n_cols, k_minus, k_
     assert spectral_norm(moved.assembled() - direct.assembled()) <= 1e-9 * spectral_norm(direct.assembled())
 
 
+def _circle_monodromy_inverse(z: complex, h: float, nodes: int) -> GrushinInverse:
+    """Discretized inverse blocks of the circle transport problem.
+
+    On a uniform grid over [0, 2*pi) with left-endpoint weights, the blocks
+    are the sampled solution operators of the first-order problem whose
+    effective Hamiltonian is 1 - exp(2*pi*i*z/h); the return-map factor
+    exp(2*pi*i*z/h) plays the role of the monodromy.
+    """
+    x = 2.0 * np.pi * np.arange(nodes) / nodes
+    wq = 2.0 * np.pi / nodes
+    phase = np.exp(1j * z * x / h)
+    mono = np.exp(2j * np.pi * z / h)
+    # e[i, j] = weight * exp(i (x_i - x_j) z / h) for x_j < x_i; the kernel
+    # jumps on the diagonal, so the diagonal carries half weight (this also
+    # makes the discrete pairing identity |B|^2 = A + conj(A) exact).
+    lower = np.tril(np.ones((nodes, nodes)), k=-1) + 0.5 * np.eye(nodes)
+    e = wq * lower * np.outer(phase, 1.0 / phase)
+    e_plus = phase.reshape(-1, 1)
+    e_minus = (-mono * wq / phase).reshape(1, -1)
+    e_minus_plus = np.array([[1.0 - mono]], dtype=np.complex128)
+    return GrushinInverse(e, e_plus, e_minus, e_minus_plus, 1.0)
+
+
+def _symmetric_monodromy_borders(profile, z: complex, h: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Discretized equal borders f(x) exp(i x z / h) for the circle problem.
+
+    Pairing the new row border with a vector uses the same left-endpoint
+    weights as :func:`_circle_monodromy_inverse`, so products of the borders
+    with those blocks reproduce the continuum integrals exactly at the grid
+    level.
+    """
+    x = 2.0 * np.pi * np.arange(nodes) / nodes
+    wq = 2.0 * np.pi / nodes
+    fvals = np.array([profile(xk) for xk in x], dtype=np.complex128)
+    phase = np.exp(1j * z * x / h)
+    rminus = (fvals * phase).reshape(-1, 1)
+    rplus = (wq * np.conj(fvals * phase)).reshape(1, -1)
+    return rminus, rplus
+
+
 def test_transfer_monodromy_selfadjoint_border_singular():
     # equal borders f(x) e^{ixz/h} on the circle problem: the transfer matrix
     # determinant is -2 e^{i pi z/h} Re(A e^{-i pi z/h}); pick z at a sign change
     h = 0.5
     nodes = 256
     profile = lambda x: 1.0 + 0.3 * np.cos(x)
-    ginv = circle_monodromy_inverse(0.3, h, nodes)
-    rm, rp = symmetric_monodromy_borders(profile, 0.3, h, nodes)
+    ginv = _circle_monodromy_inverse(0.3, h, nodes)
+    rm, rp = _symmetric_monodromy_borders(profile, 0.3, h, nodes)
     a_disc = complex((rp @ ginv.e @ rm)[0, 0])
     z_star = (np.angle(a_disc) + np.pi / 2.0) * h / np.pi
-    ginv_star = circle_monodromy_inverse(z_star, h, nodes)
-    rm_s, rp_s = symmetric_monodromy_borders(profile, z_star, h, nodes)
+    ginv_star = _circle_monodromy_inverse(z_star, h, nodes)
+    rm_s, rp_s = _symmetric_monodromy_borders(profile, z_star, h, nodes)
     with pytest.raises(TransferSingular):
         transfer(ginv_star, rm_s, rp_s)
     # away from the bad set the transfer succeeds
     z_ok = z_star + 0.3 * h
     moved = transfer(
-        circle_monodromy_inverse(z_ok, h, nodes),
-        *symmetric_monodromy_borders(profile, z_ok, h, nodes),
+        _circle_monodromy_inverse(z_ok, h, nodes),
+        *_symmetric_monodromy_borders(profile, z_ok, h, nodes),
     )
     assert np.all(np.isfinite(moved.e_minus_plus))
 

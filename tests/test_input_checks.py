@@ -25,7 +25,6 @@ from grushinlab.errors import ConsistencyError, DimensionMismatch, IoFailure
 from grushinlab.linops import Contour, as_cmatrix, contour_integrate, eigenvalues, solve_linear
 from grushinlab.perturbation import (
     JordanSpec,
-    grammian_reduce,
     jordan_cloud,
     jordan_vectors,
     projected_inverse_blocks,
@@ -59,7 +58,12 @@ def _emit_when_replace_fails():
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: Discretization(1.0, 0.0, 5, lambda x: 0.0), ValueError, "need a < b"),
+    (lambda: Discretization(1.0, 0.0, 5, lambda x: 0.0), ValueError,
+     "need a < b, both finite, got a = 1.0, b = 0.0"),
+    (lambda: Discretization(0.0, np.inf, 5, lambda x: 0.0), ValueError,
+     "need a < b, both finite, got a = 0.0, b = inf"),
+    (lambda: Discretization(0.0, 1e-300, 5, lambda x: 0.0), ValueError,
+     "grid step 1.667e-301 out of range: h^2 and 2/h^2 must be finite and nonzero"),
     (lambda: Discretization(0.0, 1.0, 5, lambda x: np.nan), ValueError, "potential must be finite at every grid node"),
     (lambda: tabulated_potential(0.0, 1.0, 5, np.zeros(6)), DimensionMismatch, "table needs 7 values, got 6"),
     (lambda: as_cmatrix(np.zeros((2, 2, 2))), DimensionMismatch, "expected a 2-D array, got ndim=3"),
@@ -91,8 +95,6 @@ def _emit_when_replace_fails():
     (lambda: jordan_cloud(3, 0.1, "uniform"), ValueError, "unknown q kind 'uniform'"),
     (lambda: projected_inverse_blocks(np.eye(3), np.eye(2)),
      DimensionMismatch, "T must be square and basis rows must match it"),
-    (lambda: grammian_reduce(np.eye(2), 0.0, 1.0), ValueError, "eps_cut and c_const must be positive"),
-    (lambda: grammian_reduce(np.eye(2), 0.1, 1.0, t=np.eye(2)), ValueError, "supplying T requires its residual delta"),
     (lambda: resolvent_bound(np.eye(2), 0.0, 0.0), ValueError, "threshold h must be positive and finite, got 0.0"),
     (lambda: resolvent_bound(np.eye(2), 0.5, np.nan), ValueError, "threshold h must be positive and finite, got nan"),
     (lambda: pseudospectrum_grid(np.eye(2), (0.0, 1.0, 0.0, 1.0), 2, ("adaptive", 1.0)),
@@ -102,17 +104,20 @@ def _emit_when_replace_fails():
     (lambda: pseudospectrum_grid(np.eye(2), (0.0, 1.0, 0.0, 1.0), 3.0, ("fixed", 0.1)),
      ValueError, "resolution 3.0 is not an integer"),
     (lambda: selfadjoint_obstruction(lambda x: 1.0, 0.1, [0.0, np.nan]), ValueError, "z grid must be finite, got nan"),
+    (lambda: selfadjoint_obstruction(lambda x: 1.0, 0.1, [0.0]), ValueError,
+     "z grid needs at least 2 points to see a sign change, got 1"),
     (lambda: render_json({"x": object()}), TypeError, "object is not JSON serializable"),
     (_emit_when_replace_fails, IoFailure, "rename refused"),
 ], ids=[
-    "discretization-interval", "discretization-nan", "tabulated_potential", "as_cmatrix-ndim", "as_cmatrix-rows",
+    "discretization-interval", "discretization-inf", "discretization-step", "discretization-nan",
+    "tabulated_potential", "as_cmatrix-ndim", "as_cmatrix-rows",
     "as_cmatrix-cols", "solve_linear", "eigenvalues", "contour-kind", "contour-radius-inf", "contour-center-nan",
     "contour-vertex-inf", "integrand-inf", "recover_resolvent",
     "schur_check-shape", "schur_check-split", "transfer", "iterate-nminus", "iterate-nplus", "iterate-square",
     "feshbach_effective", "effective_index", "jordan_vectors", "jordan_cloud", "projected_inverse_blocks",
-    "grammian_reduce-cut", "grammian_reduce-delta", "resolvent_bound", "resolvent_bound-h-nan",
+    "resolvent_bound", "resolvent_bound-h-nan",
     "pseudospectrum_grid", "pseudospectrum_grid-resolution-pair", "pseudospectrum_grid-resolution-float",
-    "selfadjoint_obstruction-z-nan", "render_json",
+    "selfadjoint_obstruction-z-nan", "selfadjoint_obstruction-one-point", "render_json",
     "emit",
 ])
 def test_every_input_check_raises_its_own_error(call, error, message):

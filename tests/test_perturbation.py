@@ -13,7 +13,6 @@ from grushinlab.perturbation import (
     BlockJordanSpec,
     JordanSpec,
     gaussian_matrix,
-    grammian_reduce,
     jordan_block,
     jordan_cloud,
     jordan_effective_exact,
@@ -213,47 +212,6 @@ def test_neumann_effective_contraction_violated():
     t = 5.0 * _random_complex(rng, (n, n))
     with pytest.raises(ContractionViolated):
         neumann_effective(t, basis, 3)
-
-
-def test_grammian_orthonormal_input_unchanged():
-    rng = _rng(16)
-    v = np.linalg.qr(_random_complex(rng, (6, 3)))[0]
-    red = grammian_reduce(v, eps_cut=1e-3, c_const=1.0)
-    assert red.kept.shape == (6, 3)
-    assert np.allclose(red.grammian_eigenvalues, 1.0)
-    assert spectral_norm(red.projector - v @ v.conj().T) <= 1e-10
-
-
-def test_grammian_duplicate_dropped():
-    v = np.zeros((4, 2), dtype=complex)
-    v[0, 0] = v[0, 1] = 1.0
-    red = grammian_reduce(v, eps_cut=1e-3, c_const=1.0)
-    assert np.allclose(np.sort(red.grammian_eigenvalues), [0.0, 2.0], atol=1e-12)
-    assert red.kept.shape == (4, 1)
-    assert abs(np.linalg.norm(red.kept[:, 0]) - 1.0) <= 1e-10
-
-
-def test_grammian_rank_recovery_and_bounds():
-    rng = _rng(17)
-    subspace = np.linalg.qr(_random_complex(rng, (7, 3)))[0]
-    vecs = subspace @ _random_complex(rng, (3, 5))
-    red = grammian_reduce(vecs, eps_cut=1e-6, c_const=1.0)
-    assert red.kept.shape[1] == 3
-    gram = red.kept.conj().T @ red.kept
-    assert spectral_norm(gram - np.eye(3)) <= 1e-10
-    # kept family spans the same numerical subspace: principal angles ~ 0
-    overlap = np.linalg.svd(red.kept.conj().T @ subspace, compute_uv=False)
-    assert np.max(np.abs(overlap - 1.0)) <= 1e-8
-    t = _random_complex(rng, (7, 7))
-    red2 = grammian_reduce(vecs, 1e-6, 1.0, t=t, delta=0.1)
-    assert red2.contraction_bound == pytest.approx(0.1 + 1e-6 * spectral_norm(t))
-
-
-def test_grammian_all_small_gives_empty_family():
-    v = 1e-9 * np.eye(3, 2).astype(complex)
-    red = grammian_reduce(v, eps_cut=1e-3, c_const=1.0)
-    assert red.kept.shape == (3, 0)
-    assert spectral_norm(red.projector) <= 1e-12
 
 
 def test_lidskii_predict_diagonal_leading():
