@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -240,7 +241,7 @@ def _cmd_estimate_check(args, seed: int):
         res = estimate_check(a, lam, h, args.trials, child_seed(seed, "estimate-check", i))
         constants.append(res.worst_ratio)
         records.append({"h": h, "empirical_constant": res.worst_ratio})
-    drift = max(constants) / min(constants) if constants else 1.0
+    drift = max(constants) / min(constants)
     summary = {"drift": drift, "pass": bool(drift < 10.0)}
     return records, summary
 
@@ -253,12 +254,6 @@ def _svd_pseudoinverse(p: np.ndarray) -> np.ndarray:
 
 
 def _cmd_mp_check(args, seed: int):
-    if args.count < 1:
-        raise ValueError(f"count must be at least 1, got {args.count}")
-    if min(args.rows, args.cols) < 1:
-        raise ValueError(f"rows and cols must be at least 1, got {args.rows} x {args.cols}")
-    if args.rank < 0:
-        raise ValueError(f"rank must be at least 0, got {args.rank}")
     records = []
     worst = 0.0
     for i in range(args.count):
@@ -336,10 +331,6 @@ def seeded_loop_family(n: int, seed: int, winding: bool) -> LoopFamily:
 
 
 def _cmd_loop_identity(args, seed: int):
-    if args.count < 1:
-        raise ValueError(f"count must be at least 1, got {args.count}")
-    if args.n < 2:
-        raise ValueError(f"n must be at least 2 (the loops border on two columns), got {args.n}")
     records = []
     worst = 0.0
     integer_ok = True
@@ -447,8 +438,6 @@ OBSTRUCTION_PROFILES: dict[str, Callable[[float], complex]] = {
 
 
 def _cmd_obstruction(args, seed: int):
-    if args.z_count < 2:
-        raise ValueError(f"z-count must be at least 2, got {args.z_count}")
     profile = OBSTRUCTION_PROFILES[args.profile]
     grid = np.linspace(args.z_min, args.z_max, args.z_count)
     report = selfadjoint_obstruction(profile, args.h, grid)
@@ -484,8 +473,37 @@ HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises each refusal as a ValueError, where argparse prints usage and exits."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+class _Domain(argparse.Action):
+    """Store a flag's value when it lies in the flag's ``domain``, a (phrase, predicate) pair."""
+
+    def __init__(self, option_strings, dest, domain, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.says, self.holds = domain
+
+    def __call__(self, parser, namespace, value, option_string):
+        if not self.holds(value):
+            parser.error(f"{option_string} must be {self.says}, got {value}")
+        setattr(namespace, self.dest, value)
+
+
+def _at_least(lo: int) -> tuple:
+    return f"at least {lo}", lambda value: value >= lo
+
+
+FINITE = "finite", math.isfinite
+NONNEGATIVE = "finite and at least 0", lambda value: 0 <= value < math.inf
+POSITIVE = "finite and positive", lambda value: 0 < value < math.inf
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="grushin-lab")
+    parser = _Parser(prog="grushin-lab")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -496,30 +514,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jordan-cloud")
     p.add_argument("--n", type=int, default=50)
-    p.add_argument("--epsilon", type=float, default=1e-10)
+    p.add_argument("--epsilon", type=float, default=1e-10, action=_Domain, domain=NONNEGATIVE)
     p.add_argument("--q", choices=("rank-one", "random"), default="rank-one")
     common(p)
 
     p = sub.add_parser("jordan-series")
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--lam-re", type=float, default=0.2)
-    p.add_argument("--lam-im", type=float, default=0.0)
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--n", type=int, default=6, action=_Domain, domain=_at_least(0))
+    p.add_argument("--lam-re", type=float, default=0.2, action=_Domain, domain=FINITE)
+    p.add_argument("--lam-im", type=float, default=0.0, action=_Domain, domain=FINITE)
+    p.add_argument("--epsilon", type=float, default=1e-6, action=_Domain, domain=FINITE)
     p.add_argument("--order", type=int, default=6)
     p.add_argument("--q", choices=("rank-one", "random"), default="random")
     common(p)
 
     p = sub.add_parser("lidskii")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, default=3, action=_Domain, domain=_at_least(0))
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--eps-min", type=float, default=1e-8)
-    p.add_argument("--eps-max", type=float, default=1e-5)
-    p.add_argument("--count", type=int, default=7)
+    p.add_argument("--eps-min", type=float, default=1e-8, action=_Domain, domain=POSITIVE)
+    p.add_argument("--eps-max", type=float, default=1e-5, action=_Domain, domain=POSITIVE)
+    p.add_argument("--count", type=int, default=7, action=_Domain, domain=_at_least(0))
     common(p)
 
     p = sub.add_parser("pseudospectrum")
     p.add_argument("--matrix", choices=("jordan", "gaussian"), default="jordan")
-    p.add_argument("--n", type=int, default=20)
+    p.add_argument("--n", type=int, default=20, action=_Domain, domain=_at_least(0))
     p.add_argument("--re-min", type=float, default=0.3)
     p.add_argument("--re-max", type=float, default=0.8)
     p.add_argument("--im-min", type=float, default=-0.25)
@@ -530,32 +548,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate-check")
     p.add_argument("--matrix", choices=("jordan", "gaussian"), default="jordan")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--lam-re", type=float, default=0.5)
-    p.add_argument("--lam-im", type=float, default=0.0)
+    p.add_argument("--n", type=int, default=10, action=_Domain, domain=_at_least(0))
+    p.add_argument("--lam-re", type=float, default=0.5, action=_Domain, domain=FINITE)
+    p.add_argument("--lam-im", type=float, default=0.0, action=_Domain, domain=FINITE)
     p.add_argument("--h-list", type=lambda s: [float(x) for x in s.split(",")],
                    default=[1e-1, 1e-2, 1e-3])
     p.add_argument("--trials", type=int, default=32)
     common(p)
 
     p = sub.add_parser("mp-check")
-    p.add_argument("--rows", type=int, default=7)
-    p.add_argument("--cols", type=int, default=4)
-    p.add_argument("--rank", type=int, default=3)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--rows", type=int, default=7, action=_Domain, domain=_at_least(1))
+    p.add_argument("--cols", type=int, default=4, action=_Domain, domain=_at_least(1))
+    p.add_argument("--rank", type=int, default=3, action=_Domain, domain=_at_least(0))
+    p.add_argument("--count", type=int, default=20, action=_Domain, domain=_at_least(1))
     common(p)
 
     p = sub.add_parser("trace-count")
     p.add_argument("--family", choices=("shifted",), default="shifted")
-    p.add_argument("--n", type=int, default=12)
+    p.add_argument("--n", type=int, default=12, action=_Domain, domain=_at_least(0))
     p.add_argument("--center-re", type=float, default=0.0)
     p.add_argument("--center-im", type=float, default=0.0)
     p.add_argument("--radius", type=float, default=0.7)
     common(p)
 
     p = sub.add_parser("loop-identity")
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--count", type=int, default=4, action=_Domain, domain=_at_least(1))
+    p.add_argument("--n", type=int, default=5, action=_Domain, domain=_at_least(2))
     common(p)
 
     p = sub.add_parser("poisson")
@@ -572,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bvp-n2d")
     bvp_common(p)
-    p.add_argument("--z-re", type=float, default=-1.0)
-    p.add_argument("--z-im", type=float, default=0.0)
+    p.add_argument("--z-re", type=float, default=-1.0, action=_Domain, domain=FINITE)
+    p.add_argument("--z-im", type=float, default=0.0, action=_Domain, domain=FINITE)
     common(p)
 
     p = sub.add_parser("bvp-trace")
@@ -584,10 +602,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("feshbach")
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--n", type=int, default=6, action=_Domain, domain=_at_least(0))
     p.add_argument("--split-size", type=int, default=2)
-    p.add_argument("--z-re", type=float, default=0.37)
-    p.add_argument("--z-im", type=float, default=0.21)
+    p.add_argument("--z-re", type=float, default=0.37, action=_Domain, domain=FINITE)
+    p.add_argument("--z-im", type=float, default=0.21, action=_Domain, domain=FINITE)
     common(p)
 
     p = sub.add_parser("circulant")
@@ -597,51 +615,40 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("obstruction")
     p.add_argument("--profile", choices=OBSTRUCTION_PROFILES, default="const")
     p.add_argument("--h", type=float, default=0.1)
-    p.add_argument("--z-min", type=float, default=-1.0)
-    p.add_argument("--z-max", type=float, default=1.0)
-    p.add_argument("--z-count", type=int, default=41)
+    p.add_argument("--z-min", type=float, default=-1.0, action=_Domain, domain=FINITE)
+    p.add_argument("--z-max", type=float, default=1.0, action=_Domain, domain=FINITE)
+    p.add_argument("--z-count", type=int, default=41, action=_Domain, domain=_at_least(2))
     common(p)
 
     return parser
 
 
 def run(argv) -> int:
-    """Parse, execute, emit.  Exit codes: 0 gates pass, 1 a gate failed, 2 usage/I-O."""
-    parser = build_parser()
+    """Parse, execute, emit.  Exit codes: 0 gates pass, 1 a gate failed, 2 input refused or I/O failed."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    seed = args.seed
-    env_seed = os.environ.get("GRUSHIN_SEED")
-    if env_seed is not None:
+        args = build_parser().parse_args(argv)
         try:
-            seed = int(env_seed)
+            seed = int(os.environ.get("GRUSHIN_SEED", args.seed))
         except ValueError:
-            print("error: GRUSHIN_SEED must be an integer", file=sys.stderr)
-            return 2
-    fmt = args.format
-    if fmt is None:
-        fmt = "csv" if str(args.out).endswith(".csv") else "json"
-    handler = HANDLERS[args.command]
-    try:
-        records, summary = handler(args, seed)
-    except (GrushinLabError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    config = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("out", "format")
-    }
-    config["seed"] = seed
-    report = {
-        "config": config,
-        "records": records,
-        "summary": summary,
-        "version": __version__,
-    }
-    try:
+            raise ValueError("GRUSHIN_SEED must be an integer") from None
+        fmt = args.format
+        if fmt is None:
+            fmt = "csv" if str(args.out).endswith(".csv") else "json"
+        records, summary = HANDLERS[args.command](args, seed)
+        config = {
+            k: v for k, v in sorted(vars(args).items()) if k not in ("out", "format")
+        }
+        config["seed"] = seed
+        report = {
+            "config": config,
+            "records": records,
+            "summary": summary,
+            "version": __version__,
+        }
         emit(report, fmt, args.out)
-    except IoFailure as exc:
+    except SystemExit:  # --help and --version: every refusal raises instead
+        return 0
+    except (GrushinLabError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if summary.get("pass", False) else 1

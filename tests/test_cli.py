@@ -1,12 +1,15 @@
+import argparse
 import functools
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from grushinlab import linops, traces
+from grushinlab import cli, linops, traces
 from grushinlab.cli import (
+    build_parser,
     child_seed,
     render_csv,
     render_json,
@@ -67,12 +70,23 @@ def test_subcommands_pass_and_are_deterministic(tmp_path, argv):
     assert payload1 == payload2
 
 
-def test_unknown_subcommand_exits_2(tmp_path):
+def test_unknown_subcommand_exits_2(capsys):
     assert run(["no-such-command"]) == 2
+    assert capsys.readouterr().err.startswith("error: argument command: invalid choice: 'no-such-command'")
 
 
-def test_unknown_flag_exits_2(tmp_path):
+def test_unknown_flag_exits_2(capsys):
     assert run(["poisson", "--bogus", "1"]) == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --bogus 1\n"
+
+
+def test_failed_allocation_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys):
+    def allocate(*args):
+        raise MemoryError("Unable to allocate 23.4 TiB")
+
+    monkeypatch.setattr(cli, "poisson_verify", allocate)
+    assert _run(tmp_path, ["poisson", "--N", "100000000"]) == (2, b"")
+    assert capsys.readouterr().err == "error: Unable to allocate 23.4 TiB\n"
 
 
 def test_gate_failure_exits_1(tmp_path):
@@ -226,8 +240,8 @@ def test_bvp_n2d_gates_as_bvp_grushin_near_a_neumann_eigenvalue(tmp_path):
     (["pseudospectrum", "--matrix", "gaussian", "--n", "0"], 2, "matrix must be nonempty", {}),
     (["estimate-check", "--n", "0"], 2, "matrix must be nonempty", {}),
     (["mp-check", "--count", "0"], 2, "count must be at least 1, got 0", {}),
-    (["mp-check", "--rows", "0"], 2, "rows and cols must be at least 1, got 0 x 4", {}),
-    (["mp-check", "--cols", "0"], 2, "rows and cols must be at least 1, got 7 x 0", {}),
+    (["mp-check", "--rows", "0"], 2, "--rows must be at least 1, got 0", {}),
+    (["mp-check", "--cols", "0"], 2, "--cols must be at least 1, got 0", {}),
     (["mp-check", "--rank", "-1"], 2, "rank must be at least 0, got -1", {}),
     (["mp-check", "--rank", "0"], 0, None, {}),
     (["loop-identity", "--count", "0"], 2, "count must be at least 1, got 0", {}),
@@ -248,7 +262,7 @@ def test_bvp_n2d_gates_as_bvp_grushin_near_a_neumann_eigenvalue(tmp_path):
     (["trace-count", "--radius", "inf"], 2, "circle center 0j and radius inf must be finite", {}),
     (["trace-count", "--center-re", "nan"], 2, "circle center (nan+0j) and radius 0.7 must be finite", {}),
     (["bvp-trace", "--radius", "inf"], 2, "circle center 0j and radius inf must be finite", {}),
-    (["obstruction", "--z-min", "nan"], 2, "z grid must be finite, got nan", {}),
+    (["obstruction", "--z-min", "nan"], 2, "--z-min must be finite, got nan", {}),
     (["bvp-trace", "--x1", "inf"], 2, "need a < b", {}),
     (["bvp-n2d", "--x1", "inf"], 2, "need a < b", {}),
     (["bvp-n2d", "--x1", "1e-300"], 2, "grid step 8.264e-303 out of range", {}),
@@ -257,6 +271,9 @@ def test_bvp_n2d_gates_as_bvp_grushin_near_a_neumann_eigenvalue(tmp_path):
     (["obstruction", "--z-count", "0"], 2, "z-count must be at least 2, got 0", {}),
     (["obstruction", "--z-count", "1"], 2, "z-count must be at least 2, got 1", {}),
     (["obstruction", "--z-count", "-1"], 2, "z-count must be at least 2, got -1", {}),
+    (["jordan-cloud", "--epsilon", "-1"], 2, "--epsilon must be finite and at least 0, got -1.0", {}),
+    (["--version"], 0, None, {}),
+    (["poisson", "--help"], 0, None, {}),
 ], ids=["trace-count-n0", "obstruction-h0", "potential-file-missing", "potential-file-directory",
         "jordan-cloud-random", "estimate-check-trials0", "lidskii-count1", "poisson-n0", "seed-env-not-integer",
         "pseudospectrum-n0", "pseudospectrum-gaussian-n0", "estimate-check-n0", "mp-check-count0",
@@ -266,7 +283,8 @@ def test_bvp_n2d_gates_as_bvp_grushin_near_a_neumann_eigenvalue(tmp_path):
         "jordan-cloud-n1", "lidskii-k0", "pseudospectrum-h0", "estimate-check-h-nan", "pseudospectrum-h-nan",
         "pseudospectrum-h-inf", "trace-count-radius-inf", "trace-count-center-nan", "bvp-trace-radius-inf",
         "obstruction-z-min-nan", "bvp-trace-x1-inf", "bvp-n2d-x1-inf", "bvp-n2d-x1-tiny", "bvp-trace-x1-tiny",
-        "bvp-n2d-x1-huge", "obstruction-z-count0", "obstruction-z-count1", "obstruction-z-count-1"])
+        "bvp-n2d-x1-huge", "obstruction-z-count0", "obstruction-z-count1", "obstruction-z-count-1",
+        "jordan-cloud-epsilon-1", "version", "poisson-help"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv, code, says, env):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -287,3 +305,34 @@ def test_json_writes_numpy_and_complex_values():
         "a": 0.5, "b": [0, 1], "c": {"im": 1.0, "re": 0.0}, "d": True,
         "e": [3, [[{"im": -2.0, "re": 1.0}]]], "f": 0.1,
     }
+
+
+SWEPT = {float: ("nan", "inf", "-inf", "-1", "0", "1e-300"), int: ("-1", "0", "1", "2")}
+
+
+def test_every_numeric_flag_exits_cleanly_at_its_edge_values(tmp_path, capsys):
+    # the table is read from the parser, so a new flag is swept without editing
+    # this test; warnings are raised, since pytest's own capture keeps them off stderr
+    small = {argv[0]: argv[1:] for argv in ALL_COMMANDS} | {
+        "bvp-n2d": ["--m", "12"], "bvp-trace": ["--m", "12"], "trace-count": ["--n", "4"],
+        "pseudospectrum": ["--n", "4", "--resolution", "2"]}
+    out = ["--out", str(tmp_path / "out.json")]
+    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    faults = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, sub in commands.items():
+            for action in sub._actions:
+                flag = action.option_strings[0]
+                for value in SWEPT.get(action.type, ()):
+                    for form in ([flag, value], [f"{flag}={value}"]):
+                        argv = [name, *small[name], *form]
+                        try:
+                            code = run(argv + out)
+                        except Exception as exc:
+                            code = repr(exc)
+                        err = capsys.readouterr().err
+                        one_line = err.startswith("error: ") and err.count("\n") == 1
+                        if not (code == 2 and one_line or code in (0, 1) and err == ""):
+                            faults.append(f"{' '.join(argv)}: {code} {err!r}")
+    assert not faults, "\n".join(faults)
