@@ -497,6 +497,13 @@ def _at_least(lo: int) -> tuple:
     return f"at least {lo}", lambda value: value >= lo
 
 
+def _float_list(text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of floats, got {text!r}") from None
+
+
 FINITE = "finite", math.isfinite
 NONNEGATIVE = "finite and at least 0", lambda value: 0 <= value < math.inf
 POSITIVE = "finite and positive", lambda value: 0 < value < math.inf
@@ -551,8 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10, action=_Domain, domain=_at_least(0))
     p.add_argument("--lam-re", type=float, default=0.5, action=_Domain, domain=FINITE)
     p.add_argument("--lam-im", type=float, default=0.0, action=_Domain, domain=FINITE)
-    p.add_argument("--h-list", type=lambda s: [float(x) for x in s.split(",")],
-                   default=[1e-1, 1e-2, 1e-3])
+    p.add_argument("--h-list", type=_float_list, default=[1e-1, 1e-2, 1e-3])
     p.add_argument("--trials", type=int, default=32)
     common(p)
 

@@ -22,7 +22,7 @@ from .errors import (
     OnSpectrum,
     ThresholdOnSingularValue,
 )
-from .linops import _sigma, _svd, as_cmatrix, is_singular, rank_limit, spectral_norm, tolerance_from_sigma
+from .linops import EPS, _sigma, _svd, as_cmatrix, is_singular, rank_limit, spectral_norm, tolerance_from_sigma
 
 
 @dataclass(frozen=True)
@@ -130,19 +130,36 @@ def projector_identities(a, lam: complex, pair: ProjectorPair) -> dict:
     }
 
 
+def _sigma_bounds(product: np.ndarray, basis: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
+    """Bounds (below sigma_min, above sigma_max) on the singular values of
+    ``product`` = basis diag(sigma) + R, by Weyl: with the Gram defect
+    d = ||basis^H basis - I||_F, the basis's singular values lie within
+    sqrt(1 -+ d), so within 1 -+ d, and ||R||_F moves each by at most itself."""
+    defect = float(np.linalg.norm(basis.conj().T @ basis - np.eye(basis.shape[1])))
+    residual = float(np.linalg.norm(product - basis * sigma))
+    return (1.0 - defect) * float(sigma.min()) - residual, (1.0 + defect) * float(sigma.max()) + residual
+
+
 def _threshold_borders(shifted: np.ndarray, h: float):
     """Captured bases of a checked ``shifted`` = A - lam after the norm
-    hypotheses: one full SVD, one sigma-only SVD per hypothesis."""
+    hypotheses, each decided from the full SVD first: the bounds of
+    :func:`_sigma_bounds` on the product the hypothesis names decide it where
+    they clear the slack h (1 +- 1e-8) by 16 n^2 eps sigma_max (README,
+    "Numerical conventions"); elsewhere the product's sigma-only SVD does."""
     full, u_small, v_small = _small_subspaces(shifted, h)
-    slack = 1.0 + 1e-8
+    slack, margin = 1.0 + 1e-8, 16 * shifted.shape[0] ** 2 * EPS * float(full.singular[0])
+    small = full.singular <= h
     if u_small.shape[1]:
-        if _sigma(shifted @ v_small)[0] > h * slack:
-            raise IllPosed("||P pi_plus|| exceeds h")
-        if _sigma(shifted.conj().T @ u_small)[0] > h * slack:
-            raise IllPosed("||P* pi_minus|| exceeds h")
-    v_large = full.right_h[full.singular > h, :].conj().T
-    if v_large.shape[1] and _sigma(shifted @ v_large)[-1] < h / slack:
-        raise IllPosed("lower bound off the captured subspace fails")
+        for product, basis, message in ((shifted @ v_small, u_small, "||P pi_plus|| exceeds h"),
+                                        (shifted.conj().T @ u_small, v_small, "||P* pi_minus|| exceeds h")):
+            if _sigma_bounds(product, basis, full.singular[small])[1] + margin > h * slack \
+                    and _sigma(product)[0] > h * slack:
+                raise IllPosed(message)
+    if not small.all():
+        product = shifted @ full.right_h[~small, :].conj().T
+        if _sigma_bounds(product, full.left[:, ~small], full.singular[~small])[0] - margin < h / slack \
+                and _sigma(product)[-1] < h / slack:
+            raise IllPosed("lower bound off the captured subspace fails")
     return u_small, v_small
 
 

@@ -178,12 +178,14 @@ def _log_derivative_trace(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, faul
     """tr( P^{-1} P' ) over a stack; raises ``fault(node)`` at the first node
     where P is singular at the rank tolerance.
 
-    One solve of P X = [P' | I] gives P^{-1} P' and P^{-1}.  A node whose
-    inverse certifies cond(P) below 1/(8 n eps), where the rank tolerance
-    would flag P, needs no SVD (:func:`linops.certified_solve`).
+    One solve of P X = [P' | I] gives P^{-1} P' and P^{-1}; where the stack's
+    P' is the identity, as a pencil's is, P X = I alone gives both.  A node
+    whose inverse certifies cond(P) below 1/(8 n eps), where the rank
+    tolerance would flag P, needs no SVD (:func:`linops.certified_solve`).
     """
     n = p.shape[-1]
-    rhs = np.concatenate([dp, np.broadcast_to(np.eye(n, dtype=dp.dtype), p.shape)], axis=-1)
+    eye = np.broadcast_to(np.eye(n, dtype=dp.dtype), p.shape)
+    rhs = eye if np.array_equal(dp, eye) else np.concatenate([dp, eye], axis=-1)
     x = certified_solve(p, rhs, lambda i, _: fault(nodes[i]), rank_limit(p.shape[-2:]))
     return np.trace(x[..., :n], axis1=1, axis2=2)
 

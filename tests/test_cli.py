@@ -257,6 +257,10 @@ def test_bvp_n2d_gates_as_bvp_grushin_near_a_neumann_eigenvalue(tmp_path):
     (["lidskii", "--k", "0"], 2, "need 1 <= k < n", {}),
     (["pseudospectrum", "--h", "0"], 2, "threshold h must be positive", {}),
     (["estimate-check", "--h-list", "0.1,nan"], 2, "threshold h must be positive and finite, got nan", {}),
+    (["estimate-check", "--h-list", ""], 2, "--h-list: expected a comma-separated list of floats, got ''", {}),
+    (["estimate-check", "--h-list", "0.1,,0.01"], 2,
+     "--h-list: expected a comma-separated list of floats, got '0.1,,0.01'", {}),
+    (["estimate-check", "--h-list", "a"], 2, "--h-list: expected a comma-separated list of floats, got 'a'", {}),
     (["pseudospectrum", "--h", "nan"], 2, "threshold h must be positive and finite, got nan", {}),
     (["pseudospectrum", "--h", "inf"], 2, "threshold h must be positive and finite, got inf", {}),
     (["trace-count", "--radius", "inf"], 2, "circle center 0j and radius inf must be finite", {}),
@@ -280,7 +284,8 @@ def test_bvp_n2d_gates_as_bvp_grushin_near_a_neumann_eigenvalue(tmp_path):
         "mp-check-rows0", "mp-check-cols0", "mp-check-rank-1", "mp-check-rank0",
         "loop-identity-count0", "loop-identity-n0", "loop-identity-n1", "bvp-n2d-m2", "circulant-n1",
         "jordan-series-n0", "jordan-series-order-1", "jordan-series-epsilon-1", "jordan-series-lam-re0.95",
-        "jordan-cloud-n1", "lidskii-k0", "pseudospectrum-h0", "estimate-check-h-nan", "pseudospectrum-h-nan",
+        "jordan-cloud-n1", "lidskii-k0", "pseudospectrum-h0", "estimate-check-h-nan", "estimate-check-h-list-empty",
+        "estimate-check-h-list-empty-item", "estimate-check-h-list-not-float", "pseudospectrum-h-nan",
         "pseudospectrum-h-inf", "trace-count-radius-inf", "trace-count-center-nan", "bvp-trace-radius-inf",
         "obstruction-z-min-nan", "bvp-trace-x1-inf", "bvp-n2d-x1-inf", "bvp-n2d-x1-tiny", "bvp-trace-x1-tiny",
         "bvp-n2d-x1-huge", "obstruction-z-count0", "obstruction-z-count1", "obstruction-z-count-1",

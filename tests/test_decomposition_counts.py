@@ -1,5 +1,5 @@
 """Each rank or well-posedness decision costs one SVD of the matrix in question,
-or none where an inverse already computed certifies it."""
+or none where an inverse or a decomposition already computed certifies it."""
 
 import numpy as np
 import pytest
@@ -186,11 +186,10 @@ def test_resolvent_cell_decomposes_shifted_matrix_once(monkeypatch):
 
 def _cell_svds(n, k):
     """(shape, with vectors) of every SVD one pseudospectrum cell with k >= 1
-    captured directions makes: sigma of A - lam, its full SVD, the two norm
-    hypotheses, the lower bound off the captured space and sigma_min of E_-+.
-    The bordered inverse certifies its own well-posedness gate."""
-    return [((n, n), False), ((n, n), True), ((n, k), False), ((n, k), False),
-            ((n, n - k), False), ((k, k), False)]
+    captured directions makes: sigma of A - lam, its full SVD and sigma_min of
+    E_-+.  The full SVD's residual bounds decide the three norm hypotheses, and
+    the bordered inverse certifies its own well-posedness gate."""
+    return [((n, n), False), ((n, n), True), ((k, k), False)]
 
 
 def _two_jordan_blocks():
@@ -198,14 +197,14 @@ def _two_jordan_blocks():
 
 
 @pytest.mark.parametrize("a, k", [(jordan_block(10), 1), (_two_jordan_blocks(), 2)])
-def test_resolvent_cell_makes_six_svds(monkeypatch, a, k):
+def test_resolvent_cell_makes_three_svds(monkeypatch, a, k):
     calls = _record_svds(monkeypatch)
     cell = resolvent_bound(a, 0.5 + 0.1j, 1e-2)
     assert cell.n_captured == k
     assert [(x.shape, uv) for x, uv in calls] == _cell_svds(a.shape[0], k)
 
 
-def test_grid_cells_make_six_svds_each(monkeypatch):
+def test_grid_cells_make_three_svds_each(monkeypatch):
     a = jordan_block(10)
     calls = _record_svds(monkeypatch)
     grid = pseudospectrum_grid(a, (0.45, 0.55, -0.05, 0.05), 2, ("fixed", 1e-2))
@@ -217,8 +216,8 @@ def test_grid_cells_make_six_svds_each(monkeypatch):
 def test_estimate_check_makes_no_bordered_svd(monkeypatch, a, k):
     calls = _record_svds(monkeypatch)
     estimate_check(a, 0.5 + 0.1j, 1e-2, 4)
-    # the full SVD of A - lam and the three norm hypotheses, nothing of size n + k
-    assert [(x.shape, uv) for x, uv in calls] == _cell_svds(a.shape[0], k)[1:5]
+    # the full SVD of A - lam alone, nothing of size n + k
+    assert [(x.shape, uv) for x, uv in calls] == _cell_svds(a.shape[0], k)[1:2]
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -265,7 +264,7 @@ def _per_stack(solves, *shapes):
 
 def test_counting_integrals_make_one_bordered_solve_per_stack(monkeypatch):
     # one unrefined LU inverse of each bordered M, then the E_-+ solve; the
-    # weighted trace adds the direct half's solve of P against [P' | I]
+    # weighted trace adds the direct half's solve of P against I (P' = I)
     a = gaussian_matrix(12, 5) / np.sqrt(12)
     contour = Contour.circle(0.1 - 0.05j, 0.6)
     family = HolomorphicFamily.pencil(a)
@@ -277,6 +276,38 @@ def test_counting_integrals_make_one_bordered_solve_per_stack(monkeypatch):
     solves.clear()
     weighted_trace(family, rm, rp, contour, lambda z: z)
     assert solves and solves == _per_stack(solves, (n, n), (n + k, n + k), (k, k))
+
+
+def _record_rhs_widths(monkeypatch):
+    """(order of the matrix, columns of the right-hand side) of every solve."""
+    widths = []
+    real = np.linalg.solve
+
+    def recording(a, b, *args, **kwargs):
+        widths.append((np.shape(a)[-1], np.shape(b)[-1]))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return widths
+
+
+def test_direct_count_solves_against_i_alone_where_p_prime_is_the_identity(monkeypatch):
+    # a pencil's P' = I: P X = I; any other P', here 2 I and a loop's, keeps [P' | I]
+    a = gaussian_matrix(12, 5) / np.sqrt(12)
+    contour = Contour.circle(0.1 - 0.05j, 0.6)
+    pencil = HolomorphicFamily.pencil(a)
+    doubled = HolomorphicFamily(lambda z: 2.0 * pencil.value(z), lambda z: 2.0 * pencil.derivative(z))
+    widths = _record_rhs_widths(monkeypatch)
+    count = count_direct(pencil, contour)
+    assert widths and set(widths) == {(12, 12)}
+    widths.clear()
+    assert count_direct(doubled, contour) == count
+    assert widths and set(widths) == {(12, 24)}
+    widths.clear()
+    loop = seeded_loop_family(4, 7000, False)
+    n = loop.system(0.0).n_rows
+    loop_trace_identity(loop)
+    assert {w for m, w in widths if m == n} == {2 * n}
 
 
 def test_reported_floats_keep_two_solves_of_the_bordered_matrix(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grushinlab import pseudospectra
 from grushinlab.core import (
     BorderedSystem,
     assemble,
@@ -17,11 +18,19 @@ from grushinlab.core import (
     recover_resolvent,
     transfer,
 )
-from grushinlab.errors import GrushinLabError, IllPosed, InnerSingular, RankAmbiguous, TransferSingular
+from grushinlab.errors import (
+    GrushinLabError,
+    IllPosed,
+    InnerSingular,
+    RankAmbiguous,
+    ThresholdOnSingularValue,
+    TransferSingular,
+)
 from grushinlab.linops import (
     EPS,
     WELL_POSED_LIMIT,
     Contour,
+    _sigma,
     certified_solve,
     condition_from_sigma,
     rank_limit,
@@ -29,7 +38,15 @@ from grushinlab.linops import (
     spectral_norm,
     tolerance_from_sigma,
 )
-from grushinlab.pseudospectra import _shifted, _threshold_borders, _threshold_inverse
+from grushinlab.pseudospectra import (
+    PseudospectrumCell,
+    _shifted,
+    _small_subspaces,
+    _threshold_borders,
+    _threshold_inverse,
+    estimate_check,
+    resolvent_bound,
+)
 from grushinlab.traces import (
     HolomorphicFamily,
     _log_derivative_trace,
@@ -230,6 +247,63 @@ def test_cell_inverse_decides_as_invert_system(cell):
     assert np.array_equal(_threshold_inverse(shifted, h).e_minus_plus, reference.e_minus_plus)
 
 
+def _svd_rule_borders(shifted, h):
+    """The norm hypotheses as one sigma-only SVD each decides them, with no
+    residual bound first."""
+    full, u_small, v_small = _small_subspaces(shifted, h)
+    slack = 1.0 + 1e-8
+    if u_small.shape[1]:
+        if _sigma(shifted @ v_small)[0] > h * slack:
+            raise IllPosed("||P pi_plus|| exceeds h")
+        if _sigma(shifted.conj().T @ u_small)[0] > h * slack:
+            raise IllPosed("||P* pi_minus|| exceeds h")
+    v_large = full.right_h[full.singular > h, :].conj().T
+    if v_large.shape[1] and _sigma(shifted @ v_large)[-1] < h / slack:
+        raise IllPosed("lower bound off the captured subspace fails")
+    return u_small, v_small
+
+
+@st.composite
+def placed_cells(draw):
+    """A = Q1 diag(sigma) Q2^H with random unitary Q1, Q2, n = 2..12, sigma
+    graded over 10**-g, g = 16..0, times 10**s, s = -4..4, a threshold h at
+    a quarter step of that range (sigma_max / h up to 1e16, where the
+    residual bounds leave some decisions to the SVD), and one or two singular
+    values placed at h (1 +- 10**-j), j = 1..9; returns A, h and the smallest j."""
+    n, g, s = draw(st.integers(2, 12)), 16 - draw(st.integers(0, 16)), draw(st.integers(-4, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = 10.0 ** (s - g * rng.random(n))
+    h = 10.0 ** (s - g * draw(st.integers(0, 4)) / 4)
+    placed = st.tuples(st.integers(0, n - 1), st.integers(1, 9), st.sampled_from((-1.0, 1.0)))
+    nearest = 10
+    for i, j, sign in draw(st.lists(placed, min_size=1, max_size=2)):
+        sigma[i], nearest = h * (1.0 + sign * 10.0**-j), min(nearest, j)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0] for _ in range(2))
+    return (q1 * sigma) @ q2.conj().T, h, nearest
+
+
+def _outcome(call):
+    """A cell's or an estimate's fields, or the type and message of its error."""
+    try:
+        out = call()
+    except GrushinLabError as exc:
+        return type(exc), str(exc)
+    return repr(out) if isinstance(out, PseudospectrumCell) else (out.worst_ratio, out.ratios.tobytes())
+
+
+@PROPERTY
+@given(placed_cells())
+def test_certified_norm_hypotheses_decide_as_the_svd(cell):
+    a, h, nearest = cell
+    calls = [lambda: resolvent_bound(a, 0.0, h), lambda: estimate_check(a, 0.0, h, 3)]
+    certified = [_outcome(call) for call in calls]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pseudospectra, "_threshold_borders", _svd_rule_borders)
+        assert [_outcome(call) for call in calls] == certified
+    if nearest >= 8:
+        assert certified[1][0] is ThresholdOnSingularValue
+
+
 @st.composite
 def graded_stacks(draw):
     """1 to 8 complex Gaussian n x n matrices, n = 1..12, in which one or two
@@ -283,6 +357,23 @@ def test_log_derivative_trace_decides_as_the_svd(stacks):
         return
     assert first_bad is None
     assert np.array_equal(traces, np.trace(np.linalg.solve(p, dp), axis1=1, axis2=2))
+
+
+@PROPERTY
+@given(graded_stacks())
+def test_unit_derivative_solves_against_i_alone_with_the_same_bits(stacks):
+    p, _ = stacks
+    n = p.shape[-1]
+    unit = np.broadcast_to(np.eye(n, dtype=complex), p.shape)
+    general = lambda: np.trace(certified_solve(p, np.concatenate([unit, unit], axis=-1), _Fault,
+                                               rank_limit((n, n)))[..., :n], axis1=1, axis2=2)
+    outcomes = []
+    for run in (lambda: _log_derivative_trace(p, unit, np.arange(len(p)), _Fault), general):
+        try:
+            outcomes.append(run().tobytes())
+        except _Fault as exc:
+            outcomes.append(exc.args[0])
+    assert outcomes[0] == outcomes[1]
 
 
 _RULES = [(1.0, None), (1e3, None), (None, WELL_POSED_LIMIT), (1.0, WELL_POSED_LIMIT)]

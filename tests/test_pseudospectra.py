@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
+from grushinlab import pseudospectra
 from grushinlab.errors import (
     DimensionMismatch,
+    IllPosed,
     OnSpectrum,
     ThresholdOnSingularValue,
 )
-from grushinlab.linops import spectral_norm
+from grushinlab.linops import SvdResult, spectral_norm
 from grushinlab.perturbation import gaussian_matrix, jordan_block
 from grushinlab.pseudospectra import (
     estimate_check,
@@ -311,3 +315,37 @@ def test_grid_rejects_overflowing_shift_before_any_svd(monkeypatch):
     with pytest.raises(ValueError, match="overflows"):
         pseudospectrum_grid(1j * big, (0.0, 1.0, -1e308, 0.0), 2, ("fixed", 0.1))
 
+
+
+@pytest.mark.parametrize("factor, column, message", [
+    ("right", -1, "||P pi_plus|| exceeds h"),
+    ("left", -1, "||P* pi_minus|| exceeds h"),
+    ("right", 0, "lower bound off the captured subspace fails"),
+], ids=["captured-right", "captured-left", "off-captured"])
+def test_norm_hypotheses_fall_back_to_the_svd(monkeypatch, factor, column, message):
+    # jordan_block(10) at 0.5 + 0.1j with h = 1e-2 captures the last direction;
+    # one singular vector of the full SVD turned a right angle onto the other
+    # end leaves the residual bounds short of the slack, so the hypothesis
+    # that reads it goes to its sigma-only SVD, which fails it
+    a, lam, h = jordan_block(10), 0.5 + 0.1j, 1e-2
+    assert resolvent_bound(a, lam, h).n_captured == 1
+    real_svd = pseudospectra._svd
+    sigma_calls = []
+    real_sigma = pseudospectra._sigma
+
+    def rotated(shifted):
+        full = real_svd(shifted)
+        left, right = full.left.copy(), full.right_h.conj().T
+        turned = left if factor == "left" else right
+        turned[:, column] = turned[:, -1 - column]
+        return SvdResult(left, full.singular, right.conj().T)
+
+    def recording(mats):
+        sigma_calls.append(mats.shape)
+        return real_sigma(mats)
+
+    monkeypatch.setattr(pseudospectra, "_svd", rotated)
+    monkeypatch.setattr(pseudospectra, "_sigma", recording)
+    with pytest.raises(IllPosed, match=f"^{re.escape(message)}$"):
+        resolvent_bound(a, lam, h)
+    assert sigma_calls[-1] == ((10, 9) if column == 0 else (10, 1))
