@@ -22,7 +22,8 @@ from .errors import (
     OnSpectrum,
     ThresholdOnSingularValue,
 )
-from .linops import EPS, _sigma, _svd, as_cmatrix, is_singular, rank_limit, spectral_norm, tolerance_from_sigma
+from .linops import (EPS, SvdResult, _sigma, _svd, as_cmatrix, is_singular, rank_limit, spectral_norm,
+                     tolerance_from_sigma)
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,9 @@ def _shifted(a, lam: complex, h: float) -> np.ndarray:
     return as_cmatrix(a - lam * np.eye(a.shape[0]))
 
 
-def _small_subspaces(shifted: np.ndarray, h: float):
-    """The full SVD of ``shifted`` and the orthonormal bases of its singular
-    subspaces with sigma <= h, after the threshold check."""
-    full = _svd(shifted)
+def _small_subspaces(shifted: np.ndarray, full: SvdResult, h: float):
+    """The orthonormal bases of the singular subspaces of ``shifted`` with
+    sigma <= h, read from its full SVD ``full``, after the threshold check."""
     window = 1e-8 * h + tolerance_from_sigma(full.singular, shifted.shape)
     close = np.abs(full.singular - h) < window
     if np.any(close):
@@ -94,7 +94,7 @@ def _small_subspaces(shifted: np.ndarray, h: float):
             f"singular value(s) {full.singular[close]} within {window:.3e} of h={h}"
         )
     small = full.singular <= h
-    return full, full.left[:, small], full.right_h[small, :].conj().T
+    return full.left[:, small], full.right_h[small, :].conj().T
 
 
 def _pair(u_small: np.ndarray, v_small: np.ndarray, h: float) -> ProjectorPair:
@@ -109,8 +109,8 @@ def threshold_projectors(a, lam: complex, h: float) -> ProjectorPair:
     Raises :class:`ThresholdOnSingularValue` when a singular value sits within
     1e-8 h + the rank tolerance of h: the captured dimension would be ill defined.
     """
-    _, u_small, v_small = _small_subspaces(_shifted(a, lam, h), h)
-    return _pair(u_small, v_small, h)
+    shifted = _shifted(a, lam, h)
+    return _pair(*_small_subspaces(shifted, _svd(shifted), h), h)
 
 
 def projector_identities(a, lam: complex, pair: ProjectorPair) -> dict:
@@ -140,13 +140,13 @@ def _sigma_bounds(product: np.ndarray, basis: np.ndarray, sigma: np.ndarray) -> 
     return (1.0 - defect) * float(sigma.min()) - residual, (1.0 + defect) * float(sigma.max()) + residual
 
 
-def _threshold_borders(shifted: np.ndarray, h: float):
+def _threshold_borders(shifted: np.ndarray, full: SvdResult, h: float):
     """Captured bases of a checked ``shifted`` = A - lam after the norm
-    hypotheses, each decided from the full SVD first: the bounds of
+    hypotheses, each decided from its full SVD ``full`` first: the bounds of
     :func:`_sigma_bounds` on the product the hypothesis names decide it where
     they clear the slack h (1 +- 1e-8) by 16 n^2 eps sigma_max (README,
     "Numerical conventions"); elsewhere the product's sigma-only SVD does."""
-    full, u_small, v_small = _small_subspaces(shifted, h)
+    u_small, v_small = _small_subspaces(shifted, full, h)
     slack, margin = 1.0 + 1e-8, 16 * shifted.shape[0] ** 2 * EPS * float(full.singular[0])
     small = full.singular <= h
     if u_small.shape[1]:
@@ -163,11 +163,11 @@ def _threshold_borders(shifted: np.ndarray, h: float):
     return u_small, v_small
 
 
-def _threshold_inverse(shifted: np.ndarray, h: float) -> GrushinInverse:
+def _threshold_inverse(shifted: np.ndarray, full: SvdResult, h: float) -> GrushinInverse:
     """Inverse blocks of the bordered problem [[A - lam, U_small], [V_small^H, 0]]
-    of a checked ``shifted``, by :func:`core.invert_nodes`: :func:`invert_system`'s
-    bits, with the SVD gate only where the inverse does not certify it."""
-    u_small, v_small = _threshold_borders(shifted, h)
+    of a checked ``shifted`` with full SVD ``full``, by :func:`core.invert_nodes`:
+    :func:`invert_system`'s bits, with the SVD gate only where the inverse does not certify it."""
+    u_small, v_small = _threshold_borders(shifted, full, h)
     return invert_nodes(BorderedSystem(shifted, u_small, v_small.conj().T, np.zeros((u_small.shape[1],) * 2)))
 
 
@@ -180,7 +180,7 @@ def projector_grushin(a, lam: complex, h: float) -> ProjectorGrushin:
     for scaling studies across an h-sequence.
     """
     shifted = _shifted(a, lam, h)
-    u_small, v_small = _threshold_borders(shifted, h)
+    u_small, v_small = _threshold_borders(shifted, _svd(shifted), h)
     inverse = invert_system(assemble(shifted, u_small, v_small.conj().T))
     norms = {
         "e": spectral_norm(inverse.e),
@@ -207,7 +207,7 @@ def estimate_check(a, lam: complex, h: float, trials: int, seed: int = 0) -> Est
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     shifted = _shifted(a, lam, h)
-    inverse = _threshold_inverse(shifted, h)
+    inverse = _threshold_inverse(shifted, _svd(shifted), h)
     n, k = inverse.e_plus.shape
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5E5]))
     ratios = np.zeros(trials)
@@ -229,19 +229,19 @@ def resolvent_bound(a, lam: complex, h: float) -> PseudospectrumCell:
     when lam is an eigenvalue at rank tolerance.
     """
     shifted = _shifted(a, lam, h)
-    return _resolvent_cell(shifted, lam, h, _sigma(shifted))
+    return _resolvent_cell(shifted, _svd(shifted), lam, h)
 
 
-def _resolvent_cell(
-    shifted: np.ndarray, lam: complex, h: float, sigma: np.ndarray
-) -> PseudospectrumCell:
-    """:func:`resolvent_bound` given a checked ``shifted`` = A - lam and its
-    singular values ``sigma``; it reads only E_-+ of the bordered inverse."""
-    if is_singular(sigma, rank_limit(shifted.shape)):
-        raise OnSpectrum(f"sigma_min = {sigma[-1]:.3e} at tolerance")
-    emp = _threshold_inverse(shifted, h).e_minus_plus
+def _resolvent_cell(shifted: np.ndarray, full: SvdResult, lam: complex, h: float) -> PseudospectrumCell:
+    """:func:`resolvent_bound` given a checked ``shifted`` = A - lam and its full SVD
+    ``full``, the one decomposition of A - lam: sigma_min, the rank gate, the threshold
+    window, the borders and the norm hypotheses all read it; of the bordered inverse
+    it reads only E_-+."""
+    sigma_min = float(full.singular[-1])
+    if is_singular(full.singular, rank_limit(shifted.shape)):
+        raise OnSpectrum(f"sigma_min = {sigma_min:.3e} at tolerance")
+    emp = _threshold_inverse(shifted, full, h).e_minus_plus
     norm_eff_inv = 1.0 / _sigma(emp)[-1] if emp.size else 0.0
-    sigma_min = float(sigma[-1])
     c_emp = abs(1.0 / sigma_min - norm_eff_inv) * h
     return PseudospectrumCell(
         complex(lam), float(h), emp.shape[0], float(norm_eff_inv), sigma_min, float(c_emp)
@@ -297,16 +297,17 @@ def pseudospectrum_grid(a, rectangle, resolution, h_rule) -> PseudospectrumGrid:
         for re in res:
             lam = complex(re, im)
             shifted = a - lam * eye
-            sigma = _sigma(shifted)
-            h = value if kind == "fixed" else value * float(sigma[-1])
+            full = _svd(shifted)
+            sigma_min = float(full.singular[-1])
+            h = value if kind == "fixed" else value * sigma_min
             try:
                 if h <= 0.0:
                     raise OnSpectrum("sigma_min vanished under sigma-scaled rule")
-                cells.append(_resolvent_cell(shifted, lam, h, sigma))
+                cells.append(_resolvent_cell(shifted, full, lam, h))
             except GrushinLabError as exc:
                 cells.append(
                     PseudospectrumCell(
-                        lam, np.nan, -1, np.nan, float(sigma[-1]), np.nan,
+                        lam, np.nan, -1, np.nan, sigma_min, np.nan,
                         error=f"{type(exc).__name__}: {exc}",
                     )
                 )

@@ -467,10 +467,10 @@ def sinc_squared() -> TestFunction:
 def gaussian_test() -> TestFunction:
     """f(x) = exp(-pi x^2), transform = exp(-xi^2 / (4 pi)).
 
-    The samples beyond |n| = t sum to at most 2 exp(-pi t^2), the transform
-    samples beyond |m| = t to at most 2 exp(-t^2 / (4 pi)); each truncation
-    is the smallest t that brings its bound to ``POISSON_TOL`` / 100.  Since
-    fhat(2 pi m) = f(m), the band is the lattice truncation.  f falls below
+    The samples beyond |n| = t sum to at most 2 exp(-pi t^2), and since
+    fhat(2 pi m) = exp(-pi m^2) = f(m), so do the transform samples beyond
+    |m| = t: one truncation, the smallest t that brings that bound to
+    ``POISSON_TOL`` / 100, serves both sums and the band.  f falls below
     ``POISSON_TOL`` / 100 inside the window, which keeps two units of margin
     and needs no extrapolation.
     """
@@ -482,14 +482,10 @@ def gaussian_test() -> TestFunction:
         return np.exp(-np.asarray(xi, dtype=float) ** 2 / (4.0 * np.pi))
 
     target = 0.01 * POISSON_TOL
-
-    def truncation(rate: float) -> tuple[int, float]:
-        t = math.ceil(math.sqrt(math.log(2.0 / target) / rate))  # smallest t with 2 exp(-rate t^2) <= target
-        return t, 2.0 * math.exp(-rate * t * t)
-
-    (t_f, tail_f), (t_hat, tail_hat) = truncation(np.pi), truncation(1.0 / (4.0 * np.pi))
+    t = math.ceil(math.sqrt(math.log(2.0 / target) / np.pi))  # smallest t with 2 exp(-pi t^2) <= target
+    tail = 2.0 * math.exp(-np.pi * t * t)
     window = math.ceil(math.sqrt(math.log(1.0 / target) / np.pi)) + 2
-    return TestFunction(value, transform, t_f, tail_f, t_hat, tail_hat, band=t_f, window=window, extrapolate=False)
+    return TestFunction(value, transform, t, tail, t, tail, band=t, window=window, extrapolate=False)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from grushinlab.bvp1d import (
     potential_from_name,
     tabulated_potential,
 )
-from grushinlab.errors import IoFailure, NeumannEigenvalue, OnContourSingular
+from grushinlab.errors import ConsistencyError, IoFailure, NeumannEigenvalue, OnContourSingular
 from grushinlab.linops import Contour, eigenvalues, spectral_norm, tolerance_from_sigma
 
 
@@ -106,6 +106,15 @@ def test_bvp_grushin_matches_boundary_map():
     inverse = bvp_grushin(d, -1.0)
     reference = n2d_map(d, -1.0)
     assert spectral_norm(inverse.e_minus_plus - reference) <= 1e-9
+
+
+def test_bvp_grushin_refuses_an_effective_hamiltonian_off_the_boundary_map(monkeypatch):
+    # a reference map moved by 1e-6 ||N|| puts the residual past its bound 1e-9 max(1, ||N||)
+    d = Discretization(0.0, 1.0, 40, _zero)
+    real = bvp1d.n2d_map
+    monkeypatch.setattr(bvp1d, "n2d_map", lambda d, z: real(d, z) * (1.0 + 1e-6))
+    with pytest.raises(ConsistencyError, match="^effective Hamiltonian disagrees with the boundary map$"):
+        bvp_grushin(d, -1.0)
 
 
 def test_bvp_grushin_support_invariance(monkeypatch):

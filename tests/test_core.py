@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import grushinlab
+from grushinlab import core
 from grushinlab.core import (
     BorderedSystem,
     GrushinInverse,
@@ -23,6 +24,7 @@ from grushinlab.core import (
 )
 from grushinlab.errors import (
     ComplementSingular,
+    ConsistencyError,
     CornerSingular,
     DimensionMismatch,
     EffectiveSingular,
@@ -485,6 +487,15 @@ def test_feshbach_winding_counts_multiplicity():
     )
     winding = np.angle(vals[1:] / vals[:-1]).sum() / (2.0 * np.pi)
     assert winding == pytest.approx(1.0, abs=1e-8)
+
+
+def test_feshbach_cross_check_refuses_a_disagreeing_effective_hamiltonian(monkeypatch):
+    # the bordered reference measured against G_v + 1e-6 misses it by 1e-6, past 1e-10 max(1, ||G_v||) cond
+    h = np.array([[1.0, 0.1], [0.1, 3.0]], dtype=complex)
+    real = core._feshbach_residual
+    monkeypatch.setattr(core, "_feshbach_residual", lambda h, split, z, g_v: real(h, split, z, g_v + 1e-6))
+    with pytest.raises(ConsistencyError, match="^bordered effective Hamiltonian disagrees with -G_v$"):
+        feshbach_effective(h, Split((0,)), 1.01)
 
 
 def test_feshbach_complement_singular():

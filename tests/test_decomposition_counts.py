@@ -181,15 +181,17 @@ def test_resolvent_cell_decomposes_shifted_matrix_once(monkeypatch):
     shifted = a - lam * np.eye(10)
     calls = _record_svds(monkeypatch)
     resolvent_bound(a, lam, 1e-2)
-    assert sum(np.array_equal(x, shifted) and not uv for x, uv in calls) == 1
+    # the full SVD alone: sigma_min and every decision read it
+    assert [uv for x, uv in calls if np.array_equal(x, shifted)] == [True]
 
 
 def _cell_svds(n, k):
     """(shape, with vectors) of every SVD one pseudospectrum cell with k >= 1
-    captured directions makes: sigma of A - lam, its full SVD and sigma_min of
-    E_-+.  The full SVD's residual bounds decide the three norm hypotheses, and
-    the bordered inverse certifies its own well-posedness gate."""
-    return [((n, n), False), ((n, n), True), ((k, k), False)]
+    captured directions makes: the full SVD of A - lam and sigma_min of E_-+.
+    The full SVD gives sigma_min, the rank gate and the borders, its residual
+    bounds decide the three norm hypotheses, and the bordered inverse
+    certifies its own well-posedness gate."""
+    return [((n, n), True), ((k, k), False)]
 
 
 def _two_jordan_blocks():
@@ -197,14 +199,14 @@ def _two_jordan_blocks():
 
 
 @pytest.mark.parametrize("a, k", [(jordan_block(10), 1), (_two_jordan_blocks(), 2)])
-def test_resolvent_cell_makes_three_svds(monkeypatch, a, k):
+def test_resolvent_cell_makes_two_svds(monkeypatch, a, k):
     calls = _record_svds(monkeypatch)
     cell = resolvent_bound(a, 0.5 + 0.1j, 1e-2)
     assert cell.n_captured == k
     assert [(x.shape, uv) for x, uv in calls] == _cell_svds(a.shape[0], k)
 
 
-def test_grid_cells_make_three_svds_each(monkeypatch):
+def test_grid_cells_make_two_svds_each(monkeypatch):
     a = jordan_block(10)
     calls = _record_svds(monkeypatch)
     grid = pseudospectrum_grid(a, (0.45, 0.55, -0.05, 0.05), 2, ("fixed", 1e-2))
@@ -217,7 +219,7 @@ def test_estimate_check_makes_no_bordered_svd(monkeypatch, a, k):
     calls = _record_svds(monkeypatch)
     estimate_check(a, 0.5 + 0.1j, 1e-2, 4)
     # the full SVD of A - lam alone, nothing of size n + k
-    assert [(x.shape, uv) for x, uv in calls] == _cell_svds(a.shape[0], k)[1:2]
+    assert [(x.shape, uv) for x, uv in calls] == _cell_svds(a.shape[0], k)[:1]
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -237,6 +239,23 @@ def test_grid_cells_equal_resolvent_bound_cells():
                 assert cell == resolvent_bound(a, cell.lam, cell.h)
                 emp = projector_grushin(a, cell.lam, cell.h).inverse.e_minus_plus
                 assert cell.norm_eff_inv == 1.0 / np.linalg.svd(emp, compute_uv=False)[-1]
+
+
+@pytest.mark.parametrize("a, rectangle, h", [
+    (jordan_block(10), (0.45, 0.55, -0.05, 0.05), 1e-2),
+    (gaussian_matrix(12, 2) / np.sqrt(12), (-0.5, 0.5, -0.5, 0.5), 0.1),
+], ids=["jordan", "gaussian"])
+def test_each_cell_reads_one_sigma_of_a_minus_lambda(a, rectangle, h):
+    # sigma_min, the captured count and the sigma-scaled h come from the
+    # singular values of the full SVD of A - lam, bit for bit
+    factor = 3.0
+    fixed, scaled = (pseudospectrum_grid(a, rectangle, 4, rule) for rule in (("fixed", h), ("sigma-scaled", factor)))
+    for cell, scaled_cell in zip(fixed.cells, scaled.cells):
+        sigma = np.linalg.svd(np.asarray(a, dtype=complex) - cell.lam * np.eye(a.shape[0]))[1]
+        for got, threshold in ((cell, h), (resolvent_bound(a, cell.lam, h), h), (scaled_cell, factor * sigma[-1])):
+            assert got.error is None and got.sigma_min == sigma[-1] and got.h == threshold
+            assert got.n_captured == np.count_nonzero(sigma <= threshold)
+    assert any(cell.n_captured for cell in fixed.cells)
 
 
 def _stacked_svds(calls):

@@ -31,6 +31,7 @@ from grushinlab.linops import (
     WELL_POSED_LIMIT,
     Contour,
     _sigma,
+    _svd,
     certified_solve,
     condition_from_sigma,
     rank_limit,
@@ -234,23 +235,24 @@ def test_cell_inverse_decides_as_invert_system(cell):
     a, lam, h = cell
     shifted = _shifted(a, lam, h)
     try:
-        u_small, v_small = _threshold_borders(shifted, h)
+        full = _svd(shifted)
+        u_small, v_small = _threshold_borders(shifted, full, h)
     except GrushinLabError:
         return  # the threshold and norm-hypothesis checks precede either inversion
     try:
         reference = invert_system(assemble(shifted, u_small, v_small.conj().T))
     except IllPosed as exc:
         with pytest.raises(IllPosed) as info:
-            _threshold_inverse(shifted, h)
+            _threshold_inverse(shifted, full, h)
         assert info.value.args == exc.args
         return
-    assert np.array_equal(_threshold_inverse(shifted, h).e_minus_plus, reference.e_minus_plus)
+    assert np.array_equal(_threshold_inverse(shifted, full, h).e_minus_plus, reference.e_minus_plus)
 
 
-def _svd_rule_borders(shifted, h):
+def _svd_rule_borders(shifted, full, h):
     """The norm hypotheses as one sigma-only SVD each decides them, with no
     residual bound first."""
-    full, u_small, v_small = _small_subspaces(shifted, h)
+    u_small, v_small = _small_subspaces(shifted, full, h)
     slack = 1.0 + 1e-8
     if u_small.shape[1]:
         if _sigma(shifted @ v_small)[0] > h * slack:

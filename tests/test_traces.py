@@ -331,18 +331,17 @@ def test_poisson_test_functions_state_their_truncations():
     sinc, gauss = sinc_squared(), gaussian_test()
     assert (sinc.lattice_truncation, sinc.transform_truncation) == (1, 1)
     assert (sinc.lattice_tail, sinc.transform_tail) == (1e-30, 0.0)
-    assert (gauss.lattice_truncation, gauss.transform_truncation) == (4, 19)
+    # fhat(2 pi m) = f(m): the transform sum takes the lattice's truncation
+    assert (gauss.lattice_truncation, gauss.transform_truncation) == (4, 4)
     f_bound = lambda t: 2 * math.exp(-math.pi * t * t)
-    hat_bound = lambda t: 2 * math.exp(-t * t / (4 * math.pi))
-    assert gauss.lattice_tail == pytest.approx(f_bound(4), rel=1e-12)
-    assert gauss.transform_tail == pytest.approx(hat_bound(19), rel=1e-12)
+    assert gauss.lattice_tail == gauss.transform_tail == pytest.approx(f_bound(4), rel=1e-12)
     target = POISSON_TOL / 100
     assert max(sinc.lattice_tail, sinc.transform_tail, gauss.lattice_tail, gauss.transform_tail) <= target
-    assert f_bound(3) > target and hat_bound(18) > target
+    assert f_bound(3) > target
     far = np.arange(1, 201)
-    for tail, samples, t in [(gauss.lattice_tail, gauss.value(far), 4),
-                             (gauss.transform_tail, gauss.transform(2 * np.pi * far), 19)]:
-        assert 2 * math.fsum(samples[t:]) < tail
+    for tail, samples in [(gauss.lattice_tail, gauss.value(far)),
+                          (gauss.transform_tail, gauss.transform(2 * np.pi * far))]:
+        assert 2 * math.fsum(samples[4:]) < tail
 
 
 def test_obstruction_constant_profile():
