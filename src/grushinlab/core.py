@@ -101,7 +101,8 @@ class GrushinInverse:
 
     ``e_minus_plus`` is the effective Hamiltonian.  ``condition`` is the
     condition estimate (sigma_max/sigma_min of the assembled system, or a
-    documented proxy for derived inverses).
+    documented proxy for derived inverses), nan for :func:`invert_nodes`'s
+    certified inverses, which make no estimate.
     """
 
     e: np.ndarray
@@ -201,22 +202,15 @@ def invert_system(system: BorderedSystem) -> GrushinInverse:
 
 
 def invert_nodes(system: BorderedSystem) -> GrushinInverse:
-    """:func:`lu_inverse` of a bordered system, or of a node stack of them (a leading
-    node axis on P), plus one refinement step, split into blocks; ``condition`` is nan.
-    Bit for bit :func:`invert_system`'s inverse, for callers that report floats:
-    the loop trace and the pseudospectrum cell."""
+    """One unrefined LU inverse of a bordered system, or of a node stack of them (a leading
+    node axis on P), split into blocks; ``condition`` is nan.  It faces :func:`invert_system`'s
+    gate through :func:`linops.certified_solve`: a matrix its inverse certifies needs no SVD,
+    and :class:`IllPosed` carries the estimate and the stack index of the first matrix beyond
+    the limit.  Shapes and finiteness are the caller's to check."""
     mats = system.assembled()
     stack = mats.reshape(-1, *mats.shape[-2:])
-    full = refine(stack, np.eye(stack.shape[-1], dtype=complex), lu_inverse(stack))
+    full = certified_solve(stack, np.eye(stack.shape[-1], dtype=complex), _ill_posed, WELL_POSED_LIMIT)
     return GrushinInverse.from_full(full.reshape(mats.shape), system.n_cols, system.n_rows)
-
-
-def lu_inverse(stack: np.ndarray) -> np.ndarray:
-    """One unrefined LU inverse of each matrix of a stack, facing :func:`invert_system`'s
-    gate through :func:`linops.certified_solve`: a matrix its inverse certifies needs no
-    SVD.  :class:`IllPosed` carries the estimate and the stack index of the first matrix
-    beyond the limit.  Shapes and finiteness are the caller's to check."""
-    return certified_solve(stack, np.eye(stack.shape[-1], dtype=complex), _ill_posed, WELL_POSED_LIMIT)
 
 
 def _ill_posed(index: int, sigma: np.ndarray) -> IllPosed:

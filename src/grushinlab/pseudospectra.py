@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BorderedSystem, GrushinInverse, assemble, invert_nodes, invert_system
+from .core import BorderedSystem, GrushinInverse, invert_nodes
 from .errors import (
     DimensionMismatch,
     GrushinLabError,
@@ -163,11 +163,10 @@ def _threshold_borders(shifted: np.ndarray, full: SvdResult, h: float):
     return u_small, v_small
 
 
-def _threshold_inverse(shifted: np.ndarray, full: SvdResult, h: float) -> GrushinInverse:
-    """Inverse blocks of the bordered problem [[A - lam, U_small], [V_small^H, 0]]
-    of a checked ``shifted`` with full SVD ``full``, by :func:`core.invert_nodes`:
-    :func:`invert_system`'s bits, with the SVD gate only where the inverse does not certify it."""
-    u_small, v_small = _threshold_borders(shifted, full, h)
+def _threshold_inverse(shifted: np.ndarray, u_small: np.ndarray, v_small: np.ndarray) -> GrushinInverse:
+    """Inverse blocks of the bordered problem [[A - lam, U_small], [V_small^H, 0]] of a checked
+    ``shifted`` and its captured bases (:func:`_threshold_borders`), by :func:`core.invert_nodes`:
+    the SVD gate only where the inverse does not certify it, and ``condition`` nan."""
     return invert_nodes(BorderedSystem(shifted, u_small, v_small.conj().T, np.zeros((u_small.shape[1],) * 2)))
 
 
@@ -176,12 +175,13 @@ def projector_grushin(a, lam: complex, h: float) -> ProjectorGrushin:
 
     The borders are the orthonormal bases of the captured subspaces, so the
     norm hypotheses (||P pi_+|| <= h, lower bounds off the captured space) are
-    verified numerically before inversion; measured block norms are returned
-    for scaling studies across an h-sequence.
+    verified numerically before inversion.  The inverse is a pseudospectrum
+    cell's (:func:`_threshold_inverse`), with ``condition`` nan; measured
+    block norms are returned for scaling studies across an h-sequence.
     """
     shifted = _shifted(a, lam, h)
     u_small, v_small = _threshold_borders(shifted, _svd(shifted), h)
-    inverse = invert_system(assemble(shifted, u_small, v_small.conj().T))
+    inverse = _threshold_inverse(shifted, u_small, v_small)
     norms = {
         "e": spectral_norm(inverse.e),
         "e_plus": spectral_norm(inverse.e_plus),
@@ -195,6 +195,7 @@ def projector_grushin(a, lam: complex, h: float) -> ProjectorGrushin:
 class EstimateCheck:
     worst_ratio: float
     ratios: np.ndarray
+    n_captured: int
 
 
 def estimate_check(a, lam: complex, h: float, trials: int, seed: int = 0) -> EstimateCheck:
@@ -202,12 +203,14 @@ def estimate_check(a, lam: complex, h: float, trials: int, seed: int = 0) -> Est
 
         h ||u|| + ||u_minus||  <=  C (||v|| + h ||v_plus||)
 
-    over seeded random data; the worst observed ratio is the reported C.
+    over seeded random data; the worst observed ratio is the reported C.  With
+    no subspace captured (``n_captured`` 0) the inverse is (A - lam)^{-1}, so
+    every ratio is h ||u|| / ||v|| <= h / sigma_min < 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     shifted = _shifted(a, lam, h)
-    inverse = _threshold_inverse(shifted, _svd(shifted), h)
+    inverse = _threshold_inverse(shifted, *_threshold_borders(shifted, _svd(shifted), h))
     n, k = inverse.e_plus.shape
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5E5]))
     ratios = np.zeros(trials)
@@ -218,7 +221,7 @@ def estimate_check(a, lam: complex, h: float, trials: int, seed: int = 0) -> Est
         num = h * np.linalg.norm(u) + np.linalg.norm(u_minus)
         den = np.linalg.norm(v) + h * np.linalg.norm(v_plus)
         ratios[i] = num / den
-    return EstimateCheck(float(ratios.max()), ratios)
+    return EstimateCheck(float(ratios.max()), ratios, k)
 
 
 def resolvent_bound(a, lam: complex, h: float) -> PseudospectrumCell:
@@ -240,7 +243,7 @@ def _resolvent_cell(shifted: np.ndarray, full: SvdResult, lam: complex, h: float
     sigma_min = float(full.singular[-1])
     if is_singular(full.singular, rank_limit(shifted.shape)):
         raise OnSpectrum(f"sigma_min = {sigma_min:.3e} at tolerance")
-    emp = _threshold_inverse(shifted, full, h).e_minus_plus
+    emp = _threshold_inverse(shifted, *_threshold_borders(shifted, full, h)).e_minus_plus
     norm_eff_inv = 1.0 / _sigma(emp)[-1] if emp.size else 0.0
     c_emp = abs(1.0 / sigma_min - norm_eff_inv) * h
     return PseudospectrumCell(

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BorderedSystem, GrushinInverse, assemble, invert_nodes, lu_inverse
+from .core import BorderedSystem, GrushinInverse, assemble, invert_nodes
 from .errors import (
     ContractionCertificateFails,
     DimensionMismatch,
@@ -153,11 +153,10 @@ def _trace_integrals(
 
 def _effective_rows(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, template: BorderedSystem):
     """tr( E_-+' E_-+^{-1} ) and tr( E P' ) over a stack, with E_-+' = -E_- P' E_+,
-    from one unrefined LU inverse of each M (:func:`core.lu_inverse`): a count
+    from one unrefined LU inverse of each M (:func:`core.invert_nodes`): a count
     rounds them to an integer, and the gate's certificate is stated for it."""
-    system = replace(template, p=p)
     try:
-        inverse = GrushinInverse.from_full(lu_inverse(system.assembled()), system.n_cols, system.n_rows)
+        inverse = invert_nodes(replace(template, p=p))
     except IllPosed as exc:
         node = nodes[exc.index]
         raise IllPosedOnContour(f"bordered problem ill posed at node z={node}", complex(node)) from exc

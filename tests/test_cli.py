@@ -70,6 +70,17 @@ def test_subcommands_pass_and_are_deterministic(tmp_path, argv):
     assert payload1 == payload2
 
 
+@pytest.mark.parametrize("argv", [["--matrix", "gaussian"], ["--n", "1"], ["--n", "2"]],
+                         ids=["gaussian", "n1", "n2"])
+def test_estimate_check_drift_reads_only_captured_thresholds(tmp_path, argv):
+    # sigma_min(A - 0.5) exceeds every default h, so no h captures a subspace:
+    # each constant is h ||(A - 0.5)^{-1} v|| / ||v|| < 1 and there is no drift
+    code, payload = _run(tmp_path, ["estimate-check", *argv])
+    report = json.loads(payload)
+    assert code == 0 and report["summary"] == {"drift": 1.0, "pass": True}
+    assert all(record["empirical_constant"] < 1.0 for record in report["records"])
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["no-such-command"]) == 2
     assert capsys.readouterr().err.startswith("error: argument command: invalid choice: 'no-such-command'")

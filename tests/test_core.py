@@ -628,6 +628,28 @@ def test_only_linops_calls_lapack_svd():
     assert sites == {("cli.py", "_svd_pseudoinverse")}
 
 
+def _call_sites(tree: ast.AST, name: str, where: str = "<module>"):
+    """The enclosing function of every call of ``name``, bare or as an attribute, in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _call_sites(node, name, node.name)
+            continue
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield where
+        yield from _call_sites(node, name, where)
+
+
+def test_refinement_stays_in_single_system_solves():
+    # node stacks and pseudospectrum cells take invert_nodes' unrefined LU inverse;
+    # a refinement step stays where one system is solved and its condition or residual returned
+    sites = set()
+    for path in sorted(Path(grushinlab.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert "lu_inverse" not in text, path.name
+        sites |= {(path.name, where) for where in _call_sites(ast.parse(text), "refine")}
+    assert sites == {("linops.py", "refined_solve"), ("core.py", "schur_check")}
+
+
 @pytest.mark.parametrize("rminus, rplus, corner", [
     (np.eye(2), np.eye(2), np.array([[3.0]])),
     (np.ones((2, 2)), np.ones((2, 2)), np.zeros((1, 1))),

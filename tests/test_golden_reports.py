@@ -147,6 +147,8 @@ def test_nested_obstruction_report_matches_golden(report):
         ("jordan-series-rank-one", ["jordan-series", "--q", "rank-one"]),
         ("jordan-cloud-epsilon0", ["jordan-cloud", "--epsilon", "0"]),
         ("pseudospectrum-gaussian", ["pseudospectrum", "--matrix", "gaussian"]),
+        ("jordan-cloud-random", ["jordan-cloud", "--q", "random"]),
+        ("estimate-check-gaussian", ["estimate-check", "--matrix", "gaussian"]),
     ],
 )
 def test_choice_value_matches_its_golden_report(report, name, argv):
