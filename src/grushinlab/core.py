@@ -35,7 +35,7 @@ from .errors import (
 from .linops import (
     WELL_POSED_LIMIT,
     as_cmatrix,
-    certified_solve,
+    certified_inverse,
     condition_from_sigma,
     is_singular,
     numerical_rank,
@@ -204,12 +204,12 @@ def invert_system(system: BorderedSystem) -> GrushinInverse:
 def invert_nodes(system: BorderedSystem) -> GrushinInverse:
     """One unrefined LU inverse of a bordered system, or of a node stack of them (a leading
     node axis on P), split into blocks; ``condition`` is nan.  It faces :func:`invert_system`'s
-    gate through :func:`linops.certified_solve`: a matrix its inverse certifies needs no SVD,
+    gate through :func:`linops.certified_inverse`: a matrix its inverse certifies needs no SVD,
     and :class:`IllPosed` carries the estimate and the stack index of the first matrix beyond
     the limit.  Shapes and finiteness are the caller's to check."""
     mats = system.assembled()
     stack = mats.reshape(-1, *mats.shape[-2:])
-    full = certified_solve(stack, np.eye(stack.shape[-1], dtype=complex), _ill_posed, WELL_POSED_LIMIT)
+    full = certified_inverse(stack, _ill_posed, WELL_POSED_LIMIT)
     return GrushinInverse.from_full(full.reshape(mats.shape), system.n_cols, system.n_rows)
 
 
@@ -254,7 +254,7 @@ def schur_check(a, b, head: int) -> float:
     :class:`CornerSingular` when A22 fails the rank tolerance, and
     :class:`SingularMatrix` when B11 does, also where its LU solve succeeds:
     the LU inverse of B11 certifies it without an SVD, or it gets one
-    (:func:`linops.certified_solve`).
+    (:func:`linops.certified_inverse`); one refinement step then polishes that inverse.
     """
     a = as_cmatrix(a)
     b = as_cmatrix(b)
@@ -270,7 +270,7 @@ def schur_check(a, b, head: int) -> float:
     b11 = b[None, :head, :head]
     fault = lambda _, s: SingularMatrix(f"B11 singular at tolerance (sigma_min={s[-1]:.3e})")
     ident = np.eye(head, dtype=complex)
-    b11_inverse = refine(b11, ident, certified_solve(b11, ident, fault, rank_limit(b11.shape[-2:])))[0]
+    b11_inverse = refine(b11, ident, certified_inverse(b11, fault, rank_limit(b11.shape[-2:])))[0]
     return float(spectral_norm(b11_inverse - complement))
 
 

@@ -30,7 +30,7 @@ EPS = float(np.finfo(np.float64).eps)
 #: below 1/(100*eps).
 WELL_POSED_LIMIT = 1.0 / (100.0 * EPS)
 
-#: An LU inverse X certifies its matrix M in :func:`certified_solve` without an
+#: An LU inverse X certifies its matrix M in :func:`certified_inverse` without an
 #: SVD while the bound ||M||_F ||X||_F stays below the gate's condition limit
 #: times this margin; the LU backward error keeps such a decision the SVD's
 #: (README, "Numerical conventions").
@@ -68,7 +68,7 @@ def _sigma(mats: np.ndarray) -> np.ndarray:
         return np.zeros(mats.shape[:-2] + (min(mats.shape[-2:]),))
     try:
         return np.linalg.svd(mats, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
 
 
@@ -108,18 +108,17 @@ def singular_gate(mats: np.ndarray, fault, limit: float) -> np.ndarray:
     return sigma
 
 
-def certified_solve(mats: np.ndarray, rhs: np.ndarray, fault, limit: float) -> np.ndarray:
-    """LU solution X of ``M X = rhs`` for a stack, ``rhs`` ending in the identity.
-    X's last n columns, the LU inverses, certify a nonempty M where ||M||_F ||X||_F
-    is at most ``CERTIFIED_MARGIN`` times ``limit``; the others face :func:`singular_gate`,
-    ``fault`` naming their stack index; a stack the LU solve rejects faces it whole, then raises."""
+def certified_inverse(mats: np.ndarray, fault, limit: float) -> np.ndarray:
+    """LU inverses X of a stack of square matrices M, one solve of each against I.
+    X certifies a nonempty M where ||M||_F ||X||_F is at most ``CERTIFIED_MARGIN``
+    times ``limit``; the others face :func:`singular_gate`, ``fault`` naming their
+    stack index; a stack the LU solve rejects faces it whole, then raises."""
     try:
-        x = np.linalg.solve(mats, rhs)
+        x = np.linalg.solve(mats, np.eye(mats.shape[-1], dtype=mats.dtype))
     except np.linalg.LinAlgError:
         singular_gate(mats, fault, limit)
         raise
-    inverses = x[..., x.shape[-1] - mats.shape[-1]:]
-    norms = np.linalg.norm(mats, axis=(-2, -1)) * np.linalg.norm(inverses, axis=(-2, -1))
+    norms = np.linalg.norm(mats, axis=(-2, -1)) * np.linalg.norm(x, axis=(-2, -1))
     rest = np.flatnonzero(~((norms <= limit * CERTIFIED_MARGIN) & (mats.shape[-1] > 0)))
     if rest.size:
         singular_gate(mats[rest], lambda i, s: fault(int(rest[i]), s), limit)

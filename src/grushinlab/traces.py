@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BorderedSystem, GrushinInverse, assemble, invert_nodes
+from .core import BorderedSystem, assemble, invert_nodes
 from .errors import (
     ContractionCertificateFails,
     DimensionMismatch,
@@ -33,7 +33,7 @@ from .linops import (
     Contour,
     as_cmatrix,
     as_integer,
-    certified_solve,
+    certified_inverse,
     doubling_quadrature,
     integrate_nodes,
     periodic_rule,
@@ -132,6 +132,9 @@ def _trace_integrals(
     def integrand(nodes: np.ndarray) -> np.ndarray:
         p, dp = family.value(nodes), family.derivative(nodes)
         weights = None if weight is None else weight(nodes)
+        if weights is not None and np.shape(weights) != nodes.shape:
+            raise DimensionMismatch(f"weight has shape {np.shape(weights)} at nodes of shape {nodes.shape}, "
+                                    "not one value per node")
         rows = []
         if direct:
             fault = lambda z: OnContourSingular(f"P(z) singular at node z={z}", complex(z))
@@ -160,16 +163,13 @@ def _effective_rows(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, template: 
     except IllPosed as exc:
         node = nodes[exc.index]
         raise IllPosedOnContour(f"bordered problem ill posed at node z={node}", complex(node)) from exc
-    if inverse.e_minus_plus.size == 0:
-        effective = np.zeros(len(nodes), dtype=np.complex128)
-    else:
-        num = inverse.e_minus @ dp @ inverse.e_plus
-        try:
-            effective = -np.trace(np.linalg.solve(inverse.e_minus_plus, num), axis1=1, axis2=2)
-        except np.linalg.LinAlgError:
-            fault = lambda i, _: OnContourSingular(f"E_-+(z) singular at node z={nodes[i]}", complex(nodes[i]))
-            singular_gate(inverse.e_minus_plus, fault, rank_limit(inverse.e_minus_plus.shape[-2:]))
-            raise
+    num = inverse.e_minus @ dp @ inverse.e_plus
+    try:
+        effective = -np.trace(np.linalg.solve(inverse.e_minus_plus, num), axis1=1, axis2=2)
+    except np.linalg.LinAlgError:
+        fault = lambda i, _: OnContourSingular(f"E_-+(z) singular at node z={nodes[i]}", complex(nodes[i]))
+        singular_gate(inverse.e_minus_plus, fault, rank_limit(inverse.e_minus_plus.shape[-2:]))
+        raise
     return effective, np.einsum("kij,kji->k", inverse.e, dp)
 
 
@@ -177,16 +177,14 @@ def _log_derivative_trace(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, faul
     """tr( P^{-1} P' ) over a stack; raises ``fault(node)`` at the first node
     where P is singular at the rank tolerance.
 
-    One solve of P X = [P' | I] gives P^{-1} P' and P^{-1}; where the stack's
-    P' is the identity, as a pencil's is, P X = I alone gives both.  A node
-    whose inverse certifies cond(P) below 1/(8 n eps), where the rank
-    tolerance would flag P, needs no SVD (:func:`linops.certified_solve`).
+    One solve of P X = I gives X = P^{-1}, and the trace is the sum of the
+    row sums of X * P'^T, elementwise; for a pencil's P' = I that sum adds
+    exactly the diagonal of X.  A node whose inverse certifies cond(P) below
+    1/(8 n eps), where the rank tolerance would flag P, needs no SVD
+    (:func:`linops.certified_inverse`).
     """
-    n = p.shape[-1]
-    eye = np.broadcast_to(np.eye(n, dtype=dp.dtype), p.shape)
-    rhs = eye if np.array_equal(dp, eye) else np.concatenate([dp, eye], axis=-1)
-    x = certified_solve(p, rhs, lambda i, _: fault(nodes[i]), rank_limit(p.shape[-2:]))
-    return np.trace(x[..., :n], axis1=1, axis2=2)
+    x = certified_inverse(p, lambda i, _: fault(nodes[i]), rank_limit(p.shape[-2:]))
+    return (x * np.swapaxes(dp, -1, -2)).sum(axis=-1).sum(axis=-1)
 
 
 def borders_from_base_point(
@@ -278,7 +276,8 @@ def weighted_trace(
     """Both weighted counting integrals (they agree for holomorphic weights;
     with weight z the result is the sum of the enclosed spectral points), in
     one pass over the nodes (:func:`_trace_integrals`).  ``weight`` maps a node
-    array to one value per node."""
+    array to one value per node (:class:`DimensionMismatch` at the first node
+    stack where it does not)."""
     return WeightedTrace(*_trace_integrals(family, contour, weight, (rminus, rplus)))
 
 
@@ -394,9 +393,10 @@ def loop_trace_identity(loop: LoopFamily) -> LoopTraceResult:
         except IllPosed as exc:
             t = ts[exc.index]
             raise SingularAtNode(f"bordered matrix singular at t={t:.4f}", float(t)) from exc
-        full, n1, n2 = inverse.assembled(), system.n_cols, system.n_rows
-        dotted = GrushinInverse.from_full(-(full @ derivative.assembled() @ full), n1, n2)
-        trace_eff = np.trace(np.linalg.solve(inverse.e_minus_plus, dotted.e_minus_plus), axis1=1, axis2=2)
+        # E_-+' = -(last k rows of M^{-1}) M' (last k columns of M^{-1})
+        full = inverse.assembled()
+        dotted = -(full[:, system.n_cols:] @ derivative.assembled() @ full[:, :, system.n_rows:])
+        trace_eff = np.trace(np.linalg.solve(inverse.e_minus_plus, dotted), axis1=1, axis2=2)
         return np.array([trace_p, trace_eff])
 
     # periodic trapezoid rule in t from 64 nodes, doubling up to 2^16

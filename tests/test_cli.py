@@ -2,6 +2,8 @@ import argparse
 import functools
 import json
 import os
+import runpy
+import sys
 import warnings
 
 import numpy as np
@@ -84,6 +86,16 @@ def test_estimate_check_drift_reads_only_captured_thresholds(tmp_path, argv):
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["no-such-command"]) == 2
     assert capsys.readouterr().err.startswith("error: argument command: invalid choice: 'no-such-command'")
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    # python -m grushinlab.cli: main() exits with run()'s code
+    monkeypatch.setattr(sys, "argv", ["grushin-lab", "--version"])
+    monkeypatch.delitem(sys.modules, "grushinlab.cli")
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("grushinlab.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out == "0.1.0\n"
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -310,23 +310,20 @@ def _record_rhs_widths(monkeypatch):
     return widths
 
 
-def test_direct_count_solves_against_i_alone_where_p_prime_is_the_identity(monkeypatch):
-    # a pencil's P' = I: P X = I; any other P', here 2 I and a loop's, keeps [P' | I]
+def test_every_p_solve_has_right_hand_side_width_n(monkeypatch):
+    # P X = I whatever P' is: a pencil's P' = I, 2 I, and a loop's
     a = gaussian_matrix(12, 5) / np.sqrt(12)
     contour = Contour.circle(0.1 - 0.05j, 0.6)
     pencil = HolomorphicFamily.pencil(a)
     doubled = HolomorphicFamily(lambda z: 2.0 * pencil.value(z), lambda z: 2.0 * pencil.derivative(z))
     widths = _record_rhs_widths(monkeypatch)
-    count = count_direct(pencil, contour)
+    assert count_direct(doubled, contour) == count_direct(pencil, contour)
     assert widths and set(widths) == {(12, 12)}
-    widths.clear()
-    assert count_direct(doubled, contour) == count
-    assert widths and set(widths) == {(12, 24)}
     widths.clear()
     loop = seeded_loop_family(4, 7000, False)
     n = loop.system(0.0).n_rows
     loop_trace_identity(loop)
-    assert {w for m, w in widths if m == n} == {2 * n}
+    assert {w for m, w in widths if m == n} == {n}
 
 
 def test_reported_floats_make_one_solve_of_the_bordered_matrix(monkeypatch):

@@ -30,7 +30,7 @@ from grushinlab.perturbation import (
     projected_inverse_blocks,
 )
 from grushinlab.pseudospectra import pseudospectrum_grid, resolvent_bound
-from grushinlab.traces import selfadjoint_obstruction
+from grushinlab.traces import HolomorphicFamily, selfadjoint_obstruction, weighted_trace
 
 # P = 1 bordered once on each side: E_-+ is 1 x 1
 _BORDERED = invert_system(assemble(np.eye(2), [[1.0], [0.0]], [[1.0, 0.0]]))
@@ -46,6 +46,12 @@ def _index_below_tol():
     # tol = 1e-6 reads diag(1, 1e-8) as rank 1; with no borders E_-+ has no kernel
     system = assemble(np.diag([1.0, 1e-8]), [], [])
     return effective_index(system, invert_system(system), tol=1e-6)
+
+
+def _weighted_by(weight):
+    # E_-+ is 1 x 1 about the enclosed eigenvalue 0.1; the first node stack has 8 nodes
+    family = HolomorphicFamily.pencil(np.diag([0.1, 0.5, 0.9]))
+    return weighted_trace(family, [[1.0], [0.0], [0.0]], [[1.0, 0.0, 0.0]], Contour.circle(0.1, 0.2), weight)
 
 
 def _emit_when_replace_fails():
@@ -106,6 +112,10 @@ def _emit_when_replace_fails():
     (lambda: selfadjoint_obstruction(lambda x: 1.0, 0.1, [0.0, np.nan]), ValueError, "z grid must be finite, got nan"),
     (lambda: selfadjoint_obstruction(lambda x: 1.0, 0.1, [0.0]), ValueError,
      "z grid needs at least 2 points to see a sign change, got 1"),
+    (lambda: _weighted_by(lambda z: np.append(z, 1.0)), DimensionMismatch,
+     "weight has shape (9,) at nodes of shape (8,), not one value per node"),
+    (lambda: _weighted_by(lambda z: 1.0), DimensionMismatch,
+     "weight has shape () at nodes of shape (8,), not one value per node"),
     (lambda: render_json({"x": object()}), TypeError, "object is not JSON serializable"),
     (_emit_when_replace_fails, IoFailure, "rename refused"),
 ], ids=[
@@ -117,7 +127,8 @@ def _emit_when_replace_fails():
     "feshbach_effective", "effective_index", "jordan_vectors", "jordan_cloud", "projected_inverse_blocks",
     "resolvent_bound", "resolvent_bound-h-nan",
     "pseudospectrum_grid", "pseudospectrum_grid-resolution-pair", "pseudospectrum_grid-resolution-float",
-    "selfadjoint_obstruction-z-nan", "selfadjoint_obstruction-one-point", "render_json",
+    "selfadjoint_obstruction-z-nan", "selfadjoint_obstruction-one-point", "weighted_trace-long",
+    "weighted_trace-scalar", "render_json",
     "emit",
 ])
 def test_every_input_check_raises_its_own_error(call, error, message):

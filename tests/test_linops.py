@@ -6,6 +6,7 @@ import pytest
 
 import grushinlab
 from grushinlab.errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     NonConvergent,
     RankAmbiguous,
@@ -165,7 +166,7 @@ def _reads(tree: ast.AST, name: str, where: str = "<module>"):
         yield from _reads(node, name, where)
 
 
-def test_only_certified_solve_reads_the_certified_margin():
+def test_only_certified_inverse_reads_the_certified_margin():
     # the LU certificate lives with the LU inverse; every other gate is the
     # plain rule on singular values
     sites = {
@@ -173,7 +174,23 @@ def test_only_certified_solve_reads_the_certified_margin():
         for path in sorted(Path(grushinlab.__file__).parent.glob("*.py"))
         for where in _reads(ast.parse(path.read_text()), "CERTIFIED_MARGIN")
     }
-    assert sites == {("linops.py", "certified_solve")}
+    assert sites == {("linops.py", "certified_inverse")}
+
+
+@pytest.mark.parametrize("routine, call", [
+    ("svd", lambda: singular_values(np.eye(2))),
+    ("svd", lambda: svd(np.eye(2))),
+    ("eigvals", lambda: eigenvalues(np.eye(2))),
+], ids=["singular_values", "svd", "eigenvalues"])
+def test_lapack_failure_raises_convergence_failure(monkeypatch, routine, call):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, failing)
+    with pytest.raises(ConvergenceFailure) as info:
+        call()
+    assert str(info.value) == f"{routine} did not converge"
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_rank_limit_is_the_condition_at_the_rank_tolerance():

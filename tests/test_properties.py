@@ -32,7 +32,7 @@ from grushinlab.linops import (
     Contour,
     _sigma,
     _svd,
-    certified_solve,
+    certified_inverse,
     condition_from_sigma,
     rank_limit,
     singular_gate,
@@ -351,36 +351,47 @@ class _Fault(Exception):
     pass
 
 
-@PROPERTY
-@given(graded_stacks())
-def test_log_derivative_trace_decides_as_the_svd(stacks):
-    p, dp = stacks
-    singular = [s[-1] <= tolerance_from_sigma(s, p.shape[1:]) for s in _sigmas(p)]
-    first_bad = next((i for i, flag in enumerate(singular) if flag), None)
+def _log_derivative_traces(p, dp):
+    """``_log_derivative_trace`` on a stack, after checking its gate against the
+    rank tolerance on per-matrix SVDs; None where the gate rightly raised."""
+    sigmas = _sigmas(p)
+    first_bad = next((i for i, s in enumerate(sigmas) if s[-1] <= tolerance_from_sigma(s, p.shape[1:])), None)
     try:
         traces = _log_derivative_trace(p, dp, np.arange(len(p)), _Fault)
     except _Fault as exc:
         assert exc.args[0] == first_bad
-        return
+        return None
     assert first_bad is None
-    assert np.array_equal(traces, np.trace(np.linalg.solve(p, dp), axis1=1, axis2=2))
+    return traces, sigmas
 
 
 @PROPERTY
 @given(graded_stacks())
-def test_unit_derivative_solves_against_i_alone_with_the_same_bits(stacks):
+def test_log_derivative_trace_decides_as_the_svd(stacks):
+    """For a general P' the trace read off the inverse agrees with the trace of
+    solve(P, P') to rounding: each is within about n eps cond(P) ||P^{-1}|| ||P'||
+    of tr(P^{-1} P'), and 8 n^2 eps cond(P) ||P^{-1}||_2 ||P'||_F bounds their distance."""
+    p, dp = stacks
+    checked = _log_derivative_traces(p, dp)
+    if checked is None:
+        return
+    traces, sigmas = checked
+    reference = np.trace(np.linalg.solve(p, dp), axis1=1, axis2=2)
+    n = p.shape[-1]
+    for trace, ref, s, d in zip(traces, reference, sigmas, dp):
+        assert abs(trace - ref) <= 8 * n * n * EPS * (s[0] / s[-1]) / s[-1] * np.linalg.norm(d)
+
+
+@PROPERTY
+@given(graded_stacks())
+def test_unit_derivative_trace_is_the_trace_of_the_inverse_bit_for_bit(stacks):
+    # a pencil's P' = I: the row sums of P^{-1} * I add exactly the diagonal, in np.trace's order
     p, _ = stacks
     n = p.shape[-1]
-    unit = np.broadcast_to(np.eye(n, dtype=complex), p.shape)
-    general = lambda: np.trace(certified_solve(p, np.concatenate([unit, unit], axis=-1), _Fault,
-                                               rank_limit((n, n)))[..., :n], axis1=1, axis2=2)
-    outcomes = []
-    for run in (lambda: _log_derivative_trace(p, unit, np.arange(len(p)), _Fault), general):
-        try:
-            outcomes.append(run().tobytes())
-        except _Fault as exc:
-            outcomes.append(exc.args[0])
-    assert outcomes[0] == outcomes[1]
+    checked = _log_derivative_traces(p, np.broadcast_to(np.eye(n, dtype=complex), p.shape))
+    if checked is not None:
+        inverse = np.linalg.solve(p, np.eye(n, dtype=complex))
+        assert checked[0].tobytes() == np.trace(inverse, axis1=1, axis2=2).tobytes()
 
 
 _RULES = [(1.0, None), (1e3, None), (None, WELL_POSED_LIMIT), (1.0, WELL_POSED_LIMIT)]
@@ -391,7 +402,7 @@ _RULES = [(1.0, None), (1e3, None), (None, WELL_POSED_LIMIT), (1.0, WELL_POSED_L
 def test_singular_gate_decides_as_the_plain_rule(stacks, rule, certified):
     """Each rule in use (the rank tolerance times 1 or 1e3, the well-posed
     limit, both), stated as one condition limit to the gate, or to
-    ``certified_solve``, which certifies from LU inverses and sends the rest to
+    ``certified_inverse``, which certifies from LU inverses and sends the rest to
     the gate, picks the same first singular matrix as the plain sigma-space
     rule on per-matrix SVDs."""
     mats, _ = stacks
@@ -406,7 +417,7 @@ def test_singular_gate_decides_as_the_plain_rule(stacks, rule, certified):
     ident = np.eye(mats.shape[-1], dtype=complex)
     try:
         if certified:
-            assert np.array_equal(certified_solve(mats, ident, _Fault, gate_limit), np.linalg.solve(mats, ident))
+            assert np.array_equal(certified_inverse(mats, _Fault, gate_limit), np.linalg.solve(mats, ident))
         else:
             assert np.array_equal(singular_gate(mats, _Fault, gate_limit), np.array(sigmas))
     except _Fault as exc:
