@@ -101,8 +101,8 @@ class GrushinInverse:
 
     ``e_minus_plus`` is the effective Hamiltonian.  ``condition`` is the
     condition estimate (sigma_max/sigma_min of the assembled system, or a
-    documented proxy for derived inverses), nan for :func:`invert_nodes`'s
-    certified inverses, which make no estimate.
+    documented proxy for derived inverses), nan for certified inverses
+    (:func:`linops.certified_inverse`), which make no estimate.
     """
 
     e: np.ndarray
@@ -201,21 +201,26 @@ def invert_system(system: BorderedSystem) -> GrushinInverse:
     return GrushinInverse.from_full(full, system.n_cols, system.n_rows, cond)
 
 
-def invert_nodes(system: BorderedSystem) -> GrushinInverse:
-    """One unrefined LU inverse of a bordered system, or of a node stack of them (a leading
-    node axis on P), split into blocks; ``condition`` is nan.  It faces :func:`invert_system`'s
-    gate through :func:`linops.certified_inverse`: a matrix its inverse certifies needs no SVD,
-    and :class:`IllPosed` carries the estimate and the stack index of the first matrix beyond
-    the limit.  Shapes and finiteness are the caller's to check."""
-    mats = system.assembled()
-    stack = mats.reshape(-1, *mats.shape[-2:])
-    full = certified_inverse(stack, _ill_posed, WELL_POSED_LIMIT)
-    return GrushinInverse.from_full(full.reshape(mats.shape), system.n_cols, system.n_rows)
+def effective_traces(system: BorderedSystem, derivative: BorderedSystem, fault, singular):
+    """tr( E_-+^{-1} E_-+' ) and tr( M^{-1} M' ) over a node stack of bordered systems M (a leading
+    node axis on P) and their derivatives M', with E_-+' = -(last rows of X) M' (last columns of X)
+    from one unrefined LU inverse X of each M, which faces :func:`invert_system`'s gate through
+    :func:`linops.certified_inverse` (``fault(i, sigma)`` naming node ``i``).  Where the LU solve with
+    E_-+ fails, ``singular(i, sigma)`` is raised at the first node whose E_-+ the rank tolerance flags."""
+    x = certified_inverse(system.assembled(), fault, WELL_POSED_LIMIT)
+    dm, rows, cols = derivative.assembled(), x[:, system.n_cols:], x[:, :, system.n_rows:]
+    emp = rows[:, :, system.n_rows:]
+    try:
+        effective = np.trace(np.linalg.solve(emp, -(rows @ dm @ cols)), axis1=1, axis2=2)
+    except np.linalg.LinAlgError:
+        singular_gate(emp, singular, rank_limit(emp.shape[-2:]))
+        raise
+    return effective, np.einsum("kij,kji->k", x, dm)
 
 
-def _ill_posed(index: int, sigma: np.ndarray) -> IllPosed:
+def _ill_posed(_, sigma: np.ndarray) -> IllPosed:
     cond = condition_from_sigma(sigma)
-    return IllPosed(f"condition estimate {cond:.3e} beyond well-posed limit", cond, index)
+    return IllPosed(f"condition estimate {cond:.3e} beyond well-posed limit", cond)
 
 
 @dataclass(frozen=True)

@@ -32,18 +32,12 @@ class NonConvergent(GrushinLabError):
 
 
 class IllPosed(GrushinLabError):
-    """Bordered system is singular or its condition estimate exceeds the
-    well-posedness threshold; args carry the offending estimate and, for a
-    stacked inversion, the index of the matrix at fault, also read as
-    ``condition`` and ``index`` (None when not given)."""
+    """Bordered system is singular or its condition estimate exceeds the well-posedness
+    threshold; args carry the offending estimate, also read as ``condition`` (None if not given)."""
 
     @property
     def condition(self) -> float | None:
         return self.args[1] if len(self.args) > 1 else None
-
-    @property
-    def index(self) -> int | None:
-        return self.args[2] if len(self.args) > 2 else None
 
 
 class EffectiveSingular(GrushinLabError):

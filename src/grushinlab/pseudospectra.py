@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BorderedSystem, GrushinInverse, invert_nodes
+from .core import BorderedSystem, GrushinInverse, _ill_posed
 from .errors import (
     DimensionMismatch,
     GrushinLabError,
@@ -22,8 +22,8 @@ from .errors import (
     OnSpectrum,
     ThresholdOnSingularValue,
 )
-from .linops import (EPS, SvdResult, _sigma, _svd, as_cmatrix, is_singular, rank_limit, spectral_norm,
-                     tolerance_from_sigma)
+from .linops import (EPS, WELL_POSED_LIMIT, SvdResult, _sigma, _svd, as_cmatrix, certified_inverse, is_singular,
+                     rank_limit, spectral_norm, tolerance_from_sigma)
 
 
 @dataclass(frozen=True)
@@ -165,9 +165,10 @@ def _threshold_borders(shifted: np.ndarray, full: SvdResult, h: float):
 
 def _threshold_inverse(shifted: np.ndarray, u_small: np.ndarray, v_small: np.ndarray) -> GrushinInverse:
     """Inverse blocks of the bordered problem [[A - lam, U_small], [V_small^H, 0]] of a checked
-    ``shifted`` and its captured bases (:func:`_threshold_borders`), by :func:`core.invert_nodes`:
-    the SVD gate only where the inverse does not certify it, and ``condition`` nan."""
-    return invert_nodes(BorderedSystem(shifted, u_small, v_small.conj().T, np.zeros((u_small.shape[1],) * 2)))
+    ``shifted`` and its captured bases (:func:`_threshold_borders`), one unrefined LU inverse facing the SVD
+    gate only where it does not certify itself (:func:`linops.certified_inverse`); ``condition`` is nan."""
+    m = BorderedSystem(shifted, u_small, v_small.conj().T, np.zeros((u_small.shape[1],) * 2)).assembled()
+    return GrushinInverse.from_full(certified_inverse(m[None], _ill_posed, WELL_POSED_LIMIT)[0], *shifted.shape)
 
 
 def projector_grushin(a, lam: complex, h: float) -> ProjectorGrushin:

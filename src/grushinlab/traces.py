@@ -16,11 +16,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BorderedSystem, assemble, invert_nodes
+from .core import BorderedSystem, assemble, effective_traces
 from .errors import (
     ContractionCertificateFails,
     DimensionMismatch,
-    IllPosed,
     IllPosedInside,
     IllPosedOnContour,
     NonConvergent,
@@ -117,9 +116,9 @@ def _trace_integrals(
 
     The probe-point derivative check comes first; the family must return one
     square, nonempty P per probe there (:class:`DimensionMismatch`).  M(z) is
-    the borders' :func:`_bordered_template` with P(z) as its P.  The effective
-    integral counts the zeros of det P inside minus those of det M, so the
-    same pass also integrates tr( E P' ) = d/dz log det M and raises
+    the borders' :func:`_bordered_template` with P(z) as its P, M'(z) with P'(z) and zero borders
+    (:func:`core.effective_traces`).  The effective integral counts the zeros of det P inside minus
+    those of det M, so the same pass also integrates tr( M^{-1} M' ) = d/dz log det M and raises
     :class:`IllPosedInside` when det M has zeros inside.  A node where P is
     singular raises :class:`OnContourSingular`, one where M is ill posed
     :class:`IllPosedOnContour`; the first failing node stack decides.
@@ -128,6 +127,8 @@ def _trace_integrals(
     if not shape[0] == shape[1] > 0:
         raise DimensionMismatch(f"P(z) has shape {shape} at the probe points, not square and nonempty")
     template = None if borders is None else _bordered_template(*borders, shape)
+    if template is not None:
+        zero_borders = replace(template, rminus=np.zeros_like(template.rminus), rplus=np.zeros_like(template.rplus))
 
     def integrand(nodes: np.ndarray) -> np.ndarray:
         p, dp = family.value(nodes), family.derivative(nodes)
@@ -135,12 +136,14 @@ def _trace_integrals(
         if weights is not None and np.shape(weights) != nodes.shape:
             raise DimensionMismatch(f"weight has shape {np.shape(weights)} at nodes of shape {nodes.shape}, "
                                     "not one value per node")
+        at = lambda error, what: lambda i, _: error(f"{what} at node z={nodes[i]}", complex(nodes[i]))
         rows = []
         if direct:
-            fault = lambda z: OnContourSingular(f"P(z) singular at node z={z}", complex(z))
-            rows.append(_weighted(_log_derivative_trace(p, dp, nodes, fault), weights))
+            rows.append(_weighted(_log_derivative_trace(p, dp, at(OnContourSingular, "P(z) singular")), weights))
         if template is not None:
-            effective, log_det = _effective_rows(p, dp, nodes, template)
+            effective, log_det = effective_traces(replace(template, p=p), replace(zero_borders, p=dp),
+                                                  at(IllPosedOnContour, "bordered problem ill posed"),
+                                                  at(OnContourSingular, "E_-+(z) singular"))
             rows += [_weighted(effective, weights), log_det]
         return np.array(rows)
 
@@ -154,28 +157,9 @@ def _trace_integrals(
     return values
 
 
-def _effective_rows(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, template: BorderedSystem):
-    """tr( E_-+' E_-+^{-1} ) and tr( E P' ) over a stack, with E_-+' = -E_- P' E_+,
-    from one unrefined LU inverse of each M (:func:`core.invert_nodes`): a count
-    rounds them to an integer, and the gate's certificate is stated for it."""
-    try:
-        inverse = invert_nodes(replace(template, p=p))
-    except IllPosed as exc:
-        node = nodes[exc.index]
-        raise IllPosedOnContour(f"bordered problem ill posed at node z={node}", complex(node)) from exc
-    num = inverse.e_minus @ dp @ inverse.e_plus
-    try:
-        effective = -np.trace(np.linalg.solve(inverse.e_minus_plus, num), axis1=1, axis2=2)
-    except np.linalg.LinAlgError:
-        fault = lambda i, _: OnContourSingular(f"E_-+(z) singular at node z={nodes[i]}", complex(nodes[i]))
-        singular_gate(inverse.e_minus_plus, fault, rank_limit(inverse.e_minus_plus.shape[-2:]))
-        raise
-    return effective, np.einsum("kij,kji->k", inverse.e, dp)
-
-
-def _log_derivative_trace(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, fault) -> np.ndarray:
-    """tr( P^{-1} P' ) over a stack; raises ``fault(node)`` at the first node
-    where P is singular at the rank tolerance.
+def _log_derivative_trace(p: np.ndarray, dp: np.ndarray, fault) -> np.ndarray:
+    """tr( P^{-1} P' ) over a stack; raises ``fault(i, sigma)`` at the first node
+    ``i`` where P is singular at the rank tolerance.
 
     One solve of P X = I gives X = P^{-1}, and the trace is the sum of the
     row sums of X * P'^T, elementwise; for a pencil's P' = I that sum adds
@@ -183,7 +167,7 @@ def _log_derivative_trace(p: np.ndarray, dp: np.ndarray, nodes: np.ndarray, faul
     1/(8 n eps), where the rank tolerance would flag P, needs no SVD
     (:func:`linops.certified_inverse`).
     """
-    x = certified_inverse(p, lambda i, _: fault(nodes[i]), rank_limit(p.shape[-2:]))
+    x = certified_inverse(p, fault, rank_limit(p.shape[-2:]))
     return (x * np.swapaxes(dp, -1, -2)).sum(axis=-1).sum(axis=-1)
 
 
@@ -372,31 +356,27 @@ def loop_trace_identity(loop: LoopFamily) -> LoopTraceResult:
     :class:`ContractionCertificateFails`.  Both traces come from one
     doubling trapezoidal quadrature in t, which evaluates M(t) and its
     derivative once per node stack (P and P' are their P blocks) and stops when
-    both settle to 1e-9; each is 2 pi i times a winding integer for these
-    finite-dimensional loops.
-    A node where P(t) is singular raises :class:`SingularAtNode` before one
-    where M(t) is, within the first failing node stack.
+    both settle to 1e-9 (:func:`core.effective_traces` gives the second); each is 2 pi i times
+    a winding integer for these finite-dimensional loops.  P(t) and M(t) must be square, P(t)
+    nonempty (:class:`DimensionMismatch`, before the certificate).  A node where P(t) is singular raises
+    :class:`SingularAtNode` before one where M(t) is, then E_-+(t), within the first failing node stack.
     """
     angles = np.tile(2.0 * np.pi * np.arange(17) / 17, 9)
     radii = np.repeat(np.linspace(0.0, 1.0, 9), 17)
+    disc = loop.disc_system(angles, radii)
+    if not (disc.n_rows == disc.n_cols > 0 and disc.k_plus == disc.k_minus):
+        raise DimensionMismatch(f"P(t) and M(t) have shapes {disc.p.shape[1:]}, {disc.assembled().shape[1:]}, "
+                                "not square and nonempty")
     fault = lambda i, _: ContractionCertificateFails(
         f"certificate matrix singular at t={angles[i]:.3f}, s={radii[i]:.3f}"
     )
-    singular_gate(loop.disc_system(angles, radii).assembled(), fault, WELL_POSED_LIMIT)
+    singular_gate(disc.assembled(), fault, WELL_POSED_LIMIT)
 
     def integrand(ts: np.ndarray) -> np.ndarray:
         system, derivative = loop.system(ts), loop.derivative(ts)
-        fault = lambda t: SingularAtNode(f"P(t) singular at t={t:.4f}", float(t))
-        trace_p = _log_derivative_trace(system.p, derivative.p, ts, fault)
-        try:
-            inverse = invert_nodes(system)
-        except IllPosed as exc:
-            t = ts[exc.index]
-            raise SingularAtNode(f"bordered matrix singular at t={t:.4f}", float(t)) from exc
-        # E_-+' = -(last k rows of M^{-1}) M' (last k columns of M^{-1})
-        full = inverse.assembled()
-        dotted = -(full[:, system.n_cols:] @ derivative.assembled() @ full[:, :, system.n_rows:])
-        trace_eff = np.trace(np.linalg.solve(inverse.e_minus_plus, dotted), axis1=1, axis2=2)
+        at = lambda what: lambda i, _: SingularAtNode(f"{what} at t={ts[i]:.4f}", float(ts[i]))
+        trace_p = _log_derivative_trace(system.p, derivative.p, at("P(t) singular"))
+        trace_eff, _ = effective_traces(system, derivative, at("bordered matrix singular"), at("E_-+(t) singular"))
         return np.array([trace_p, trace_eff])
 
     # periodic trapezoid rule in t from 64 nodes, doubling up to 2^16

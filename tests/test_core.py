@@ -15,7 +15,6 @@ from grushinlab.core import (
     dft_matrix,
     effective_index,
     feshbach_effective,
-    invert_nodes,
     invert_system,
     iterate,
     recover_resolvent,
@@ -33,7 +32,7 @@ from grushinlab.errors import (
     RankAmbiguous,
     TransferSingular,
 )
-from grushinlab.linops import spectral_norm
+from grushinlab.linops import WELL_POSED_LIMIT, certified_inverse, spectral_norm
 from grushinlab.perturbation import jordan_block
 
 
@@ -90,14 +89,16 @@ def test_invert_jordan_shift():
 def test_invert_illposed():
     with pytest.raises(IllPosed) as info:
         invert_system(assemble(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))))
-    assert (info.value.condition, info.value.index) == (np.inf, 0) == info.value.args[1:]
+    assert (info.value.condition,) == (np.inf,) == info.value.args[1:]
+    # a node stack names the matrix at fault through the callback, which gets its stack index
     stack = np.stack([np.eye(2), np.diag([1.0, 1e-15]), np.zeros((2, 2))]).astype(complex)
+    named = []
     with pytest.raises(IllPosed) as info:
-        invert_nodes(BorderedSystem(stack, np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((0, 0))))
-    assert info.value.index == info.value.args[2] == 1
+        certified_inverse(stack, lambda i, s: named.append(i) or core._ill_posed(i, s), WELL_POSED_LIMIT)
+    assert named == [1]
     assert info.value.condition == info.value.args[1] == pytest.approx(1e15)
     bare = IllPosed("no estimate")
-    assert (bare.condition, bare.index, bare.args) == (None, None, ("no estimate",))
+    assert (bare.condition, bare.args) == (None, ("no estimate",))
 
 
 def test_two_sided_inverse_with_corners():
@@ -595,8 +596,9 @@ def _references(tree: ast.AST):
 
 
 def test_only_core_knows_the_block_layout():
-    # the other modules fill and invert bordered systems through core's
-    # BorderedSystem, GrushinInverse and invert_nodes, never as raw arrays
+    # the other modules fill and split bordered systems and their inverses through
+    # core's BorderedSystem and GrushinInverse, and take traces off a bordered inverse
+    # through core.effective_traces, never as raw arrays
     forbidden = {"np.block", "numpy.block"}
     for path in sorted(Path(grushinlab.__file__).parent.glob("*.py")):
         if path.name != "core.py":
@@ -640,7 +642,7 @@ def _call_sites(tree: ast.AST, name: str, where: str = "<module>"):
 
 
 def test_refinement_stays_in_single_system_solves():
-    # node stacks and pseudospectrum cells take invert_nodes' unrefined LU inverse;
+    # node stacks and pseudospectrum cells take an unrefined certified LU inverse;
     # a refinement step stays where one system is solved and its condition or residual returned
     sites = set()
     for path in sorted(Path(grushinlab.__file__).parent.glob("*.py")):
@@ -648,6 +650,20 @@ def test_refinement_stays_in_single_system_solves():
         assert "lu_inverse" not in text, path.name
         sites |= {(path.name, where) for where in _call_sites(ast.parse(text), "refine")}
     assert sites == {("linops.py", "refined_solve"), ("core.py", "schur_check")}
+
+
+def test_every_certified_inverse_is_taken_in_one_of_four_places():
+    # one LU inverse per node: the bordered node stacks of the count and the loop through
+    # core.effective_traces, P's through _log_derivative_trace, the pseudospectrum cell's
+    # through _threshold_inverse; traces neither inverts a bordered stack nor catches IllPosed
+    sites = set()
+    for path in sorted(Path(grushinlab.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert "invert_nodes" not in text, path.name
+        sites |= {(path.name, where) for where in _call_sites(ast.parse(text), "certified_inverse")}
+    assert sites == {("core.py", "schur_check"), ("core.py", "effective_traces"),
+                     ("traces.py", "_log_derivative_trace"), ("pseudospectra.py", "_threshold_inverse")}
+    assert "IllPosed" not in set(_references(ast.parse((Path(grushinlab.__file__).parent / "traces.py").read_text())))
 
 
 @pytest.mark.parametrize("rminus, rplus, corner", [

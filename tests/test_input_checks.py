@@ -30,7 +30,13 @@ from grushinlab.perturbation import (
     projected_inverse_blocks,
 )
 from grushinlab.pseudospectra import pseudospectrum_grid, resolvent_bound
-from grushinlab.traces import HolomorphicFamily, selfadjoint_obstruction, weighted_trace
+from grushinlab.traces import (
+    HolomorphicFamily,
+    LoopFamily,
+    loop_trace_identity,
+    selfadjoint_obstruction,
+    weighted_trace,
+)
 
 # P = 1 bordered once on each side: E_-+ is 1 x 1
 _BORDERED = invert_system(assemble(np.eye(2), [[1.0], [0.0]], [[1.0, 0.0]]))
@@ -52,6 +58,12 @@ def _weighted_by(weight):
     # E_-+ is 1 x 1 about the enclosed eigenvalue 0.1; the first node stack has 8 nodes
     family = HolomorphicFamily.pencil(np.diag([0.1, 0.5, 0.9]))
     return weighted_trace(family, [[1.0], [0.0], [0.0]], [[1.0, 0.0, 0.0]], Contour.circle(0.1, 0.2), weight)
+
+
+def _loop_of(p, rminus, rplus, corner=None):
+    # constant blocks: the shape check comes before the certificate's SVD
+    constant = lambda block: None if block is None else {0: block}
+    return loop_trace_identity(LoopFamily.from_blocks(*map(constant, (p, rminus, rplus, corner))))
 
 
 def _emit_when_replace_fails():
@@ -116,6 +128,12 @@ def _emit_when_replace_fails():
      "weight has shape (9,) at nodes of shape (8,), not one value per node"),
     (lambda: _weighted_by(lambda z: 1.0), DimensionMismatch,
      "weight has shape () at nodes of shape (8,), not one value per node"),
+    (lambda: _loop_of(np.ones((3, 2)), np.ones((3, 1)), None), DimensionMismatch,
+     "P(t) and M(t) have shapes (3, 2), (3, 3), not square and nonempty"),
+    (lambda: _loop_of(np.eye(2), None, np.ones((1, 2))), DimensionMismatch,
+     "P(t) and M(t) have shapes (2, 2), (3, 2), not square and nonempty"),
+    (lambda: _loop_of(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), np.ones((1, 1))), DimensionMismatch,
+     "P(t) and M(t) have shapes (0, 0), (1, 1), not square and nonempty"),
     (lambda: render_json({"x": object()}), TypeError, "object is not JSON serializable"),
     (_emit_when_replace_fails, IoFailure, "rename refused"),
 ], ids=[
@@ -128,7 +146,7 @@ def _emit_when_replace_fails():
     "resolvent_bound", "resolvent_bound-h-nan",
     "pseudospectrum_grid", "pseudospectrum_grid-resolution-pair", "pseudospectrum_grid-resolution-float",
     "selfadjoint_obstruction-z-nan", "selfadjoint_obstruction-one-point", "weighted_trace-long",
-    "weighted_trace-scalar", "render_json",
+    "weighted_trace-scalar", "loop-rectangular-p", "loop-rectangular-m", "loop-empty-p", "render_json",
     "emit",
 ])
 def test_every_input_check_raises_its_own_error(call, error, message):

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from grushinlab.bvp1d import Discretization, dn_trace_identity, n2d_map
+from grushinlab import core
 from grushinlab.core import (
-    BorderedSystem,
     Split,
     assemble,
     feshbach_effective,
-    invert_nodes,
     invert_system,
     iterate,
     recover_resolvent,
@@ -35,7 +34,7 @@ from grushinlab.errors import (
     SingularMatrix,
     TransferSingular,
 )
-from grushinlab.linops import Contour, solve_linear
+from grushinlab.linops import WELL_POSED_LIMIT, Contour, certified_inverse, solve_linear
 from grushinlab.pseudospectra import resolvent_bound
 from grushinlab.traces import HolomorphicFamily, LoopFamily, count_direct, count_effective, loop_trace_identity
 
@@ -105,7 +104,7 @@ def test_node_is_none_without_one():
 
 
 @pytest.mark.parametrize("error, fields", [
-    (IllPosed, (1e17, 3)),
+    (IllPosed, (1e17,)),
     (NonConvergent, (1.5 - 98174767.3j, 3.5 - 49087382.1j)),
     (TransferSingular, (2.9e16,)),
     (InnerSingular, (2.9e16,)),
@@ -188,10 +187,10 @@ _ILL = "condition estimate 1.000e+17 beyond well-posed limit"
     (lambda: count_direct(HolomorphicFamily.pencil(np.diag([1.0, -3.0])), Contour.circle(0.0, 1.0)),
      OnContourSingular, ("P(z) singular at node z=(1+0j)", 1.0)),
     (_effective_at_eigenvalue, OnContourSingular, ("E_-+(z) singular at node z=(1+0j)", 1.0)),
-    (lambda: invert_system(assemble(np.diag([1.0, 1e-17]), [], [])), IllPosed, (_ILL, 1e17, 0)),
-    (lambda: invert_nodes(BorderedSystem(np.stack([np.eye(2), np.diag([1.0, 1e-17]), np.zeros((2, 2))]),
-                                         np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((0, 0)))),
-     IllPosed, (_ILL, 1e17, 1)),
+    (lambda: invert_system(assemble(np.diag([1.0, 1e-17]), [], [])), IllPosed, (_ILL, 1e17)),
+    (lambda: certified_inverse(np.stack([np.eye(2), np.diag([1.0, 1e-17]), np.zeros((2, 2))]).astype(complex),
+                               core._ill_posed, WELL_POSED_LIMIT),
+     IllPosed, (_ILL, 1e17)),
     (_certificate_loop,
      ContractionCertificateFails, ("certificate matrix singular at t=0.000, s=0.250",)),
     (lambda: resolvent_bound(np.diag([0.0, 1.0]), 0.0, 0.5), OnSpectrum, ("sigma_min = 0.000e+00 at tolerance",)),
@@ -199,7 +198,7 @@ _ILL = "condition estimate 1.000e+17 beyond well-posed limit"
 ], ids=[
     "solve_linear", "solve_linear-tol_factor", "recover_resolvent", "recover_resolvent-tol", "schur_check",
     "schur_check-b11", "schur_check-b11-tiny", "feshbach_effective", "neumann", "dn_trace-fallback", "count_direct", "count_effective",
-    "invert_system", "invert_nodes", "certificate", "resolvent_bound-zero", "resolvent_bound-tiny",
+    "invert_system", "certified_inverse-stack", "certificate", "resolvent_bound-zero", "resolvent_bound-tiny",
 ])
 def test_every_gate_raises_its_own_error(call, error, args):
     with pytest.raises(error) as info:
@@ -208,5 +207,5 @@ def test_every_gate_raises_its_own_error(call, error, args):
     assert info.value.args == args
     assert str(info.value) == args[0]
     if error is IllPosed:
-        assert (info.value.condition, info.value.index) == args[1:]
+        assert info.value.condition == args[1]
 

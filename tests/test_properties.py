@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grushinlab import pseudospectra
+from grushinlab import core, pseudospectra
 from grushinlab.core import (
     BorderedSystem,
+    GrushinInverse,
     assemble,
     effective_index,
-    invert_nodes,
+    effective_traces,
     invert_system,
     iterate,
     recover_resolvent,
@@ -60,10 +61,14 @@ from grushinlab.traces import (
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 
-def _unbordered(mats):
-    """A square matrix, or a stack of them, as a bordered system with empty borders."""
-    n = mats.shape[-1]
-    return BorderedSystem(mats, np.zeros((n, 0)), np.zeros((0, n)), np.zeros((0, 0)))
+class _At(Exception):
+    """The stack index at which :func:`_certified` named its fault (``args[0]``) and the fault."""
+
+
+def _certified(mats):
+    """``certified_inverse`` of a stack of square matrices at the well-posed limit, as every
+    bordered node stack and cell takes it; ``core._ill_posed``'s error comes inside :class:`_At`."""
+    return certified_inverse(mats, lambda i, s: _At(i, core._ill_posed(i, s)), WELL_POSED_LIMIT)
 
 
 @st.composite
@@ -108,19 +113,21 @@ def test_stacked_inversion_equals_invert_system(systems):
         except IllPosed as exc:
             singles.append(exc)
     first_bad = next((i for i, g in enumerate(singles) if isinstance(g, IllPosed)), None)
+    n1, n2 = systems[0].n_cols, systems[0].n_rows
     try:
-        full = invert_nodes(_unbordered(stack)).e
-    except IllPosed as exc:
-        assert exc.args[2] == first_bad
-        assert exc.args[1] == singles[first_bad].args[1]
-        with pytest.raises(IllPosed) as info:
-            invert_nodes(nodes)
-        assert info.value.args == exc.args
+        full = _certified(stack)
+    except _At as exc:
+        assert exc.args[0] == first_bad
+        assert exc.args[1].args[1] == singles[first_bad].args[1]
+        with pytest.raises(_At) as info:
+            _certified(nodes.assembled())
+        assert info.value.args[0] == exc.args[0] and info.value.args[1].args == exc.args[1].args
         return
     assert first_bad is None
-    stacked = invert_nodes(nodes)
+    stacked = GrushinInverse.from_full(_certified(nodes.assembled()), n1, n2)
     for i, (system, ginv, inverse) in enumerate(zip(systems, singles, full)):
-        mat, single = system.assembled(), invert_nodes(system)
+        mat = system.assembled()
+        single = GrushinInverse.from_full(_certified(mat[None])[0], n1, n2)
         assert spectral_norm(inverse @ mat - np.eye(len(mat))) <= _round_trip_tolerance(ginv)
         assert np.array_equal(single.assembled(), inverse)
         for block in ("e", "e_plus", "e_minus", "e_minus_plus"):
@@ -151,7 +158,7 @@ def _round_trip_tolerance(inverse):
 def test_invert_system_round_trip(systems):
     for system, inverse in _well_posed_pairs(systems):
         mat, full = system.assembled(), inverse.assembled()
-        for candidate in (full, invert_nodes(_unbordered(mat)).e):
+        for candidate in (full, _certified(mat[None])[0]):
             assert spectral_norm(candidate @ mat - np.eye(len(mat))) <= _round_trip_tolerance(inverse)
 
 
@@ -332,14 +339,14 @@ def _sigmas(mats):
 
 @PROPERTY
 @given(graded_stacks())
-def test_invert_nodes_decides_as_the_svd(stacks):
+def test_well_posed_inverse_decides_as_the_svd(stacks):
     mats, _ = stacks
     conds = [condition_from_sigma(s) for s in _sigmas(mats)]
     first_bad = next((i for i, cond in enumerate(conds) if not _well_posed(cond)), None)
     try:
-        full = invert_nodes(_unbordered(mats)).e
-    except IllPosed as exc:
-        assert (exc.index, exc.condition) == (first_bad, conds[first_bad])
+        full = _certified(mats)
+    except _At as exc:
+        assert (exc.args[0], exc.args[1].condition) == (first_bad, conds[first_bad])
         return
     assert first_bad is None
     for mat, inverse in zip(mats, full):
@@ -351,13 +358,17 @@ class _Fault(Exception):
     pass
 
 
+class _Singular(Exception):
+    pass
+
+
 def _log_derivative_traces(p, dp):
     """``_log_derivative_trace`` on a stack, after checking its gate against the
     rank tolerance on per-matrix SVDs; None where the gate rightly raised."""
     sigmas = _sigmas(p)
     first_bad = next((i for i, s in enumerate(sigmas) if s[-1] <= tolerance_from_sigma(s, p.shape[1:])), None)
     try:
-        traces = _log_derivative_trace(p, dp, np.arange(len(p)), _Fault)
+        traces = _log_derivative_trace(p, dp, _Fault)
     except _Fault as exc:
         assert exc.args[0] == first_bad
         return None
@@ -392,6 +403,46 @@ def test_unit_derivative_trace_is_the_trace_of_the_inverse_bit_for_bit(stacks):
     if checked is not None:
         inverse = np.linalg.solve(p, np.eye(n, dtype=complex))
         assert checked[0].tobytes() == np.trace(inverse, axis1=1, axis2=2).tobytes()
+
+
+@PROPERTY
+@given(graded_stacks(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_effective_traces_agree_with_the_split_inverse(stacks, k, seed):
+    """``core.effective_traces`` on P bordered by random constant R-, R+ (k = 1..3, zero corner),
+    with M' = [[P', 0], [0, 0]], faults at the first node whose m x m M the SVD rule flags at
+    ``WELL_POSED_LIMIT``; elsewhere it agrees with the traces read off the blocks of the same LU
+    inverse of M, split apart: -tr( E_-+^{-1} E_- P' E_+ ) within 8 m^2 eps cond(E_-+)
+    ||E_-+^{-1}||_2 ||E_-||_F ||P'||_F ||E_+||_F, and tr( E P' ) within 2 m^2 eps ||E||_F ||P'||_F.
+    Only the order of the sums may differ between the two."""
+    p, dp = stacks
+    n, m = p.shape[-1], p.shape[-1] + k
+    rng = np.random.default_rng(seed)
+    rm, rp = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in ((n, k), (k, n)))
+    system = replace(assemble(np.zeros((n, n)), rm, rp), p=p)
+    mats = system.assembled()
+    first_bad = next((i for i, s in enumerate(_sigmas(mats)) if not _well_posed(condition_from_sigma(s))), None)
+    derivative = BorderedSystem(dp, np.zeros((n, k)), np.zeros((k, n)), np.zeros((k, k)))
+    try:
+        effective, log_det = effective_traces(system, derivative, _Fault, _Singular)
+        named = None
+    except _Fault as exc:
+        assert exc.args[0] == first_bad
+        return
+    except _Singular as exc:
+        named = exc.args[0]
+    assert first_bad is None
+    split = GrushinInverse.from_full(np.linalg.solve(mats, np.eye(m, dtype=complex)), n, n)
+    emp, em, ep, e = split.e_minus_plus, split.e_minus, split.e_plus, split.e
+    if named is not None:
+        # the LU solve with some E_-+ failed: the kernel names the first E_-+ at the rank tolerance
+        assert named == next(i for i, s in enumerate(_sigmas(emp)) if s[-1] <= tolerance_from_sigma(s, (k, k)))
+        return
+    reference = -np.trace(np.linalg.solve(emp, em @ dp @ ep), axis1=1, axis2=2)
+    for i, s in enumerate(_sigmas(emp)):
+        norms = np.linalg.norm(em[i]) * np.linalg.norm(dp[i]) * np.linalg.norm(ep[i])
+        assert abs(effective[i] - reference[i]) <= 8 * m * m * EPS * (s[0] / s[-1]) / s[-1] * norms
+        bound = 2 * m * m * EPS * np.linalg.norm(e[i]) * np.linalg.norm(dp[i])
+        assert abs(log_det[i] - np.einsum("ij,ji->", e[i], dp[i])) <= bound
 
 
 _RULES = [(1.0, None), (1e3, None), (None, WELL_POSED_LIMIT), (1.0, WELL_POSED_LIMIT)]
