@@ -39,7 +39,6 @@ from .linops import (
     Contour,
     as_integer,
     integrate_nodes,
-    is_singular,
     rank_limit,
     refined_solve,
     singular_gate,
@@ -220,41 +219,80 @@ def _n2d_residual(d: Discretization, z: complex, system: BorderedSystem):
     return reference, inverse, residual, 1e-9 * max(1.0, spectral_norm(reference))
 
 
-def _boundary_map_and_derivative(x_n: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """N(z) = -(2/h) X and its exact derivative N'(z) = (2/h) X^2 on the two
-    boundary nodes, from X = (z - A_N)^{-1}, since dX/dz = -X^2."""
-    ends = [0, -1]
-    return -2.0 / step * x_n[np.ix_(ends, ends)], 2.0 / step * (x_n[ends] @ x_n[:, ends])
-
-
-def _node_check(a_n: np.ndarray, a_d: np.ndarray) -> Callable[[complex], None]:
-    """A function of z that raises :class:`OnContourSingular` where z - A_N or
-    z - A_D, in that order, has sigma_min at or below 1e3 times the rank
-    tolerance.
-
-    The eigenvalues are computed once, here.  A_D is real symmetric, and so is
-    S = D A_N D^{-1} with D = diag(1/sqrt 2, 1, ..., 1, 1/sqrt 2).  So the
-    singular values of z - A_D are the |z - lambda|, and those of z - A_N lie
-    within the factor kappa(D) = sqrt 2 of the |z - lambda(S)|.  Widened by
-    8 n eps kappa (|z| + ||A||) for the error of the eigenvalues and of the SVD
-    they stand in for (sigma_min's clipped at 0), these bounds pass most z;
-    any other z gets the sigma-only SVD (README, "Numerical conventions").
+def _boundary_resolvents(d: Discretization, nodes: np.ndarray):
+    """tr (z - A_N)^{-1} - tr (z - A_D)^{-1}, N(z) = (2/h) Y_N and its exact
+    derivative N'(z) = (2/h) Y_N^2 on the two boundary nodes, Y = (A - z)^{-1},
+    for each node z in O(m), from the forward and backward pivots f, g of A - z:
+    diag Y = 1/(f + g - diag(A - z)) (Dhillon & Parlett, LAA 387, 2004); Y_N's
+    first and last columns are ratio products down from 1/g_0 and up from
+    1/f_end, its rows those columns times 2 D^2 (:func:`_spectra`).  A_D, the
+    interior of A_N, is swept alongside, its ends decoupled by unit rows.  An
+    exactly zero pivot becomes -eps (max |diag(A - z)| + 3/h^2), LAPACK's pivmin.
     """
+    diag, off, _ = _stencil(d, 0.0)
+    t = np.repeat((diag[:, None] - nodes)[:, None], 2, axis=1)  # rows, [A_N, A_D], nodes
+    t[[0, -1], 1] = 1.0
+    couplings = np.full((diag.size - 1, 2, 1), off * off)  # (A - z)[i, i+1] (A - z)[i+1, i]
+    couplings[[0, -1]] *= [[2.0], [0.0]]
+    couplings = np.stack([couplings, couplings[::-1]], axis=1)
+    pivots = np.stack([t, t[::-1]], axis=1)  # rows, [forward, backward], matrix, nodes
+    pivmin = -EPS * (np.abs(t[:, 0]).max(axis=0) + 3.0 / d.step**2)
+    for i, row in enumerate(pivots):
+        if i:
+            row -= couplings[i - 1] / pivots[i - 1]
+        if not row.all():
+            np.copyto(row, pivmin, where=row == 0)
+    f, g = pivots[:, 0], pivots[::-1, 1]
+    y_diag = 1.0 / (f + g - t)
+
+    # -(A_N - z)[i+1, i], which is also -(A_N - z)[-i-2, -i-1], the upper diagonal read upwards
+    ratios = np.concatenate([np.full(diag.size - 2, -off), [-2.0 * off]])[:, None]
+    first = np.cumprod(np.concatenate([1.0 / g[:1, 0], ratios / g[1:, 0]]), axis=0)
+    last = np.cumprod(np.concatenate([1.0 / f[-1:, 0], ratios / f[-2::-1, 0]]), axis=0)
+    cols = np.stack([first, last[::-1]], axis=-1)  # Y_N[:, ends]
+    weights = np.concatenate([[1.0], np.full(diag.size - 2, 2.0), [1.0]])
+    return (y_diag[1:-1, 1].sum(axis=0) - y_diag[:, 0].sum(axis=0),
+            2.0 / d.step * cols[[0, -1]].transpose(1, 0, 2),
+            2.0 / d.step * np.einsum("ika,i,ikb->kab", cols, weights, cols))
+
+
+def _spectra(a_n: np.ndarray, a_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of A_N and A_D from the symmetric eigensolver: A_D is
+    real symmetric, and so is S = D A_N D^{-1}, D = diag(1/sqrt 2, 1, ..., 1, 1/sqrt 2)."""
     w = np.ones(a_n.shape[0])
     w[[0, -1]] = math.sqrt(0.5)
-    sym = w[:, None] * a_n.real / w
-    spectra = [(a_n, np.linalg.eigvalsh(sym), math.sqrt(2.0)), (a_d, np.linalg.eigvalsh(a_d.real), 1.0)]
+    return np.linalg.eigvalsh(w[:, None] * a_n.real / w), np.linalg.eigvalsh(a_d.real)
 
-    def check(z: complex) -> None:
+
+def _node_check(a_n: np.ndarray, a_d: np.ndarray) -> Callable[[np.ndarray], None]:
+    """A function of a node or a node stack that raises :class:`OnContourSingular`
+    at the first node where z - A_N or z - A_D, in that order, has sigma_min at
+    or below 1e3 times the rank tolerance.
+
+    The eigenvalues are computed once, here (:func:`_spectra`).  The singular
+    values of z - A_D are the |z - lambda|, and those of z - A_N lie within the
+    factor kappa(D) = sqrt 2 of the |z - lambda(S)|.  Widened by
+    8 n eps kappa (|z| + ||A||) for the error of the eigenvalues and of the SVD
+    they stand in for (sigma_min's clipped at 0), these bounds pass most of a
+    stack at once; any other z gets the sigma-only SVD (README, "Numerical
+    conventions").
+    """
+    spectra = list(zip((a_n, a_d), _spectra(a_n, a_d), (math.sqrt(2.0), 1.0)))
+
+    def check(nodes) -> None:
+        nodes = np.atleast_1d(nodes)
+        undecided = []
         for a, eigs, kappa in spectra:
-            dist = np.abs(z - eigs)
-            slack = 8.0 * a.shape[0] * EPS * kappa * (abs(z) + np.abs(eigs).max())
-            lower = max((dist.min() - slack) / kappa - slack, 0.0)
-            bounds = np.array([kappa * (dist.max() + slack) + slack, lower])
-            limit = rank_limit(a.shape, 8e3)
-            if is_singular(bounds, limit):
-                fault = lambda *_: OnContourSingular(f"contour node z={z} on a discrete spectrum", complex(z))
-                singular_gate(z * np.eye(a.shape[0]) - a, fault, limit)
+            dist = np.abs(nodes[:, None] - eigs)
+            slack = 8.0 * a.shape[0] * EPS * kappa * (np.abs(nodes) + np.abs(eigs).max())
+            lower = np.maximum((dist.min(axis=1) - slack) / kappa - slack, 0.0)
+            upper = kappa * (dist.max(axis=1) + slack) + slack
+            with np.errstate(divide="ignore"):
+                undecided.append(~(upper / lower < rank_limit(a.shape, 8e3)))  # linops.is_singular
+        for k, j in zip(*np.nonzero(np.transpose(undecided))):  # node order, A_N before A_D
+            a, z = spectra[j][0], nodes[k]
+            fault = lambda *_: OnContourSingular(f"contour node z={z} on a discrete spectrum", complex(z))
+            singular_gate(z * np.eye(a.shape[0]) - a, fault, rank_limit(a.shape, 8e3))
 
     return check
 
@@ -264,28 +302,19 @@ def dn_trace_identity(d: Discretization, contour: Contour) -> tuple[int, int]:
 
       * difference of the two resolvent traces integrated over the contour,
       * minus the winding of the Neumann-to-Dirichlet map N, with the exact
-        derivative N' read off the same Neumann inverse.
+        derivative N' read off the same Neumann pivots.
 
-    Both rows come from one doubling pass, to 1e-8, that inverts z - A_N and
-    z - A_D once per node; they are returned as integers and must agree.  Every
-    evaluated node is checked against both discrete spectra
-    (:class:`OnContourSingular`).
+    Both rows come from one doubling pass, to 1e-8, that factors z - A_N and
+    z - A_D in O(m) per node (:func:`_boundary_resolvents`); they are returned
+    as integers and must agree.  Every evaluated node is checked against both
+    discrete spectra (:class:`OnContourSingular`).
     """
-    a_n = neumann_matrix(d, 0.0)
-    a_d = dirichlet_matrix(d, 0.0)
-    eye_n = np.eye(a_n.shape[0], dtype=np.complex128)
-    eye_d = np.eye(a_d.shape[0], dtype=np.complex128)
-    check = _node_check(a_n, a_d)
+    check = _node_check(neumann_matrix(d, 0.0), dirichlet_matrix(d, 0.0))
 
-    def integrand(nodes: np.ndarray) -> np.ndarray:
-        rows = np.empty((2, len(nodes)), dtype=np.complex128)
-        for k, z in enumerate(nodes):
-            check(z)
-            x_n = np.linalg.inv(z * eye_n - a_n)
-            x_d = np.linalg.inv(z * eye_d - a_d)
-            n_val, n_dot = _boundary_map_and_derivative(x_n, d.step)
-            rows[:, k] = np.trace(x_n) - np.trace(x_d), -np.trace(np.linalg.solve(n_val, n_dot))
-        return rows
+    def integrand(nodes: np.ndarray):
+        check(nodes)
+        traces, n_val, n_dot = _boundary_resolvents(d, nodes)
+        return traces, -np.trace(np.linalg.solve(n_val, n_dot), axis1=1, axis2=2)
 
     return tuple(as_integer(complex(v) / (2j * np.pi)) for v in integrate_nodes(integrand, contour, 1e-8))
 

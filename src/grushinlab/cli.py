@@ -26,6 +26,7 @@ from . import __version__
 from .bvp1d import (
     Discretization,
     _n2d_residual,
+    _spectra,
     bvp_bordered_system,
     dirichlet_matrix,
     dn_trace_identity,
@@ -390,8 +391,7 @@ def _cmd_bvp_trace(args, seed: int):
     d = _make_discretization(args)
     contour = Contour.circle(complex(args.center_re, args.center_im), args.radius)
     lhs, rhs = dn_trace_identity(d, contour)
-    neumann_eigs = eigenvalues(neumann_matrix(d, 0.0))
-    dirichlet_eigs = eigenvalues(dirichlet_matrix(d, 0.0))
+    neumann_eigs, dirichlet_eigs = _spectra(neumann_matrix(d, 0.0), dirichlet_matrix(d, 0.0))
     tally = int(sum(1 for v in neumann_eigs if contour.contains(v))) - int(
         sum(1 for v in dirichlet_eigs if contour.contains(v))
     )

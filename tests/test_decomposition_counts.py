@@ -108,7 +108,7 @@ def test_bvp_n2d_solves_the_boundary_problem_once(monkeypatch, tmp_path):
     assert solves == [(122, 122), (122, 122), (124, 124), (124, 124)]
 
 
-def test_dn_trace_identity_inverts_each_node_twice_and_makes_no_svd(monkeypatch):
+def test_dn_trace_identity_makes_no_dense_inverse_and_no_svd(monkeypatch):
     m = 20
     d = _grid(m)
     # encloses two Neumann and one Dirichlet eigenvalue, and every node certifies
@@ -116,11 +116,11 @@ def test_dn_trace_identity_inverts_each_node_twice_and_makes_no_svd(monkeypatch)
     svds = _record_svds(monkeypatch)
     invs, eigs, solves = (_record_shapes(monkeypatch, k) for k in ("inv", "eigvalsh", "solve"))
     assert dn_trace_identity(d, contour) == (1, 1)
-    assert svds == []
+    assert svds == [] and invs == []
     assert eigs == [(m + 2, m + 2), (m, m)]
-    assert set(solves) == {(2, 2)}
-    nodes = len(invs) // 2
-    assert invs == [(m + 2, m + 2), (m, m)] * nodes
+    # one stacked 2 x 2 solve, tr(N^{-1} N'), per node stack
+    assert all(len(shape) == 3 and shape[1:] == (2, 2) for shape in solves)
+    nodes = sum(shape[0] for shape in solves)
     # the nested trapezoid rule evaluates contour.nodes * 2^k nodes, k >= 1
     doublings = np.log2(nodes / contour.nodes)
     assert doublings >= 1 and doublings == int(doublings)

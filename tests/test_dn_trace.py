@@ -1,6 +1,6 @@
-"""The Neumann-minus-Dirichlet trace identity: the exact boundary-map
-derivative, the spectral node gate against the plain SVD rule, and counts
-against the eigenvalue tally."""
+"""The Neumann-minus-Dirichlet trace identity: the O(m) pivot kernel and its
+exact boundary-map derivative against the dense inverse, the spectral node
+gate against the plain SVD rule, and counts against the eigenvalue tally."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from grushinlab.bvp1d import (
     Discretization,
-    _boundary_map_and_derivative,
+    _boundary_resolvents,
     _node_check,
     dirichlet_matrix,
     dn_trace_identity,
@@ -19,7 +19,7 @@ from grushinlab.bvp1d import (
     tabulated_potential,
 )
 from grushinlab.errors import OnContourSingular
-from grushinlab.linops import Contour, eigenvalues, tolerance_from_sigma
+from grushinlab.linops import EPS, Contour, eigenvalues, tolerance_from_sigma
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -27,9 +27,7 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 @pytest.mark.parametrize("z", [-1.0 + 0.5j, 2.5 + 0.3j, 0.5 - 1.2j])
 def test_exact_derivative_matches_richardson_difference(z):
     d = Discretization(0.0, np.pi, 40, potential_from_name("harmonic", 0.0, np.pi))
-    a_n = neumann_matrix(d, 0.0)
-    x_n = np.linalg.inv(z * np.eye(d.m + 2) - a_n)
-    n_val, n_dot = _boundary_map_and_derivative(x_n, d.step)
+    _, (n_val,), (n_dot,) = _boundary_resolvents(d, np.array([z]))
     assert np.allclose(n_val, n2d_map(d, z), rtol=1e-10, atol=0.0)
 
     def central(delta):
@@ -58,6 +56,66 @@ def tabulated_grids(draw):
     neumann = draw(st.booleans())
     own = vals_n if neumann else vals_d
     return d, own[draw(st.integers(0, own.size - 1))]
+
+
+def _assert_matches_the_dense_inverse(d, nodes):
+    """The kernel's rows at ``nodes`` against np.linalg.inv of z - A_N and z - A_D.
+
+    Both are backward stable: each is exact for some z - A + E with
+    ||E|| <= m eps (|z| + ||A||), which moves X = (z - A)^{-1} by X E X to first
+    order.  So the trace row may move by ||E|| sum 1/|z - lambda|^2 over both
+    spectra, N = -(2/h) X_N[ends, ends] by (2/h) ||E|| / dist^2 and
+    N' = (2/h) X_N[ends, :] X_N[:, ends] by (2/h) ||E|| / dist^3, dist the
+    distance from z to the Neumann spectrum; the factor kappa(D)^2 = 2 of the
+    nonsymmetric A_N and the constants stay inside the m of ||E||.
+    """
+    vals_n, vals_d = _spectra_of(d)
+    norm = np.abs(np.concatenate([vals_n, vals_d])).max()
+    a_n, a_d = neumann_matrix(d, 0.0), dirichlet_matrix(d, 0.0)
+    traces, n_val, n_dot = _boundary_resolvents(d, nodes)
+    ends = [0, -1]
+    for k, z in enumerate(nodes):
+        x_n = np.linalg.inv(z * np.eye(d.m + 2) - a_n)
+        x_d = np.linalg.inv(z * np.eye(d.m) - a_d)
+        backward = d.m * EPS * (abs(z) + norm)
+        dist = np.abs(z - vals_n).min()
+        inverse_square = np.sum(np.abs(z - np.concatenate([vals_n, vals_d])) ** -2.0)
+        assert abs(traces[k] - (np.trace(x_n) - np.trace(x_d))) <= backward * inverse_square
+        assert np.abs(n_val[k] + 2.0 / d.step * x_n[np.ix_(ends, ends)]).max() <= 2.0 / d.step * backward / dist**2
+        assert np.abs(n_dot[k] - 2.0 / d.step * x_n[ends] @ x_n[:, ends]).max() <= 2.0 / d.step * backward / dist**3
+
+
+@PROPERTY
+@given(tabulated_grids(), st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.01, 1.0), st.booleans()),
+                                   min_size=1, max_size=6))
+def test_pivot_kernel_matches_the_dense_inverse(case, offsets):
+    # the real nodes c +- r of the circle the counts use, and complex nodes
+    # at least 1e-2 ||A|| off the real axis
+    d, target = case
+    spectra = np.concatenate(_spectra_of(d))
+    gap = np.sort(np.abs(spectra - target))[1]
+    assume(gap > 1e-2)
+    scale = np.abs(spectra).max()
+    nodes = [target + 0.4 * gap, target - 0.4 * gap]
+    nodes += [target + scale * complex(x, y if up else -y) for x, y, up in offsets]
+    _assert_matches_the_dense_inverse(d, np.array(nodes))
+
+
+def test_exactly_zero_pivot_is_replaced_not_divided_by():
+    # V = 0 and z = 2/h^2: every diagonal entry of A - z is exactly zero, so
+    # the first forward and backward pivots are; z is 6.68 from both spectra
+    d = Discretization(0.0, np.pi, 20, potential_from_name("zero", 0.0, np.pi))
+    z = 2.0 / d.step**2
+    assert np.all(np.diag(neumann_matrix(d, z)) == 0.0)
+    nodes = np.array([z, z + 1e-300j])
+    assert all(np.all(np.isfinite(row)) for row in _boundary_resolvents(d, nodes))
+    _assert_matches_the_dense_inverse(d, nodes)
+    # node 0 of the circle is z itself; the pass neither raises nor returns NaN
+    contour = Contour.circle(z - 8.0, 8.0)
+    assert contour.quadrature(contour.nodes)[0][0] == z
+    vals_n, vals_d = _spectra_of(d)
+    tally = sum(contour.contains(v) for v in vals_n) - sum(contour.contains(v) for v in vals_d)
+    assert dn_trace_identity(d, contour) == (tally, tally)
 
 
 @PROPERTY
@@ -122,6 +180,28 @@ def test_gate_needs_an_svd_only_near_the_threshold(monkeypatch):
     assert rejected[0] is False and rejected[-1] is True
     assert rejected == sorted(rejected)
     assert len(svds) == sum(rejected)
+
+
+def test_stack_check_names_the_first_failing_node_neumann_first(monkeypatch):
+    # V = 0: every Dirichlet eigenvalue is a Neumann one too, so at node 1
+    # both matrices fail and node 2 fails as well; the first SVD, of z - A_N
+    # at node 1, raises, and node 0 needs none
+    d = Discretization(0.0, np.pi, 20, potential_from_name("zero", 0.0, np.pi))
+    shared = _spectra_of(d)[1]
+    check = _node_check(neumann_matrix(d, 0.0), dirichlet_matrix(d, 0.0))
+    nodes = np.array([shared[3] + 1.0j, shared[3], shared[5]])
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    with pytest.raises(OnContourSingular) as info:
+        check(nodes)
+    assert info.value.node == nodes[1]
+    assert shapes == [(d.m + 2, d.m + 2)]
 
 
 def _well():
